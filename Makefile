@@ -2,17 +2,23 @@
 
 GO ?= go
 
-.PHONY: all build test test-race test-e2e test-chaos test-pooldebug test-trace test-cluster check vet bench bench-par bench-gate bench-gate-quick bench-baseline tables examples cover fuzz fuzz-smoke clean
+.PHONY: all build test test-race test-e2e test-chaos test-pooldebug test-trace test-cluster check vet bench-vet bench bench-par bench-gate bench-gate-quick bench-baseline tables examples cover fuzz fuzz-smoke clean
 
 all: build vet test
 
-check: build vet test test-race test-e2e test-chaos test-pooldebug test-trace test-cluster fuzz-smoke bench-gate-quick
+check: build vet bench-vet test test-race test-e2e test-chaos test-pooldebug test-trace test-cluster fuzz-smoke bench-gate-quick
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+# perfbench/ is a module of its own (replace partree => ../), so
+# `go build ./...` never compiles it; vet it here so an exported-API
+# change that breaks the benchmark fails the check.
+bench-vet:
+	cd perfbench && $(GO) vet ./...
 
 test:
 	$(GO) test ./...

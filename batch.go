@@ -11,7 +11,6 @@ import (
 	"partree/internal/leafpattern"
 	"partree/internal/lincfl"
 	"partree/internal/obst"
-	"partree/internal/pram"
 	"partree/internal/shannonfano"
 )
 
@@ -47,10 +46,8 @@ type HuffmanBatchResult struct {
 // parallel statement on one machine, each with the sequential O(n log n)
 // oracle. Results are positionally aligned with jobs.
 func HuffmanBatch(jobs [][]float64, opts ...Options) ([]HuffmanBatchResult, Stats) {
-	m, release := firstOption(opts).acquire()
-	defer release()
-	out := huffmanBatchOn(m, jobs)
-	return out, statsOf(m)
+	out, st, _ := HuffmanBatchContext(context.Background(), jobs, opts...)
+	return out, st
 }
 
 // HuffmanBatchContext is HuffmanBatch under a context: cancelling ctx
@@ -58,46 +55,24 @@ func HuffmanBatch(jobs [][]float64, opts ...Options) ([]HuffmanBatchResult, Stat
 // returns (nil, Stats, ctx.Err()). Jobs that already ran are discarded —
 // a batch is one statement, not a resumable stream.
 func HuffmanBatchContext(ctx context.Context, jobs [][]float64, opts ...Options) ([]HuffmanBatchResult, Stats, error) {
-	m, release := firstOption(opts).acquireContext(ctx)
-	defer release()
-	var out []HuffmanBatchResult
-	err := m.Run(func() { out = huffmanBatchOn(m, jobs) })
-	if err != nil {
-		return nil, statsOf(m), err
-	}
-	return out, statsOf(m), nil
+	return runBatch(ctx, "batch.huffman", jobs, opts, huffmanJob)
 }
 
-func huffmanBatchOn(m *pram.Machine, jobs [][]float64) []HuffmanBatchResult {
-	out := make([]HuffmanBatchResult, len(jobs))
-	restore := m.Phase("batch.huffman")
-	m.For(len(jobs), func(i int) {
-		if m.Canceled() {
-			return
-		}
-		if faultpoint.Armed() {
-			faultpoint.Hit("batch.huffman.job", i)
-		}
-		w := jobs[i]
-		if len(w) == 0 {
-			out[i].Err = ErrEmptyJob
-			return
-		}
-		t := HuffmanTree(w)
-		lengths := huffman.CodeLengths(t, len(w))
-		codes, err := huffman.Canonical(lengths)
-		if err != nil {
-			out[i].Err = err
-			return
-		}
-		cost := 0.0
-		for k, l := range lengths {
-			cost += w[k] * float64(l)
-		}
-		out[i] = HuffmanBatchResult{Lengths: lengths, Codes: codes, Cost: cost}
-	})
-	restore()
-	return out
+func huffmanJob(w []float64) HuffmanBatchResult {
+	if len(w) == 0 {
+		return HuffmanBatchResult{Err: ErrEmptyJob}
+	}
+	t := HuffmanTree(w)
+	lengths := huffman.CodeLengths(t, len(w))
+	codes, err := huffman.Canonical(lengths)
+	if err != nil {
+		return HuffmanBatchResult{Err: err}
+	}
+	cost := 0.0
+	for k, l := range lengths {
+		cost += w[k] * float64(l)
+	}
+	return HuffmanBatchResult{Lengths: lengths, Codes: codes, Cost: cost}
 }
 
 // ShannonFanoBatchResult is one job's output from ShannonFanoBatch.
@@ -114,60 +89,35 @@ type ShannonFanoBatchResult struct {
 // entry of every job must lie in (0,1]; violating jobs get a per-job Err
 // rather than poisoning the batch.
 func ShannonFanoBatch(jobs [][]float64, opts ...Options) ([]ShannonFanoBatchResult, Stats) {
-	m, release := firstOption(opts).acquire()
-	defer release()
-	out := shannonFanoBatchOn(m, jobs)
-	return out, statsOf(m)
+	out, st, _ := ShannonFanoBatchContext(context.Background(), jobs, opts...)
+	return out, st
 }
 
 // ShannonFanoBatchContext is ShannonFanoBatch under a context; see
 // HuffmanBatchContext for the cancellation contract.
 func ShannonFanoBatchContext(ctx context.Context, jobs [][]float64, opts ...Options) ([]ShannonFanoBatchResult, Stats, error) {
-	m, release := firstOption(opts).acquireContext(ctx)
-	defer release()
-	var out []ShannonFanoBatchResult
-	err := m.Run(func() { out = shannonFanoBatchOn(m, jobs) })
-	if err != nil {
-		return nil, statsOf(m), err
-	}
-	return out, statsOf(m), nil
+	return runBatch(ctx, "batch.shannonfano", jobs, opts, shannonFanoJob)
 }
 
-func shannonFanoBatchOn(m *pram.Machine, jobs [][]float64) []ShannonFanoBatchResult {
-	out := make([]ShannonFanoBatchResult, len(jobs))
-	restore := m.Phase("batch.shannonfano")
-	m.For(len(jobs), func(i int) {
-		if m.Canceled() {
-			return
+func shannonFanoJob(p []float64) ShannonFanoBatchResult {
+	if len(p) == 0 {
+		return ShannonFanoBatchResult{Err: ErrEmptyJob}
+	}
+	for k, v := range p {
+		if !(v > 0 && v <= 1) || math.IsNaN(v) {
+			return ShannonFanoBatchResult{Err: fmt.Errorf("partree: probability %v at %d outside (0,1]", v, k)}
 		}
-		if faultpoint.Armed() {
-			faultpoint.Hit("batch.shannonfano.job", i)
-		}
-		p := jobs[i]
-		if len(p) == 0 {
-			out[i].Err = ErrEmptyJob
-			return
-		}
-		for k, v := range p {
-			if !(v > 0 && v <= 1) || math.IsNaN(v) {
-				out[i].Err = fmt.Errorf("partree: probability %v at %d outside (0,1]", v, k)
-				return
-			}
-		}
-		lengths := shannonfano.Lengths(p)
-		codes, err := huffman.Canonical(lengths)
-		if err != nil {
-			out[i].Err = err
-			return
-		}
-		avg := 0.0
-		for k, l := range lengths {
-			avg += p[k] * float64(l)
-		}
-		out[i] = ShannonFanoBatchResult{Lengths: lengths, Codes: codes, AverageLength: avg}
-	})
-	restore()
-	return out
+	}
+	lengths := shannonfano.Lengths(p)
+	codes, err := huffman.Canonical(lengths)
+	if err != nil {
+		return ShannonFanoBatchResult{Err: err}
+	}
+	avg := 0.0
+	for k, l := range lengths {
+		avg += p[k] * float64(l)
+	}
+	return ShannonFanoBatchResult{Lengths: lengths, Codes: codes, AverageLength: avg}
 }
 
 // PatternBatchResult is one job's output from TreeFromDepthsBatch.
@@ -183,40 +133,17 @@ type PatternBatchResult struct {
 // in one parallel statement, each with the sequential greedy packing
 // oracle.
 func TreeFromDepthsBatch(jobs [][]int, opts ...Options) ([]PatternBatchResult, Stats) {
-	m, release := firstOption(opts).acquire()
-	defer release()
-	out := treeFromDepthsBatchOn(m, jobs)
-	return out, statsOf(m)
+	out, st, _ := TreeFromDepthsBatchContext(context.Background(), jobs, opts...)
+	return out, st
 }
 
 // TreeFromDepthsBatchContext is TreeFromDepthsBatch under a context; see
 // HuffmanBatchContext for the cancellation contract.
 func TreeFromDepthsBatchContext(ctx context.Context, jobs [][]int, opts ...Options) ([]PatternBatchResult, Stats, error) {
-	m, release := firstOption(opts).acquireContext(ctx)
-	defer release()
-	var out []PatternBatchResult
-	err := m.Run(func() { out = treeFromDepthsBatchOn(m, jobs) })
-	if err != nil {
-		return nil, statsOf(m), err
-	}
-	return out, statsOf(m), nil
-}
-
-func treeFromDepthsBatchOn(m *pram.Machine, jobs [][]int) []PatternBatchResult {
-	out := make([]PatternBatchResult, len(jobs))
-	restore := m.Phase("batch.leafpattern")
-	m.For(len(jobs), func(i int) {
-		if m.Canceled() {
-			return
-		}
-		if faultpoint.Armed() {
-			faultpoint.Hit("batch.leafpattern.job", i)
-		}
-		t, err := leafpattern.Greedy(jobs[i])
-		out[i] = PatternBatchResult{Tree: t, Err: err}
+	return runBatch(ctx, "batch.leafpattern", jobs, opts, func(depths []int) PatternBatchResult {
+		t, err := leafpattern.Greedy(depths)
+		return PatternBatchResult{Tree: t, Err: err}
 	})
-	restore()
-	return out
 }
 
 // BSTBatchResult is one job's output from OptimalBSTBatch.
@@ -231,40 +158,17 @@ type BSTBatchResult struct {
 // parallel statement, each with Knuth's exact O(n²) dynamic program.
 // Instances must come from NewBSTInstance.
 func OptimalBSTBatch(jobs []*BSTInstance, opts ...Options) ([]BSTBatchResult, Stats) {
-	m, release := firstOption(opts).acquire()
-	defer release()
-	out := optimalBSTBatchOn(m, jobs)
-	return out, statsOf(m)
+	out, st, _ := OptimalBSTBatchContext(context.Background(), jobs, opts...)
+	return out, st
 }
 
 // OptimalBSTBatchContext is OptimalBSTBatch under a context; see
 // HuffmanBatchContext for the cancellation contract.
 func OptimalBSTBatchContext(ctx context.Context, jobs []*BSTInstance, opts ...Options) ([]BSTBatchResult, Stats, error) {
-	m, release := firstOption(opts).acquireContext(ctx)
-	defer release()
-	var out []BSTBatchResult
-	err := m.Run(func() { out = optimalBSTBatchOn(m, jobs) })
-	if err != nil {
-		return nil, statsOf(m), err
-	}
-	return out, statsOf(m), nil
-}
-
-func optimalBSTBatchOn(m *pram.Machine, jobs []*BSTInstance) []BSTBatchResult {
-	out := make([]BSTBatchResult, len(jobs))
-	restore := m.Phase("batch.obst")
-	m.For(len(jobs), func(i int) {
-		if m.Canceled() {
-			return
-		}
-		if faultpoint.Armed() {
-			faultpoint.Hit("batch.obst.job", i)
-		}
-		cost, t := obst.Knuth(jobs[i])
-		out[i] = BSTBatchResult{Cost: cost, Tree: t}
+	return runBatch(ctx, "batch.obst", jobs, opts, func(in *BSTInstance) BSTBatchResult {
+		cost, t := obst.Knuth(in)
+		return BSTBatchResult{Cost: cost, Tree: t}
 	})
-	restore()
-	return out
 }
 
 // LinCFLBatchJob is one recognition query: is Word in L(Grammar)?
@@ -277,37 +181,43 @@ type LinCFLBatchJob struct {
 // statement, each with the quadratic sequential dynamic program. Jobs may
 // mix grammars freely.
 func RecognizeLinearBatch(jobs []LinCFLBatchJob, opts ...Options) ([]bool, Stats) {
-	m, release := firstOption(opts).acquire()
-	defer release()
-	out := recognizeLinearBatchOn(m, jobs)
-	return out, statsOf(m)
+	out, st, _ := RecognizeLinearBatchContext(context.Background(), jobs, opts...)
+	return out, st
 }
 
 // RecognizeLinearBatchContext is RecognizeLinearBatch under a context;
 // see HuffmanBatchContext for the cancellation contract.
 func RecognizeLinearBatchContext(ctx context.Context, jobs []LinCFLBatchJob, opts ...Options) ([]bool, Stats, error) {
+	return runBatch(ctx, "batch.lincfl", jobs, opts, func(j LinCFLBatchJob) bool {
+		return lincfl.Sequential(j.Grammar, j.Word)
+	})
+}
+
+// runBatch is every batch entry point: one parallel statement under the
+// phase label, one virtual processor per job, each solved by solve. The
+// per-job fault point is "<phase>.job". A context with no Done channel
+// installs nothing, so the plain entry points call it with
+// context.Background() at no extra cost.
+func runBatch[J, R any](ctx context.Context, phase string, jobs []J, opts []Options, solve func(J) R) ([]R, Stats, error) {
 	m, release := firstOption(opts).acquireContext(ctx)
 	defer release()
-	var out []bool
-	err := m.Run(func() { out = recognizeLinearBatchOn(m, jobs) })
+	var out []R
+	err := m.Run(func() {
+		out = make([]R, len(jobs))
+		restore := m.Phase(phase)
+		m.For(len(jobs), func(i int) {
+			if m.Canceled() {
+				return
+			}
+			if faultpoint.Armed() {
+				faultpoint.Hit(phase+".job", i)
+			}
+			out[i] = solve(jobs[i])
+		})
+		restore()
+	})
 	if err != nil {
 		return nil, statsOf(m), err
 	}
 	return out, statsOf(m), nil
-}
-
-func recognizeLinearBatchOn(m *pram.Machine, jobs []LinCFLBatchJob) []bool {
-	out := make([]bool, len(jobs))
-	restore := m.Phase("batch.lincfl")
-	m.For(len(jobs), func(i int) {
-		if m.Canceled() {
-			return
-		}
-		if faultpoint.Armed() {
-			faultpoint.Hit("batch.lincfl.job", i)
-		}
-		out[i] = lincfl.Sequential(jobs[i].Grammar, jobs[i].Word)
-	})
-	restore()
-	return out
 }

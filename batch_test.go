@@ -1,6 +1,7 @@
 package partree
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
@@ -47,8 +48,108 @@ func TestHuffmanBatchMatchesSingleShot(t *testing.T) {
 	if stats.Work != int64(len(jobs)) {
 		t.Errorf("batch work = %d, want %d (one virtual processor per job)", stats.Work, len(jobs))
 	}
-	if _, ok := stats.Phases["batch.huffman"]; !ok {
-		t.Errorf("missing batch.huffman phase; got %v", stats.Phases)
+}
+
+// batchEngine is one …Batch entry point with a generator of n small valid
+// jobs. Its phase label is batch.<label> and its per-job fault point
+// batch.<label>.job; the table pins both names for all five engines.
+type batchEngine struct {
+	label string
+	plain func(n int, o Options) Stats
+	ctx   func(ctx context.Context, n int, o Options) (nOut int, st Stats, err error)
+}
+
+func batchEngines() []batchEngine {
+	weights := func(n int) [][]float64 {
+		jobs := make([][]float64, n)
+		for i := range jobs {
+			jobs[i] = []float64{1, 2, 3, float64(i + 1)}
+		}
+		return jobs
+	}
+	probs := func(n int) [][]float64 {
+		jobs := make([][]float64, n)
+		for i := range jobs {
+			jobs[i] = []float64{0.25, 0.25, 0.5}
+		}
+		return jobs
+	}
+	depths := func(n int) [][]int {
+		jobs := make([][]int, n)
+		for i := range jobs {
+			jobs[i] = []int{1, 2, 2}
+		}
+		return jobs
+	}
+	bsts := func(n int) []*BSTInstance {
+		jobs := make([]*BSTInstance, n)
+		for i := range jobs {
+			jobs[i], _ = NewBSTInstance([]float64{0.2, 0.2}, []float64{0.2, 0.2, 0.2})
+		}
+		return jobs
+	}
+	words := func(n int) []LinCFLBatchJob {
+		jobs := make([]LinCFLBatchJob, n)
+		for i := range jobs {
+			jobs[i] = LinCFLBatchJob{Grammar: PalindromeGrammar(), Word: []byte("abcba")}
+		}
+		return jobs
+	}
+	return []batchEngine{
+		{"huffman",
+			func(n int, o Options) Stats { _, st := HuffmanBatch(weights(n), o); return st },
+			func(ctx context.Context, n int, o Options) (int, Stats, error) {
+				out, st, err := HuffmanBatchContext(ctx, weights(n), o)
+				return len(out), st, err
+			}},
+		{"shannonfano",
+			func(n int, o Options) Stats { _, st := ShannonFanoBatch(probs(n), o); return st },
+			func(ctx context.Context, n int, o Options) (int, Stats, error) {
+				out, st, err := ShannonFanoBatchContext(ctx, probs(n), o)
+				return len(out), st, err
+			}},
+		{"leafpattern",
+			func(n int, o Options) Stats { _, st := TreeFromDepthsBatch(depths(n), o); return st },
+			func(ctx context.Context, n int, o Options) (int, Stats, error) {
+				out, st, err := TreeFromDepthsBatchContext(ctx, depths(n), o)
+				return len(out), st, err
+			}},
+		{"obst",
+			func(n int, o Options) Stats { _, st := OptimalBSTBatch(bsts(n), o); return st },
+			func(ctx context.Context, n int, o Options) (int, Stats, error) {
+				out, st, err := OptimalBSTBatchContext(ctx, bsts(n), o)
+				return len(out), st, err
+			}},
+		{"lincfl",
+			func(n int, o Options) Stats { _, st := RecognizeLinearBatch(words(n), o); return st },
+			func(ctx context.Context, n int, o Options) (int, Stats, error) {
+				out, st, err := RecognizeLinearBatchContext(ctx, words(n), o)
+				return len(out), st, err
+			}},
+	}
+}
+
+// TestBatchPhaseLabels: every batch entry point, plain and under a
+// context, runs its jobs as one statement under the batch.<label> phase.
+func TestBatchPhaseLabels(t *testing.T) {
+	const n = 12
+	for _, e := range batchEngines() {
+		t.Run(e.label, func(t *testing.T) {
+			nOut, ctxStats, err := e.ctx(context.Background(), n, Options{Workers: 2})
+			if err != nil || nOut != n {
+				t.Fatalf("context variant: %d results, err %v; want %d, nil", nOut, err, n)
+			}
+			for variant, st := range map[string]Stats{"plain": e.plain(n, Options{Workers: 2}), "context": ctxStats} {
+				ps, ok := st.Phases["batch."+e.label]
+				if !ok {
+					t.Errorf("%s: missing batch.%s phase; got %v", variant, e.label, st.Phases)
+					continue
+				}
+				if ps.Work != n || st.Work != n {
+					t.Errorf("%s: phase work %d, total work %d; want %d (one virtual processor per job)", variant, ps.Work, st.Work, n)
+				}
+			}
+		})
 	}
 }
 

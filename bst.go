@@ -1,6 +1,8 @@
 package partree
 
 import (
+	"context"
+
 	"partree/internal/alphabetic"
 	"partree/internal/obst"
 )
@@ -43,17 +45,8 @@ type ApproxBSTResult struct {
 // concave matrix products, and the collapsed runs are re-expanded as
 // balanced subtrees.
 func ApproxBST(in *BSTInstance, eps float64, opts ...Options) *ApproxBSTResult {
-	m, release := firstOption(opts).acquire()
-	defer release()
-	res := obst.Approx(m, in, eps)
-	return &ApproxBSTResult{
-		Tree:          res.Tree,
-		Cost:          res.Cost,
-		Epsilon:       res.Epsilon,
-		CollapsedKeys: res.Collapsed,
-		Comparisons:   res.Comparisons,
-		Stats:         statsOf(m),
-	}
+	res, _ := ApproxBSTContext(context.Background(), in, eps, opts...)
+	return res
 }
 
 // BSTCost evaluates the weighted path length P(T) of a search tree for

@@ -269,23 +269,23 @@ func TestFaultInjectionTreeFromMonotoneDepths(t *testing.T) {
 	checkGoroutines(t, base)
 }
 
-// TestFaultInjectionBatch cancels mid-batch at a per-job fault point.
-// Grain 1 makes every job boundary a checkpoint, so the statement aborts
-// instead of completing with silently partial results.
+// TestFaultInjectionBatch cancels mid-batch at each engine's per-job
+// fault point. Grain 1 makes every job boundary a checkpoint, so the
+// statement aborts instead of completing with silently partial results.
 func TestFaultInjectionBatch(t *testing.T) {
-	jobs := make([][]float64, 16)
-	for i := range jobs {
-		jobs[i] = []float64{1, 2, 3, float64(i + 1)}
+	for _, e := range batchEngines() {
+		t.Run(e.label, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			ctx := cancelAt(t, "batch."+e.label+".job", 3)
+			before := pool.Snapshot()
+			nOut, _, err := e.ctx(ctx, 16, Options{Workers: 2, Grain: 1})
+			if nOut != 0 {
+				t.Errorf("%d results on aborted batch, want none", nOut)
+			}
+			checkAborted(t, before, err)
+			checkGoroutines(t, base)
+		})
 	}
-	base := runtime.NumGoroutine()
-	ctx := cancelAt(t, "batch.huffman.job", 3)
-	before := pool.Snapshot()
-	out, _, err := HuffmanBatchContext(ctx, jobs, Options{Workers: 2, Grain: 1})
-	if out != nil {
-		t.Errorf("results on aborted batch, want nil")
-	}
-	checkAborted(t, before, err)
-	checkGoroutines(t, base)
 }
 
 // TestCancelBatchDefaultGrainStillAborts pins the serial-path fix: even
@@ -293,21 +293,17 @@ func TestFaultInjectionBatch(t *testing.T) {
 // fan-out), a cancellation during the statement must surface as an error,
 // not as a silently truncated result set.
 func TestCancelBatchDefaultGrainStillAborts(t *testing.T) {
-	jobs := make([][]float64, 8)
-	for i := range jobs {
-		jobs[i] = []float64{1, 2, 3}
-	}
-	ctx := cancelAt(t, "batch.shannonfano.job", 2)
-	probs := make([][]float64, len(jobs))
-	for i := range probs {
-		probs[i] = []float64{0.25, 0.25, 0.5}
-	}
-	out, _, err := ShannonFanoBatchContext(ctx, probs)
-	if err == nil {
-		t.Fatalf("batch completed (out=%v), want abort", out)
-	}
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
+	for _, e := range batchEngines() {
+		t.Run(e.label, func(t *testing.T) {
+			ctx := cancelAt(t, "batch."+e.label+".job", 2)
+			nOut, _, err := e.ctx(ctx, 8, Options{})
+			if err == nil {
+				t.Fatalf("batch completed with %d results, want abort", nOut)
+			}
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("err = %v, want context.Canceled", err)
+			}
+		})
 	}
 }
 

@@ -1,11 +1,12 @@
 package partree
 
 import (
+	"context"
+
 	"partree/internal/huffman"
 	"partree/internal/hufpar"
 	"partree/internal/par"
 	"partree/internal/pram"
-	"partree/internal/shannonfano"
 	"partree/internal/tree"
 )
 
@@ -64,9 +65,8 @@ type HuffmanParallelResult struct {
 // ⌈log(n+1)⌉ squarings of the concave path matrix, and the tree is
 // reconstructed exactly from the stored cut tables.
 func HuffmanParallel(freqs []float64, opts ...Options) *HuffmanParallelResult {
-	m, release := firstOption(opts).acquire()
-	defer release()
-	return huffmanParallelOn(m, freqs)
+	res, _ := HuffmanParallelContext(context.Background(), freqs, opts...)
+	return res
 }
 
 func huffmanParallelOn(m *pram.Machine, freqs []float64) *HuffmanParallelResult {
@@ -106,10 +106,8 @@ func huffmanParallelOn(m *pram.Machine, freqs []float64) *HuffmanParallelResult 
 // non-decreasing. Primarily useful for studying the round/work trade-off
 // against HuffmanParallel; the returned Stats counts the rounds.
 func HuffmanRakeCompressCost(freqs []float64, opts ...Options) (float64, Stats) {
-	m, release := firstOption(opts).acquire()
-	defer release()
-	c := hufpar.CostRakeCompress(m, freqs)
-	return c, statsOf(m)
+	c, st, _ := HuffmanRakeCompressCostContext(context.Background(), freqs, opts...)
+	return c, st
 }
 
 // HuffmanHeightLimited builds an optimal prefix-code tree of height at
@@ -119,9 +117,7 @@ func HuffmanRakeCompressCost(freqs []float64, opts ...Options) (float64, Stats) 
 // sorted non-decreasing. The result is cross-validated in tests against
 // an independent package-merge implementation.
 func HuffmanHeightLimited(freqs []float64, maxHeight int, opts ...Options) (*Tree, float64, error) {
-	m, release := firstOption(opts).acquire()
-	defer release()
-	return hufpar.HeightLimited(m, freqs, maxHeight)
+	return HuffmanHeightLimitedContext(context.Background(), freqs, maxHeight, opts...)
 }
 
 // ShannonFanoResult is the output of ShannonFano.
@@ -141,19 +137,7 @@ type ShannonFanoResult struct {
 // ShannonFano builds a Shannon–Fano prefix code (Section 7.3 / Theorem
 // 7.4) for a probability vector with entries in (0,1].
 func ShannonFano(probs []float64, opts ...Options) (*ShannonFanoResult, error) {
-	m, release := firstOption(opts).acquire()
-	defer release()
-	res, err := shannonfano.Build(m, probs)
-	if err != nil {
-		return nil, err
-	}
-	return &ShannonFanoResult{
-		Lengths:       res.Lengths,
-		Codes:         res.Codes,
-		Tree:          res.Tree,
-		AverageLength: res.AverageLength,
-		Stats:         statsOf(m),
-	}, nil
+	return ShannonFanoContext(context.Background(), probs, opts...)
 }
 
 // Encode packs the code words of the given symbol sequence; it returns

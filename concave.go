@@ -1,6 +1,8 @@
 package partree
 
 import (
+	"context"
+
 	"partree/internal/matrix"
 	"partree/internal/monge"
 	"partree/internal/pram"
@@ -38,9 +40,8 @@ type ConcaveMultiplyResult struct {
 // quadrangle condition for the result to be correct (use IsConcave to
 // check; the function does not verify).
 func ConcaveMultiply(a, b [][]float64, opts ...Options) *ConcaveMultiplyResult {
-	m, release := firstOption(opts).acquire()
-	defer release()
-	return concaveMultiplyOn(m, a, b)
+	res, _ := ConcaveMultiplyContext(context.Background(), a, b, opts...)
+	return res
 }
 
 func concaveMultiplyOn(m *pram.Machine, a, b [][]float64) *ConcaveMultiplyResult {

@@ -21,9 +21,11 @@ import (
 // boundaries and park at the statement barrier as usual).
 //
 // A context with no Done channel (context.Background, context.TODO)
-// installs nothing: the call is exactly as fast as the non-Context
-// variant. Aborted statements book no Steps/Work, so Stats from an
-// aborted call reflect only the statements that completed.
+// installs nothing, and Run re-raises every panic except its own abort,
+// so each non-Context variant is its twin under context.Background():
+// the result is built here, once. Aborted statements book no
+// Steps/Work, so Stats from an aborted call reflect only the statements
+// that completed.
 //
 // A context carrying a trace recorder (TraceContext) arms per-call
 // tracing exactly as Options.Trace does; Options.Trace wins when both

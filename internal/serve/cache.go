@@ -3,6 +3,7 @@ package serve
 import (
 	"container/list"
 	"context"
+	"errors"
 	"sync"
 )
 
@@ -78,9 +79,10 @@ func (c *lruCache) counters() CacheCounters {
 // Do returns the cached value for key, or computes it. Concurrent Do
 // calls with the same key collapse onto one compute invocation; the
 // others wait for its result (or their ctx). Errors are returned to every
-// waiter but never cached. hit reports whether the value came from the
-// cache or from another caller's flight rather than from this caller's
-// own compute.
+// waiter but never cached, except the leader's own context error: a
+// waiter whose context is live retries instead. hit reports whether the
+// value came from the cache or from another caller's flight rather than
+// from this caller's own compute.
 func (c *lruCache) Do(ctx context.Context, key string, compute func() (any, error)) (val any, hit bool, err error) {
 	if c == nil {
 		v, err := compute()
@@ -99,6 +101,12 @@ func (c *lruCache) Do(ctx context.Context, key string, compute func() (any, erro
 		c.mu.Unlock()
 		select {
 		case <-f.done:
+			// A leader that died of its own context (its client hung up,
+			// or a gateway canceled a losing hedge) has no answer for a
+			// live waiter.
+			if ctx.Err() == nil && (errors.Is(f.err, context.Canceled) || errors.Is(f.err, context.DeadlineExceeded)) {
+				return c.Do(ctx, key, compute)
+			}
 			return f.val, true, f.err
 		case <-ctx.Done():
 			return nil, false, ctx.Err()

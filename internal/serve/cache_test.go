@@ -223,6 +223,42 @@ func TestCacheWaiterHonorsContext(t *testing.T) {
 	close(gate)
 }
 
+// TestCacheWaiterRetriesAfterLeaderCanceled: a leader whose own context
+// died hands its waiters nothing; a live waiter computes the value
+// itself instead of inheriting the leader's context error.
+func TestCacheWaiterRetriesAfterLeaderCanceled(t *testing.T) {
+	c := newLRUCache(4)
+	gate := make(chan struct{})
+	started := make(chan struct{})
+	go func() {
+		c.Do(context.Background(), "k", func() (any, error) {
+			close(started)
+			<-gate
+			return nil, context.Canceled
+		})
+	}()
+	<-started
+
+	done := make(chan struct{})
+	var (
+		v   any
+		hit bool
+		err error
+	)
+	go func() {
+		defer close(done)
+		v, hit, err = c.Do(context.Background(), "k", func() (any, error) { return "fresh", nil })
+	}()
+	for c.counters().Collapses == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	close(gate)
+	<-done
+	if err != nil || hit || v != "fresh" {
+		t.Errorf("waiter got v=%v hit=%v err=%v, want its own fresh value", v, hit, err)
+	}
+}
+
 func TestCacheNilPassthrough(t *testing.T) {
 	var c *lruCache
 	for i := 0; i < 2; i++ {

@@ -3,75 +3,30 @@ package serve
 import (
 	"bytes"
 	"fmt"
-
-	"partree/internal/pool"
 )
 
 // CanonicalKey computes the canonical cache key a partreed backend would
-// use for the given /v1 request: the body is decoded, validated, and
-// normalized exactly as the handler would (unit-sum weight scaling,
-// grammar resolution), then hashed through the same keyWriter. Exported
-// for the cluster gateway, which routes on this key so that equivalent
-// requests — whatever their JSON spelling or weight scale — always land
-// on the same shard and concentrate that shard's LRU hits.
+// use for the given /v1 request: it runs the engine's own parse step —
+// the one its handler runs (decode, validate, normalize: unit-sum weight
+// scaling, grammar resolution, then hash). Exported for the cluster
+// gateway, which routes on this key so that equivalent requests —
+// whatever their JSON spelling or weight scale — always land on the same
+// shard and concentrate that shard's LRU hits.
 //
 // The path must be one of the /v1 endpoints; the error for an undecodable
 // or invalid body is the same structured *apiError the backend would
 // reject it with (the gateway falls back to raw-body routing and lets the
 // backend produce the 400).
 func CanonicalKey(path string, body []byte, lim Limits) (string, error) {
-	lim.setDefaults()
-	switch path {
-	case "/v1/huffman":
-		return canonicalCodingKey("huffman", body, lim)
-	case "/v1/shannonfano":
-		return canonicalCodingKey("shannonfano", body, lim)
-	case "/v1/treefromdepths":
-		var req depthsRequest
-		if e := decodeJSONReader(bytes.NewReader(body), lim.MaxBodyBytes, &req); e != nil {
-			return "", e
+	for _, e := range engineTable {
+		if _, p := e.route(); p == path {
+			lim.setDefaults()
+			key, ae := e.canonicalKey(bytes.NewReader(body), lim)
+			if ae != nil {
+				return "", ae
+			}
+			return key, nil
 		}
-		if e := validateDepths(req.Depths, lim); e != nil {
-			return "", e
-		}
-		return keyForInts("treefromdepths", req.Depths), nil
-	case "/v1/obst":
-		var req obstRequest
-		if e := decodeJSONReader(bytes.NewReader(body), lim.MaxBodyBytes, &req); e != nil {
-			return "", e
-		}
-		keys, gaps, e := normalizeOBST(&req, lim)
-		if e != nil {
-			return "", e
-		}
-		key := keyForOBST(keys, gaps)
-		pool.PutFloat64s(keys)
-		pool.PutFloat64s(gaps)
-		return key, nil
-	case "/v1/lincfl/recognize":
-		var req lincflRequest
-		if e := decodeJSONReader(bytes.NewReader(body), lim.MaxBodyBytes, &req); e != nil {
-			return "", e
-		}
-		if _, _, e := parseLinCFL(&req, lim); e != nil {
-			return "", e
-		}
-		return keyForLinCFL(&req), nil
-	default:
-		return "", fmt.Errorf("serve: no canonical key for path %q", path)
 	}
-}
-
-func canonicalCodingKey(engine string, body []byte, lim Limits) (string, error) {
-	var req codingRequest
-	if e := decodeJSONReader(bytes.NewReader(body), lim.MaxBodyBytes, &req); e != nil {
-		return "", e
-	}
-	probs, e := normalizeWeights(req.Weights, lim)
-	if e != nil {
-		return "", e
-	}
-	key := keyForFloats(engine, probs)
-	pool.PutFloat64s(probs)
-	return key, nil
+	return "", fmt.Errorf("serve: no canonical key for path %q", path)
 }

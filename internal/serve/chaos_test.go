@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"sync"
 	"testing"
@@ -311,5 +312,19 @@ func TestChaosDeadlineHeaderCannotExtend(t *testing.T) {
 	}
 	if n := reqCounter(s.Snapshot(), "huffman", "timeouts"); n < 1 {
 		t.Errorf("requests.huffman.timeouts = %d, want >= 1", n)
+	}
+
+	// Headers far beyond RequestTimeout clamp to it too: milliseconds that
+	// overflow time.Duration must not wrap into an already-expired
+	// deadline. Sent to an engine that is not slowed, so they succeed.
+	for i, ms := range []int{10_000_000_000_000, math.MaxInt64} {
+		status, raw := postDeadline(t, ts.Client(), ts.URL+"/v1/shannonfano",
+			codingRequest{Weights: []float64{3, 2, 1, float64(i + 1)}}, ms)
+		if status != http.StatusOK {
+			t.Errorf("deadline header %d: status %d (%s), want 200", ms, status, raw)
+		}
+	}
+	if n := reqCounter(s.Snapshot(), "shannonfano", "timeouts"); n != 0 {
+		t.Errorf("requests.shannonfano.timeouts = %d, want 0", n)
 	}
 }

@@ -327,7 +327,7 @@ func TestE2EConcurrentClientsBatch(t *testing.T) {
 		t.Error(err)
 	}
 
-	bc := s.hufBatch.counters()
+	bc := s.Snapshot().Batchers["huffman"]
 	if bc.Jobs != clients {
 		t.Fatalf("batcher saw %d jobs, want %d", bc.Jobs, clients)
 	}

@@ -1,0 +1,180 @@
+package serve
+
+import (
+	"context"
+	"errors"
+	"io"
+	"net/http"
+
+	"partree"
+	"partree/internal/pool"
+	"partree/internal/tree"
+)
+
+// engineTable is the one definition of every served engine. Its rows
+// derive the /v1 routes, the handlers, the batchers, the /statsz and
+// /metricsz engine labels, and CanonicalKey, through which the cluster
+// gateway routes; serving another engine takes one row here plus its
+// façade …BatchContext function.
+var engineTable = [...]engineSpec{
+	&engineDef[[]float64, partree.HuffmanBatchResult]{
+		name: "huffman", path: "/v1/huffman",
+		parse: parseCoding, release: pool.PutFloat64s,
+		batch: partree.HuffmanBatchContext,
+		render: func(probs []float64, res partree.HuffmanBatchResult) (any, *apiError) {
+			if res.Err != nil {
+				return nil, badRequest("engine", "%v", res.Err)
+			}
+			return &codingResponse{N: len(probs), Lengths: res.Lengths, Codes: codeStrings(res.Codes), AvgBits: res.Cost}, nil
+		},
+	},
+	&engineDef[[]float64, partree.ShannonFanoBatchResult]{
+		name: "shannonfano", path: "/v1/shannonfano",
+		parse: parseCoding, release: pool.PutFloat64s,
+		batch: partree.ShannonFanoBatchContext,
+		render: func(probs []float64, res partree.ShannonFanoBatchResult) (any, *apiError) {
+			if res.Err != nil {
+				return nil, badRequest("engine", "%v", res.Err)
+			}
+			return &codingResponse{N: len(probs), Lengths: res.Lengths, Codes: codeStrings(res.Codes), AvgBits: res.AverageLength}, nil
+		},
+	},
+	&engineDef[[]int, partree.PatternBatchResult]{
+		name: "treefromdepths", path: "/v1/treefromdepths",
+		parse: parseDepths,
+		batch: partree.TreeFromDepthsBatchContext,
+		render: func(_ []int, res partree.PatternBatchResult) (any, *apiError) {
+			if res.Err != nil {
+				// An unrealizable pattern is a valid query with a negative
+				// answer, not a client error.
+				if errors.Is(res.Err, partree.ErrNoTree) {
+					return &depthsResponse{Realizable: false, Reason: res.Err.Error()}, nil
+				}
+				return nil, badRequest("engine", "%v", res.Err)
+			}
+			shape, symbols := tree.Marshal(res.Tree)
+			return &depthsResponse{Realizable: true, Shape: shape, Symbols: symbols}, nil
+		},
+	},
+	&engineDef[*partree.BSTInstance, partree.BSTBatchResult]{
+		name: "obst", path: "/v1/obst",
+		// The instance aliases both pooled probability vectors.
+		parse: parseOBST, release: func(in *partree.BSTInstance) {
+			pool.PutFloat64s(in.Beta)
+			pool.PutFloat64s(in.Alpha)
+		},
+		batch: partree.OptimalBSTBatchContext,
+		render: func(in *partree.BSTInstance, res partree.BSTBatchResult) (any, *apiError) {
+			shape, symbols := tree.Marshal(res.Tree)
+			return &obstResponse{N: in.N(), Cost: res.Cost, Shape: shape, Symbols: symbols}, nil
+		},
+	},
+	&engineDef[partree.LinCFLBatchJob, bool]{
+		name: "lincfl", path: "/v1/lincfl/recognize",
+		parse: parseLinCFL,
+		batch: partree.RecognizeLinearBatchContext,
+		render: func(_ partree.LinCFLBatchJob, accepted bool) (any, *apiError) {
+			return &lincflResponse{Accepted: accepted}, nil
+		},
+	},
+}
+
+// engineDef describes one served engine: J is its batch job, R one job's
+// result.
+type engineDef[J, R any] struct {
+	name, path string
+	// parse decodes, validates and normalizes a request body into the job
+	// the engine solves and its canonical cache key, hashed under the
+	// engine name it is given. The handler and CanonicalKey both call it,
+	// so the gateway's routing key is the backend's cache key.
+	parse func(name string, body io.Reader, lim Limits) (J, string, *apiError)
+	// release, when set, returns a parsed job's pooled buffers.
+	release func(J)
+	// batch is the façade …BatchContext entry point the batcher runs.
+	batch func(context.Context, []J, ...partree.Options) ([]R, partree.Stats, error)
+	// render maps one job's result to its response body, or to the
+	// client error the engine reported for it.
+	render func(J, R) (any, *apiError)
+}
+
+// engineSpec is an engineDef with its job and result types erased, so
+// the table can hold every engine.
+type engineSpec interface {
+	route() (name, path string)
+	canonicalKey(body io.Reader, lim Limits) (string, *apiError)
+	start(s *Server, opts partree.Options) (http.HandlerFunc, engineBatcher)
+}
+
+// engineBatcher is what the server needs of a running batcher.
+type engineBatcher interface {
+	Close()
+	counters() BatcherCounters
+}
+
+func (d *engineDef[J, R]) route() (string, string) { return d.name, d.path }
+
+func (d *engineDef[J, R]) canonicalKey(body io.Reader, lim Limits) (string, *apiError) {
+	job, key, e := d.parse(d.name, body, lim)
+	if e != nil {
+		return "", e
+	}
+	if d.release != nil {
+		d.release(job)
+	}
+	return key, nil
+}
+
+// start launches the engine's batcher on s, folding each run's Stats and
+// trace into the server's accumulators, and returns its handler.
+func (d *engineDef[J, R]) start(s *Server, opts partree.Options) (http.HandlerFunc, engineBatcher) {
+	b := newBatcher(d.name, s.cfg.MaxBatch, s.cfg.Linger, s.cfg.MaxInflight,
+		func(ctx context.Context, jobs []J) ([]R, error) {
+			res, st, err := d.batch(ctx, jobs, opts)
+			s.addStats(d.name, st)
+			return res, err
+		})
+	b.observe = s.observeTrace
+	return func(w http.ResponseWriter, r *http.Request) { d.serve(s, b, w, r) }, b
+}
+
+// serve is every engine's handler: parse → cache lookup (single-flight)
+// → batcher → render → finish.
+func (d *engineDef[J, R]) serve(s *Server, b *batcher[J, R], w http.ResponseWriter, r *http.Request) {
+	job, key, e := d.parse(d.name, r.Body, s.cfg.Limits)
+	if e != nil {
+		s.served[d.name].Errors.Add(1)
+		writeError(w, e)
+		return
+	}
+	if d.release != nil {
+		// The buffers go back to the arena only when the request ran to
+		// completion: after a context-error return the batch may still be
+		// executing with a reference to them (Submit's "slot outlives us"
+		// path), so reuse would race — let the GC take them instead.
+		defer func() {
+			if r.Context().Err() == nil {
+				d.release(job)
+			}
+		}()
+	}
+	val, hit, err := s.cache.Do(r.Context(), key, func() (any, error) {
+		res, err := b.Submit(r.Context(), job)
+		if err != nil {
+			return nil, err
+		}
+		v, e := d.render(job, res)
+		if e != nil {
+			return nil, e
+		}
+		return v, nil
+	})
+	s.finish(w, r, d.name, val, hit, err)
+}
+
+func codeStrings(codes []partree.Codeword) []string {
+	out := make([]string, len(codes))
+	for i, c := range codes {
+		out[i] = c.String()
+	}
+	return out
+}

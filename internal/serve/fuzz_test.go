@@ -49,6 +49,9 @@ var fuzzPaths = []string{
 // endpoint. The contract under fuzz: a handler never panics (the
 // recoverer would surface that as a 500), and every response is either a
 // valid engine result (200) or a structured 400 carrying an error code.
+// CanonicalKey (the gateway's routing key) must agree with the handler
+// on what a valid request is: it fails exactly when the handler rejects
+// the body before running the engine (a 400 whose code is not "engine").
 func FuzzDecodeRequest(f *testing.F) {
 	// Seed corpus: the shapes the e2e suite sends, plus near-miss
 	// variants that exercise each validation branch.
@@ -94,6 +97,7 @@ func FuzzDecodeRequest(f *testing.F) {
 		rec := httptest.NewRecorder()
 		s.Handler().ServeHTTP(rec, req)
 
+		rejected := false
 		switch rec.Code {
 		case http.StatusOK:
 			var v any
@@ -113,10 +117,15 @@ func FuzzDecodeRequest(f *testing.F) {
 			if env.Error.Code == "" {
 				t.Fatalf("%s: 400 without error code: %s", path, rec.Body.Bytes())
 			}
+			rejected = env.Error.Code != "engine"
 		default:
 			// Anything else — especially a recovered panic's 500 — is a
 			// handler bug for byte-slice inputs.
 			t.Fatalf("%s: unexpected status %d: %s", path, rec.Code, rec.Body.Bytes())
+		}
+
+		if _, err := CanonicalKey(path, body, s.cfg.Limits); (err != nil) != rejected {
+			t.Fatalf("%s: CanonicalKey err = %v, but handler answered %d: %s", path, err, rec.Code, rec.Body.Bytes())
 		}
 	})
 }

@@ -73,16 +73,10 @@ func badRequest(code, format string, args ...any) *apiError {
 	return &apiError{Status: http.StatusBadRequest, Code: code, Message: fmt.Sprintf(format, args...)}
 }
 
-// decodeJSON strictly decodes one JSON object from the (already
-// size-limited) body: unknown fields and trailing garbage are errors, so
-// a typo'd request cannot silently fall back to defaults.
-func decodeJSON(r *http.Request, limit int64, dst any) *apiError {
-	return decodeJSONReader(r.Body, limit, dst)
-}
-
-// decodeJSONReader is decodeJSON over any reader; CanonicalKey uses it
-// to apply the exact same strictness to an already-buffered body.
-func decodeJSONReader(r io.Reader, limit int64, dst any) *apiError {
+// decodeJSON strictly decodes one JSON object from at most limit bytes
+// of r: unknown fields and trailing garbage are errors, so a typo'd
+// request cannot silently fall back to defaults.
+func decodeJSON(r io.Reader, limit int64, dst any) *apiError {
 	dec := json.NewDecoder(io.LimitReader(r, limit))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
@@ -94,13 +88,14 @@ func decodeJSONReader(r io.Reader, limit int64, dst any) *apiError {
 	return nil
 }
 
-// --- per-endpoint request/response types and validation ---
+// --- per-endpoint request/response types, validation and parsing ---
 //
 // Canonicalization maps a request to the normalized form the engine
 // actually solves, and the cache key is the hash of that form — so JSON
 // spelling differences ("1" vs "1.0" vs "1e0") and engine-irrelevant
 // scale differences (code lengths are invariant under uniform weight
-// scaling) all land on one cache entry.
+// scaling) all land on one cache entry. Each parse* function is one
+// engineDef.parse: decode, validate, normalize, and key.
 
 // codingRequest is the body of /v1/huffman and /v1/shannonfano.
 type codingRequest struct {
@@ -108,6 +103,22 @@ type codingRequest struct {
 	// (shannonfano). They are scaled to sum to 1 before solving, which
 	// both engines are invariant under.
 	Weights []float64 `json:"weights"`
+}
+
+// parseCoding parses /v1/huffman and /v1/shannonfano bodies into
+// unit-sum weights (pooled; see engineDef.release).
+func parseCoding(name string, body io.Reader, lim Limits) ([]float64, string, *apiError) {
+	var req codingRequest
+	if e := decodeJSON(body, lim.MaxBodyBytes, &req); e != nil {
+		return nil, "", e
+	}
+	probs, e := normalizeWeights(req.Weights, lim)
+	if e != nil {
+		return nil, "", e
+	}
+	k := newKey(name)
+	k.floats(probs)
+	return probs, k.sum(name), nil
 }
 
 // normalizeWeights validates and scales a weight vector to unit sum. Each
@@ -159,6 +170,19 @@ type depthsRequest struct {
 	Depths []int `json:"depths"`
 }
 
+func parseDepths(name string, body io.Reader, lim Limits) ([]int, string, *apiError) {
+	var req depthsRequest
+	if e := decodeJSON(body, lim.MaxBodyBytes, &req); e != nil {
+		return nil, "", e
+	}
+	if e := validateDepths(req.Depths, lim); e != nil {
+		return nil, "", e
+	}
+	k := newKey(name)
+	k.ints(req.Depths)
+	return req.Depths, k.sum(name), nil
+}
+
 func validateDepths(depths []int, lim Limits) *apiError {
 	if len(depths) == 0 {
 		return badRequest("empty_input", "depths must be non-empty")
@@ -186,6 +210,25 @@ type obstRequest struct {
 	// probabilities. Scaled to unit total mass before solving.
 	Keys []float64 `json:"keys"`
 	Gaps []float64 `json:"gaps"`
+}
+
+// parseOBST parses an OBST body into an instance over pooled, unit-mass
+// probability vectors. normalizeOBST rejects everything
+// partree.NewBSTInstance would, so the instance is built directly.
+func parseOBST(name string, body io.Reader, lim Limits) (*partree.BSTInstance, string, *apiError) {
+	var req obstRequest
+	if e := decodeJSON(body, lim.MaxBodyBytes, &req); e != nil {
+		return nil, "", e
+	}
+	keys, gaps, e := normalizeOBST(&req, lim)
+	if e != nil {
+		return nil, "", e
+	}
+	k := newKey(name)
+	k.ints([]int{len(keys)}) // delimits the two vectors unambiguously
+	k.floats(keys)
+	k.floats(gaps)
+	return &partree.BSTInstance{Beta: keys, Alpha: gaps}, k.sum(name), nil
 }
 
 // normalizeOBST validates an OBST instance and scales the joint mass to
@@ -263,23 +306,50 @@ type lincflResponse struct {
 	Accepted bool `json:"accepted"`
 }
 
-// parseLinCFL validates a lincfl request and resolves its grammar.
-func parseLinCFL(req *lincflRequest, lim Limits) (*partree.LinearGrammar, []byte, *apiError) {
+// parseLinCFL parses a lincfl body, resolving its grammar. The key hashes
+// the request as given (stock name or rules), not the normalized grammar.
+func parseLinCFL(name string, body io.Reader, lim Limits) (partree.LinCFLBatchJob, string, *apiError) {
+	var req lincflRequest
+	if e := decodeJSON(body, lim.MaxBodyBytes, &req); e != nil {
+		return partree.LinCFLBatchJob{}, "", e
+	}
+	g, e := resolveGrammar(&req, lim)
+	if e != nil {
+		return partree.LinCFLBatchJob{}, "", e
+	}
+	k := newKey(name)
+	if req.Grammar != "" {
+		k.bytes([]byte("stock:" + req.Grammar))
+	} else {
+		k.bytes([]byte("start:" + req.Start))
+		for _, r := range req.Rules {
+			k.bytes([]byte(r.A))
+			k.bytes([]byte(r.Pre))
+			k.bytes([]byte(r.B))
+			k.bytes([]byte(r.Suf))
+		}
+	}
+	k.bytes([]byte(req.Word))
+	return partree.LinCFLBatchJob{Grammar: g, Word: []byte(req.Word)}, k.sum(name), nil
+}
+
+// resolveGrammar validates a lincfl request and resolves its grammar.
+func resolveGrammar(req *lincflRequest, lim Limits) (*partree.LinearGrammar, *apiError) {
 	if len(req.Word) > lim.MaxWordLen {
-		return nil, nil, badRequest("too_large", "word length %d exceeds limit %d", len(req.Word), lim.MaxWordLen)
+		return nil, badRequest("too_large", "word length %d exceeds limit %d", len(req.Word), lim.MaxWordLen)
 	}
 	switch {
 	case req.Grammar != "" && len(req.Rules) > 0:
-		return nil, nil, badRequest("bad_grammar", "give either a stock grammar name or rules, not both")
+		return nil, badRequest("bad_grammar", "give either a stock grammar name or rules, not both")
 	case req.Grammar != "":
 		g, ok := stockGrammar(req.Grammar)
 		if !ok {
-			return nil, nil, badRequest("bad_grammar", "unknown stock grammar %q", req.Grammar)
+			return nil, badRequest("bad_grammar", "unknown stock grammar %q", req.Grammar)
 		}
-		return g, []byte(req.Word), nil
+		return g, nil
 	case len(req.Rules) > 0:
 		if len(req.Rules) > lim.MaxRules {
-			return nil, nil, badRequest("too_large", "%d rules exceeds limit %d", len(req.Rules), lim.MaxRules)
+			return nil, badRequest("too_large", "%d rules exceeds limit %d", len(req.Rules), lim.MaxRules)
 		}
 		raw := make([]partree.GrammarRule, len(req.Rules))
 		for i, r := range req.Rules {
@@ -287,11 +357,11 @@ func parseLinCFL(req *lincflRequest, lim Limits) (*partree.LinearGrammar, []byte
 		}
 		g, err := partree.NewLinearGrammar(raw, req.Start)
 		if err != nil {
-			return nil, nil, badRequest("bad_grammar", "%v", err)
+			return nil, badRequest("bad_grammar", "%v", err)
 		}
-		return g, []byte(req.Word), nil
+		return g, nil
 	default:
-		return nil, nil, badRequest("bad_grammar", "missing grammar (stock name or rules)")
+		return nil, badRequest("bad_grammar", "missing grammar (stock name or rules)")
 	}
 }
 
@@ -354,41 +424,4 @@ func (k keyWriter) sum(engine string) string {
 	hex.Encode(hx[:], k.h.Sum(d[:0]))
 	putHasher(k.h)
 	return engine + ":" + string(hx[:])
-}
-
-func keyForFloats(engine string, vs []float64) string {
-	k := newKey(engine)
-	k.floats(vs)
-	return k.sum(engine)
-}
-
-func keyForInts(engine string, vs []int) string {
-	k := newKey(engine)
-	k.ints(vs)
-	return k.sum(engine)
-}
-
-func keyForOBST(keys, gaps []float64) string {
-	k := newKey("obst")
-	k.ints([]int{len(keys)}) // delimits the two vectors unambiguously
-	k.floats(keys)
-	k.floats(gaps)
-	return k.sum("obst")
-}
-
-func keyForLinCFL(req *lincflRequest) string {
-	k := newKey("lincfl")
-	if req.Grammar != "" {
-		k.bytes([]byte("stock:" + req.Grammar))
-	} else {
-		k.bytes([]byte("start:" + req.Start))
-		for _, r := range req.Rules {
-			k.bytes([]byte(r.A))
-			k.bytes([]byte(r.Pre))
-			k.bytes([]byte(r.B))
-			k.bytes([]byte(r.Suf))
-		}
-	}
-	k.bytes([]byte(req.Word))
-	return k.sum("lincfl")
 }

@@ -31,7 +31,6 @@ import (
 	"partree/internal/engine"
 	"partree/internal/pool"
 	"partree/internal/trace"
-	"partree/internal/tree"
 	"partree/internal/tune"
 )
 
@@ -90,9 +89,6 @@ func (c *Config) setDefaults() {
 	c.Limits.setDefaults()
 }
 
-// engineNames indexes every per-engine accumulator in a fixed order.
-var engineNames = []string{"huffman", "shannonfano", "treefromdepths", "obst", "lincfl"}
-
 // deadlineHeader lets a client tighten its own request deadline below
 // the server-wide RequestTimeout (milliseconds; larger values clamp).
 const deadlineHeader = "X-Partree-Deadline-Ms"
@@ -121,7 +117,9 @@ type Server struct {
 	panics   atomic.Int64
 	draining atomic.Bool
 
-	served map[string]*endpointCounters
+	// Per-engine state, keyed by engine name (see engineTable).
+	served   map[string]*endpointCounters
+	batchers map[string]engineBatcher
 
 	statsMu     sync.Mutex
 	engineStats map[string]*accumulatedStats
@@ -130,12 +128,6 @@ type Server struct {
 	// recorder via observeTrace (see metrics.go).
 	phaseHist *HistSet
 	batchHist *HistSet
-
-	hufBatch *batcher[[]float64, partree.HuffmanBatchResult]
-	sfBatch  *batcher[[]float64, partree.ShannonFanoBatchResult]
-	patBatch *batcher[[]int, partree.PatternBatchResult]
-	bstBatch *batcher[*partree.BSTInstance, partree.BSTBatchResult]
-	cflBatch *batcher[partree.LinCFLBatchJob, bool]
 }
 
 type endpointCounters struct {
@@ -189,75 +181,36 @@ func New(cfg Config) *Server {
 		start:       time.Now(),
 		mux:         http.NewServeMux(),
 		inflight:    make(chan struct{}, cfg.MaxInflight),
-		served:      make(map[string]*endpointCounters, len(engineNames)),
-		engineStats: make(map[string]*accumulatedStats, len(engineNames)),
+		served:      make(map[string]*endpointCounters, len(engineTable)),
+		batchers:    make(map[string]engineBatcher, len(engineTable)),
+		engineStats: make(map[string]*accumulatedStats, len(engineTable)),
+		phaseHist:   NewHistSet(),
+		batchHist:   NewHistSet(),
 	}
 	if cfg.CacheSize > 0 {
 		s.cache = newLRUCache(cfg.CacheSize)
 		s.fast = newRawCache(cfg.CacheSize)
 	}
-	s.phaseHist = NewHistSet()
-	s.batchHist = NewHistSet()
-	for _, name := range engineNames {
-		s.served[name] = &endpointCounters{}
-		s.engineStats[name] = &accumulatedStats{phases: make(map[string]partree.PhaseStats)}
-	}
-	// engine.GrainBatch (one job per chunk) spreads the (typically few,
-	// serial-oracle) co-batched jobs across workers and checkpoints the
-	// run at every job boundary, so an all-submitters-gone abort lands
-	// within one job's work. All five batchers share one Options shape,
-	// so they draw from one facade machine-pool key: steady-state traffic
-	// reuses resident machines and constructs nothing per batch.
-	opts := partree.Options{Workers: cfg.Workers, Grain: engine.GrainBatch()}
-	queueDepth := cfg.MaxInflight
-	s.hufBatch = newBatcher("huffman", cfg.MaxBatch, cfg.Linger, queueDepth,
-		func(ctx context.Context, reqs [][]float64) ([]partree.HuffmanBatchResult, error) {
-			res, st, err := partree.HuffmanBatchContext(ctx, reqs, opts)
-			s.addStats("huffman", st)
-			return res, err
-		})
-	s.sfBatch = newBatcher("shannonfano", cfg.MaxBatch, cfg.Linger, queueDepth,
-		func(ctx context.Context, reqs [][]float64) ([]partree.ShannonFanoBatchResult, error) {
-			res, st, err := partree.ShannonFanoBatchContext(ctx, reqs, opts)
-			s.addStats("shannonfano", st)
-			return res, err
-		})
-	s.patBatch = newBatcher("treefromdepths", cfg.MaxBatch, cfg.Linger, queueDepth,
-		func(ctx context.Context, reqs [][]int) ([]partree.PatternBatchResult, error) {
-			res, st, err := partree.TreeFromDepthsBatchContext(ctx, reqs, opts)
-			s.addStats("treefromdepths", st)
-			return res, err
-		})
-	s.bstBatch = newBatcher("obst", cfg.MaxBatch, cfg.Linger, queueDepth,
-		func(ctx context.Context, reqs []*partree.BSTInstance) ([]partree.BSTBatchResult, error) {
-			res, st, err := partree.OptimalBSTBatchContext(ctx, reqs, opts)
-			s.addStats("obst", st)
-			return res, err
-		})
-	s.cflBatch = newBatcher("lincfl", cfg.MaxBatch, cfg.Linger, queueDepth,
-		func(ctx context.Context, reqs []partree.LinCFLBatchJob) ([]bool, error) {
-			res, st, err := partree.RecognizeLinearBatchContext(ctx, reqs, opts)
-			s.addStats("lincfl", st)
-			return res, err
-		})
-
-	// Every batch run records into its own bounded trace (independent of
-	// client-requested request traces); the observe hook folds those spans
-	// into the /metricsz histograms.
-	s.hufBatch.observe = s.observeTrace
-	s.sfBatch.observe = s.observeTrace
-	s.patBatch.observe = s.observeTrace
-	s.bstBatch.observe = s.observeTrace
-	s.cflBatch.observe = s.observeTrace
-
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/statsz", s.handleStatsz)
 	s.mux.HandleFunc("/metricsz", s.handleMetricsz)
-	s.mux.Handle("/v1/huffman", s.v1("huffman", s.handleHuffman))
-	s.mux.Handle("/v1/shannonfano", s.v1("shannonfano", s.handleShannonFano))
-	s.mux.Handle("/v1/treefromdepths", s.v1("treefromdepths", s.handleTreeFromDepths))
-	s.mux.Handle("/v1/obst", s.v1("obst", s.handleOBST))
-	s.mux.Handle("/v1/lincfl/recognize", s.v1("lincfl", s.handleLinCFL))
+	// engine.GrainBatch (one job per chunk) spreads the (typically few,
+	// serial-oracle) co-batched jobs across workers and checkpoints the
+	// run at every job boundary, so an all-submitters-gone abort lands
+	// within one job's work. All batchers share one Options shape, so
+	// they draw from one facade machine-pool key: steady-state traffic
+	// reuses resident machines and constructs nothing per batch. Every
+	// batch run records into its own bounded trace (independent of
+	// client-requested request traces), which feeds /metricsz.
+	opts := partree.Options{Workers: cfg.Workers, Grain: engine.GrainBatch()}
+	for _, e := range engineTable {
+		name, path := e.route()
+		s.served[name] = &endpointCounters{}
+		s.engineStats[name] = &accumulatedStats{phases: make(map[string]partree.PhaseStats)}
+		h, b := e.start(s, opts)
+		s.batchers[name] = b
+		s.mux.Handle(path, s.v1(name, h))
+	}
 	return s
 }
 
@@ -282,12 +235,12 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 func (s *Server) Close() {
 	s.draining.Store(true)
 	var wg sync.WaitGroup
-	for _, c := range []interface{ Close() }{s.hufBatch, s.sfBatch, s.patBatch, s.bstBatch, s.cflBatch} {
+	for _, b := range s.batchers {
 		wg.Add(1)
-		go func(c interface{ Close() }) {
+		go func() {
 			defer wg.Done()
-			c.Close()
-		}(c)
+			b.Close()
+		}()
 	}
 	wg.Wait()
 	partree.DrainMachinePool()
@@ -356,10 +309,10 @@ func (s *Server) v1(engine string, h func(w http.ResponseWriter, r *http.Request
 	withDeadline := func(w http.ResponseWriter, r *http.Request) {
 		timeout := s.cfg.RequestTimeout
 		if hdr := r.Header.Get(deadlineHeader); hdr != "" {
-			if ms, err := strconv.ParseInt(hdr, 10, 64); err == nil && ms > 0 {
-				if d := time.Duration(ms) * time.Millisecond; d < timeout {
-					timeout = d
-				}
+			// Compare in milliseconds: converting a huge header to a
+			// Duration first would overflow into an expired deadline.
+			if ms, err := strconv.ParseInt(hdr, 10, 64); err == nil && ms > 0 && ms < timeout.Milliseconds() {
+				timeout = time.Duration(ms) * time.Millisecond
 			}
 		}
 		ctx, cancel := context.WithTimeout(r.Context(), timeout)
@@ -453,191 +406,6 @@ func (s *Server) finish(w http.ResponseWriter, r *http.Request, engine string, v
 		return
 	}
 	writeJSON(w, http.StatusOK, val)
-}
-
-// --- engine handlers ---
-
-func codeStrings(codes []partree.Codeword) []string {
-	out := make([]string, len(codes))
-	for i, c := range codes {
-		out[i] = c.String()
-	}
-	return out
-}
-
-func (s *Server) handleHuffman(w http.ResponseWriter, r *http.Request) {
-	var req codingRequest
-	if e := decodeJSON(r, s.cfg.Limits.MaxBodyBytes, &req); e != nil {
-		s.served["huffman"].Errors.Add(1)
-		writeError(w, e)
-		return
-	}
-	probs, e := normalizeWeights(req.Weights, s.cfg.Limits)
-	if e != nil {
-		s.served["huffman"].Errors.Add(1)
-		writeError(w, e)
-		return
-	}
-	// The buffer goes back to the arena only when the request ran to
-	// completion: after a context-error return the batch may still be
-	// executing with a reference to it (Submit's "slot outlives us"
-	// path), so reuse would race — let the GC take it instead.
-	defer func() {
-		if r.Context().Err() == nil {
-			pool.PutFloat64s(probs)
-		}
-	}()
-	key := keyForFloats("huffman", probs)
-	val, hit, err := s.cache.Do(r.Context(), key, func() (any, error) {
-		res, err := s.hufBatch.Submit(r.Context(), probs)
-		if err != nil {
-			return nil, err
-		}
-		if res.Err != nil {
-			return nil, badRequest("engine", "%v", res.Err)
-		}
-		return &codingResponse{
-			N:       len(probs),
-			Lengths: res.Lengths,
-			Codes:   codeStrings(res.Codes),
-			AvgBits: res.Cost,
-		}, nil
-	})
-	s.finish(w, r, "huffman", val, hit, err)
-}
-
-func (s *Server) handleShannonFano(w http.ResponseWriter, r *http.Request) {
-	var req codingRequest
-	if e := decodeJSON(r, s.cfg.Limits.MaxBodyBytes, &req); e != nil {
-		s.served["shannonfano"].Errors.Add(1)
-		writeError(w, e)
-		return
-	}
-	probs, e := normalizeWeights(req.Weights, s.cfg.Limits)
-	if e != nil {
-		s.served["shannonfano"].Errors.Add(1)
-		writeError(w, e)
-		return
-	}
-	defer func() {
-		// See handleHuffman: pooled reuse is only safe after a
-		// non-context completion.
-		if r.Context().Err() == nil {
-			pool.PutFloat64s(probs)
-		}
-	}()
-	key := keyForFloats("shannonfano", probs)
-	val, hit, err := s.cache.Do(r.Context(), key, func() (any, error) {
-		res, err := s.sfBatch.Submit(r.Context(), probs)
-		if err != nil {
-			return nil, err
-		}
-		if res.Err != nil {
-			return nil, badRequest("engine", "%v", res.Err)
-		}
-		return &codingResponse{
-			N:       len(probs),
-			Lengths: res.Lengths,
-			Codes:   codeStrings(res.Codes),
-			AvgBits: res.AverageLength,
-		}, nil
-	})
-	s.finish(w, r, "shannonfano", val, hit, err)
-}
-
-func (s *Server) handleTreeFromDepths(w http.ResponseWriter, r *http.Request) {
-	var req depthsRequest
-	if e := decodeJSON(r, s.cfg.Limits.MaxBodyBytes, &req); e != nil {
-		s.served["treefromdepths"].Errors.Add(1)
-		writeError(w, e)
-		return
-	}
-	if e := validateDepths(req.Depths, s.cfg.Limits); e != nil {
-		s.served["treefromdepths"].Errors.Add(1)
-		writeError(w, e)
-		return
-	}
-	key := keyForInts("treefromdepths", req.Depths)
-	val, hit, err := s.cache.Do(r.Context(), key, func() (any, error) {
-		res, err := s.patBatch.Submit(r.Context(), req.Depths)
-		if err != nil {
-			return nil, err
-		}
-		if res.Err != nil {
-			// An unrealizable pattern is a valid query with a negative
-			// answer, not a client error.
-			if errors.Is(res.Err, partree.ErrNoTree) {
-				return &depthsResponse{Realizable: false, Reason: res.Err.Error()}, nil
-			}
-			return nil, badRequest("engine", "%v", res.Err)
-		}
-		shape, symbols := tree.Marshal(res.Tree)
-		return &depthsResponse{Realizable: true, Shape: shape, Symbols: symbols}, nil
-	})
-	s.finish(w, r, "treefromdepths", val, hit, err)
-}
-
-func (s *Server) handleOBST(w http.ResponseWriter, r *http.Request) {
-	var req obstRequest
-	if e := decodeJSON(r, s.cfg.Limits.MaxBodyBytes, &req); e != nil {
-		s.served["obst"].Errors.Add(1)
-		writeError(w, e)
-		return
-	}
-	keys, gaps, e := normalizeOBST(&req, s.cfg.Limits)
-	if e != nil {
-		s.served["obst"].Errors.Add(1)
-		writeError(w, e)
-		return
-	}
-	defer func() {
-		// See handleHuffman: the BSTInstance aliases both buffers, and
-		// the batch may still hold it after a context-error return.
-		if r.Context().Err() == nil {
-			pool.PutFloat64s(keys)
-			pool.PutFloat64s(gaps)
-		}
-	}()
-	in, ierr := partree.NewBSTInstance(keys, gaps)
-	if ierr != nil {
-		s.served["obst"].Errors.Add(1)
-		writeError(w, badRequest("bad_instance", "%v", ierr))
-		return
-	}
-	key := keyForOBST(keys, gaps)
-	val, hit, err := s.cache.Do(r.Context(), key, func() (any, error) {
-		res, err := s.bstBatch.Submit(r.Context(), in)
-		if err != nil {
-			return nil, err
-		}
-		shape, symbols := tree.Marshal(res.Tree)
-		return &obstResponse{N: len(keys), Cost: res.Cost, Shape: shape, Symbols: symbols}, nil
-	})
-	s.finish(w, r, "obst", val, hit, err)
-}
-
-func (s *Server) handleLinCFL(w http.ResponseWriter, r *http.Request) {
-	var req lincflRequest
-	if e := decodeJSON(r, s.cfg.Limits.MaxBodyBytes, &req); e != nil {
-		s.served["lincfl"].Errors.Add(1)
-		writeError(w, e)
-		return
-	}
-	g, word, e := parseLinCFL(&req, s.cfg.Limits)
-	if e != nil {
-		s.served["lincfl"].Errors.Add(1)
-		writeError(w, e)
-		return
-	}
-	key := keyForLinCFL(&req)
-	val, hit, err := s.cache.Do(r.Context(), key, func() (any, error) {
-		accepted, err := s.cflBatch.Submit(r.Context(), partree.LinCFLBatchJob{Grammar: g, Word: word})
-		if err != nil {
-			return nil, err
-		}
-		return &lincflResponse{Accepted: accepted}, nil
-	})
-	s.finish(w, r, "lincfl", val, hit, err)
 }
 
 // --- observability endpoints ---
@@ -788,19 +556,13 @@ func (s *Server) Snapshot() StatsSnapshot {
 		Capacity: cap(s.inflight),
 		Shed:     s.shed.Load(),
 		Panics:   s.panics.Load(),
-		Requests: make(map[string]RequestCounters, len(engineNames)),
+		Requests: make(map[string]RequestCounters, len(s.served)),
 		Cache:    s.cache.counters(),
 		FastPath: s.fast.counters(),
-		Batchers: map[string]BatcherCounters{
-			"huffman":        s.hufBatch.counters(),
-			"shannonfano":    s.sfBatch.counters(),
-			"treefromdepths": s.patBatch.counters(),
-			"obst":           s.bstBatch.counters(),
-			"lincfl":         s.cflBatch.counters(),
-		},
-		PRAM:   make(map[string]engineStatsJSON, len(engineNames)),
-		Pool:   poolCounters(),
-		Tuning: tuningInfo(),
+		Batchers: make(map[string]BatcherCounters, len(s.batchers)),
+		PRAM:     make(map[string]engineStatsJSON, len(s.engineStats)),
+		Pool:     poolCounters(),
+		Tuning:   tuningInfo(),
 	}
 	mp := partree.MachinePoolStats()
 	snap.MachinePool = MachinePoolCounters{
@@ -808,12 +570,14 @@ func (s *Server) Snapshot() StatsSnapshot {
 		Reused:      mp.Reused,
 		Discarded:   mp.Discarded,
 	}
-	for _, name := range engineNames {
-		snap.Requests[name] = s.served[name].snapshot()
+	for name, c := range s.served {
+		snap.Requests[name] = c.snapshot()
+	}
+	for name, b := range s.batchers {
+		snap.Batchers[name] = b.counters()
 	}
 	s.statsMu.Lock()
-	for _, name := range engineNames {
-		acc := s.engineStats[name]
+	for name, acc := range s.engineStats {
 		es := engineStatsJSON{
 			Steps:       acc.steps,
 			Work:        acc.work,

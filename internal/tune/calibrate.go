@@ -316,17 +316,19 @@ func measureDispatch(reps int, inlineNs float64) float64 {
 func measureSteal() float64 {
 	m := pram.New(pram.WithWorkers(2), pram.WithGrain(1))
 	defer m.Close()
+	// One slot per index: the body runs on several workers at once, so
+	// it must not write the shared sink.
+	acc := make([]float64, 256)
 	for it := 0; it < 8; it++ {
 		m.For(256, func(i int) {
 			if i%64 == 0 {
-				acc := 0.0
 				for k := 0; k < 2_000; k++ {
-					acc += float64(k) * 1.0000001
+					acc[i] += float64(k) * 1.0000001
 				}
-				sink += acc
 			}
 		})
 	}
+	sink += acc[0]
 	s := m.Stats()
 	if s.Steals == 0 {
 		return 0

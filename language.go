@@ -1,6 +1,7 @@
 package partree
 
 import (
+	"context"
 	"math/big"
 
 	"partree/internal/grammar"
@@ -50,16 +51,8 @@ type LinearRecognitionResult struct {
 // boundary-reachability matrices by Boolean matrix multiplication
 // (Theorem 8.1).
 func RecognizeLinearParallel(g *LinearGrammar, w []byte, opts ...Options) *LinearRecognitionResult {
-	m, release := firstOption(opts).acquire()
-	defer release()
-	res := lincfl.RecognizeDC(m, g, w)
-	return &LinearRecognitionResult{
-		Accepted: res.Accepted,
-		Products: res.Products,
-		WordOps:  res.WordOps,
-		Depth:    res.Depth,
-		Stats:    statsOf(m),
-	}
+	res, _ := RecognizeLinearParallelContext(context.Background(), g, w, opts...)
+	return res
 }
 
 // DerivationStep is one rule application in a linear derivation.
@@ -76,9 +69,8 @@ func DeriveLinear(g *LinearGrammar, w []byte) ([]DerivationStep, bool) {
 // the recognition pass caches each region's boundary reachability and the
 // extraction walks the accepting path across the separators.
 func DeriveLinearParallel(g *LinearGrammar, w []byte, opts ...Options) ([]DerivationStep, bool) {
-	m, release := firstOption(opts).acquire()
-	defer release()
-	return lincfl.DeriveDC(m, g, w)
+	steps, ok, _ := DeriveLinearParallelContext(context.Background(), g, w, opts...)
+	return steps, ok
 }
 
 // FormatDerivation renders a derivation as successive sentential forms.

@@ -1,6 +1,8 @@
 package partree
 
 import (
+	"context"
+
 	"partree/internal/leafpattern"
 )
 
@@ -23,10 +25,7 @@ func TreeFromDepths(depths []int) (*Tree, error) {
 // Theorem 7.1 (O(log n) steps, Stats reports them). By Lemma 7.1 a tree
 // exists iff the Kraft sum Σ2^{-lᵢ} is at most 1.
 func TreeFromMonotoneDepths(depths []int, opts ...Options) (*Tree, Stats, error) {
-	m, release := firstOption(opts).acquire()
-	defer release()
-	t, err := leafpattern.MonotonePar(m, depths)
-	return t, statsOf(m), err
+	return TreeFromMonotoneDepthsContext(context.Background(), depths, opts...)
 }
 
 // TreeFromBitonicDepths builds a tree for a pattern that rises then falls
