@@ -1,70 +1,38 @@
-// Command benchgate is the perf-regression gate for the workspace arena,
-// the multicore scaling pass, and the tracing layer's disarmed cost. It
-// reads the E11, E12 and E13 BENCH-JSON lines from stdin — pipe
-// `benchtables -exp E11,E12,E13` into it — and enforces:
+// Command benchgate is the perf-regression gate. It reads the E11–E16
+// BENCH-JSON lines from stdin — pipe `benchtables -exp
+// E11,E12,E13,E14,E15,E16` into it — and checks them against one table
+// of budgets (rules, below) and the committed baseline file. Every row
+// prints one ok, FAIL or SKIP line; any FAIL exits 1.
 //
-//  1. The pooling invariant (E11): on every kernel, the pooled run must
-//     remove at least -min-reduction (default 70%) of the unpooled
-//     allocs/op, and must not be slower than the unpooled run beyond
-//     -ns-band. Ratio-based, so it holds on any machine.
-//  2. The regression band (E11 vs baseline): pooled allocs/op must stay
-//     within -alloc-band (plus a small absolute slack) of the committed
-//     baseline file. Allocation counts are deterministic, so the band is
-//     tight.
-//  3. The speedup gate (E12): each kernel named in -speedup-kernels must
-//     reach at least -min-speedup (minus -speedup-slack) at P =
-//     -speedup-p workers. Wall-clock speedup beyond the host's core
-//     count is physically impossible, so this check only arms when the
-//     measuring host reports at least -speedup-p CPUs; on smaller hosts
-//     it prints a loud SKIP notice and passes.
-//  4. The disarmed-tracing gate (E13 vs baseline): with no recorder
-//     attached, each hot-path kernel's ns/op must stay within
-//     -trace-band (default 2%, widened by -trace-slack for short noisy
-//     runs) of the baseline, and its allocs/op must not creep — a
-//     disarmed tracer is a nil pointer compare, and this gate keeps it
-//     that way. Armed rows are reported but never gated: arming is an
-//     explicit opt-in with a documented price.
-//  5. The dispatch gate (E14): the resident worker pool must cut
-//     small-statement dispatch ns/op by at least -min-dispatch-reduction
-//     (default 40%, minus -dispatch-slack for short runs) against the
-//     legacy spawn-per-statement dispatcher measured in the same
-//     process — a ratio, so it holds on any machine — and steady-state
-//     traffic must spawn zero worker goroutines per 10k statements and
-//     construct zero facade machines per 10k batches.
-//  6. The tuning gate (E15): the host-calibrated profile must never be
-//     slower than the static defaults beyond -tune-band (default 5%,
-//     widened by -tune-slack and by the measured rep noise) on any
-//     tracked kernel, and must be at least 10% faster on at least
-//     -min-tune-wins (default 2) of them. Both arms run in one process
-//     on one host, so this is a ratio gate like invariants 1 and 5.
-//  7. The cluster gate (E16): the sharded gateway must scale — 4
-//     single-worker backends serve the compute-bound load at least
-//     -min-cluster-speedup (default 1.8x, minus -cluster-slack) faster
-//     than 1 backend. Like invariant 3 this arms only when the host
-//     reports ≥4 CPUs; on smaller hosts it prints a SKIP notice.
-//     Host-independent and always enforced: hedged requests must beat
-//     the unhedged p99 on the tail-injected load by at least
-//     -min-hedge-improvement (default 10%, minus -hedge-slack), at
-//     least one hedge must actually fire, and the run must report zero
-//     failed client requests — the cluster's zero-failure contract.
+// A row names the experiment it reads, a metric selector, a comparator,
+// a bound for full runs and one for -short runs, how the bound, the
+// selector's reference value and its measured noise make the limit, and
+// an arming condition. Whether the run is short comes from the E12 and
+// E16 reports, which record it, so the only flags are -baseline and
+// -write. A row whose measurement the host cannot make (a 4-way speedup
+// on fewer than 4 cores) or whose baseline is not comparable (an
+// allocation count recorded at another GOMAXPROCS) prints SKIP with the
+// reason instead of gating.
 //
-// The baseline file is schema 2:
-// {"schema":2,"e11":{...},"e12":{...},"e13":{...},"e14":{...},"e15":{...},"e16":{...}}. A
-// pre-multi-P baseline (the old bare E11 report) fails with a clear
-// error telling you to regenerate via `make bench-baseline`. A schema-2
-// baseline without the e13/e14 sections (committed before those layers)
-// passes their baseline comparisons with a notice; the E14 in-run
-// invariants are enforced regardless. When the baseline file does not exist
-// the gate checks only the in-run invariants and exits 0 with a notice,
-// so fresh clones and CI bootstrap runs pass; commit a baseline with
-// -write to arm the regression checks.
+// Two experiments do not measure their "before" arm: the unpooled E11
+// rows and E14's dispatch_spawn_ns were measured once, against the code
+// the workspace arena and the resident worker pool replaced, and live
+// only in the baseline. Their rows are budgets against those recorded
+// numbers, with wall-clock time normalized by each side's E13
+// calibration spin so host-speed drift divides out. -write rewrites the
+// baseline from the current run and carries the recorded arms forward,
+// rescaling their ns to the new calibration so their normalized cost is
+// unchanged; it therefore needs the existing baseline file.
 package main
 
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"math"
 	"os"
 	"strings"
 )
@@ -124,7 +92,8 @@ type e13Report struct {
 }
 
 // e14Report mirrors benchtables' E14 payload (the "report" object of
-// its BENCH-JSON envelope).
+// its BENCH-JSON envelope). DispatchSpawnNs is only ever set in the
+// baseline: it is the recorded spawn-per-statement arm.
 type e14Report struct {
 	GoMaxProcs int `json:"gomaxprocs"`
 	Reps       int `json:"reps"`
@@ -186,482 +155,437 @@ type e16Report struct {
 	HedgesFired   int64   `json:"hedges_fired"`
 }
 
-// baseline is the committed BENCH_BASELINE.json, schema 2. The e13, e14,
-// e15 and e16 sections are optional so baselines committed before those
-// layers keep working; their baseline comparisons print a notice and
-// pass until the baseline is regenerated.
-type baseline struct {
-	Schema int        `json:"schema"`
-	E11    *e11Report `json:"e11"`
-	E12    *e12Report `json:"e12"`
-	E13    *e13Report `json:"e13,omitempty"`
-	E14    *e14Report `json:"e14,omitempty"`
-	E15    *e15Report `json:"e15,omitempty"`
-	E16    *e16Report `json:"e16,omitempty"`
+// reports is one run's E11–E16 reports, or the baseline's copy of them.
+type reports struct {
+	E11 *e11Report `json:"e11"`
+	E12 *e12Report `json:"e12"`
+	E13 *e13Report `json:"e13"`
+	E14 *e14Report `json:"e14"`
+	E15 *e15Report `json:"e15"`
+	E16 *e16Report `json:"e16"`
 }
 
-func main() {
-	baselinePath := flag.String("baseline", "BENCH_BASELINE.json", "committed baseline file")
-	write := flag.Bool("write", false, "rewrite the baseline from this run instead of gating")
-	minReduction := flag.Float64("min-reduction", 0.70, "required fractional allocs/op reduction, pooled vs unpooled")
-	nsBand := flag.Float64("ns-band", 0.25, "pooled ns/op may exceed unpooled by at most this fraction")
-	allocBand := flag.Float64("alloc-band", 0.15, "pooled allocs/op may exceed baseline by at most this fraction")
-	allocSlack := flag.Int64("alloc-slack", 16, "absolute allocs/op slack on top of -alloc-band")
-	minSpeedup := flag.Float64("min-speedup", 2.0, "required wall-clock speedup at -speedup-p workers")
-	speedupP := flag.Int("speedup-p", 4, "worker count the speedup gate inspects")
-	speedupSlack := flag.Float64("speedup-slack", 0.0, "subtracted from -min-speedup (CI stability knob)")
-	speedupKernels := flag.String("speedup-kernels", "monge-cutsmawk,boolmat-mulpar",
-		"comma-separated E12 kernels the speedup gate enforces")
-	traceBand := flag.Float64("trace-band", 0.02, "disarmed-tracing ns/op may exceed baseline by at most this fraction")
-	traceSlack := flag.Float64("trace-slack", 0.0, "added to -trace-band (CI stability knob for short runs)")
-	minDispatchReduction := flag.Float64("min-dispatch-reduction", 0.40,
-		"required fractional dispatch ns/op reduction, resident vs spawn (E14)")
-	dispatchSlack := flag.Float64("dispatch-slack", 0.0, "subtracted from -min-dispatch-reduction (CI stability knob)")
-	tuneBand := flag.Float64("tune-band", 0.05, "calibrated ns/op may exceed default ns/op by at most this fraction plus measured noise (E15)")
-	tuneSlack := flag.Float64("tune-slack", 0.0, "added to -tune-band (CI stability knob for short runs)")
-	minTuneWins := flag.Int("min-tune-wins", 2, "E15 kernels the calibrated profile must beat by >=10%")
-	minClusterSpeedup := flag.Float64("min-cluster-speedup", 1.8, "required 4-backend vs 1-backend throughput ratio (E16)")
-	clusterSlack := flag.Float64("cluster-slack", 0.0, "subtracted from -min-cluster-speedup (CI stability knob)")
-	minHedgeImprovement := flag.Float64("min-hedge-improvement", 0.10,
-		"required fractional p99 improvement, hedged vs unhedged (E16)")
-	hedgeSlack := flag.Float64("hedge-slack", 0.0, "subtracted from -min-hedge-improvement (CI stability knob)")
-	flag.Parse()
+func (r *reports) complete() bool {
+	return r.E11 != nil && r.E12 != nil && r.E13 != nil && r.E14 != nil && r.E15 != nil && r.E16 != nil
+}
 
-	cur11, cur12, cur13, cur14, cur15, cur16, err := readReports(os.Stdin)
+// baseline is the committed BENCH_BASELINE.json, schema 2.
+type baseline struct {
+	Schema int `json:"schema"`
+	reports
+}
+
+// A sample is one measured value a row gates.
+type sample struct {
+	label string  // kernel or quantity, printed on the row's line
+	got   float64 // the measured value
+	ref   float64 // the reference the bound scales (unused by fixed limits)
+	noise float64 // rep-to-rep noise measured on both sides (noisy bands only)
+}
+
+type comparator bool
+
+const (
+	atMost  comparator = false
+	atLeast comparator = true
+)
+
+// A limitForm combines a row's bound with a sample into the limit the
+// sample's value is compared against; it is the row's noise policy too.
+type limitForm func(bound float64, s sample) float64
+
+var (
+	// fixed: the bound is the limit.
+	fixed limitForm = func(b float64, _ sample) float64 { return b }
+	// scaled: a budget of bound × the reference.
+	scaled limitForm = func(b float64, s sample) float64 { return b * s.ref }
+	// allocBand: the reference plus a bound fraction plus 16 allocs/op,
+	// so a tiny count can still grow by a few allocations.
+	allocBand limitForm = func(b float64, s sample) float64 { return math.Floor(s.ref*(1+b)) + 16 }
+	// noisyBand: the reference plus a bound fraction widened by the noise
+	// both sides measured, so a quiet host gates tight and a noisy one
+	// stays honest instead of flaky.
+	noisyBand limitForm = func(b float64, s sample) float64 { return s.ref * (1 + b + s.noise) }
+)
+
+// A rule is one row of the gate.
+type rule struct {
+	exp    string                                     // experiment the row reads
+	metric string                                     // what is gated, printed on the row's line
+	sel    func(cur, base *reports) ([]sample, error) // metric selector
+	cmp    comparator
+	full   float64 // bound in a full run
+	short  float64 // bound in a -short run
+	limit  limitForm
+	armed  func(cur, base *reports) string // "" when armed, else why the row is skipped; nil: always armed
+}
+
+// rules is the gate. Every bound is an absolute budget: no row needs a
+// control arm measured in the same run.
+var rules = []rule{
+	{exp: "E11", metric: "pooled allocs/op, budget vs recorded unpooled", sel: e11AllocBudget,
+		cmp: atMost, full: 0.30, short: 0.30, limit: scaled},
+	{exp: "E11", metric: "pooled ns/op per cal, budget vs recorded unpooled", sel: e11NsBudget,
+		cmp: atMost, full: 1.25, short: 1.25, limit: scaled},
+	{exp: "E11", metric: "pooled allocs/op vs baseline", sel: e11AllocsVsBaseline,
+		cmp: atMost, full: 0.15, short: 0.15, limit: allocBand},
+	{exp: "E12", metric: "speedup at P=4", sel: e12Speedup,
+		cmp: atLeast, full: 2.0, short: 1.65, limit: fixed,
+		armed: coresAtLeast(4, func(r *reports) int { return r.E12.CPUs })},
+	{exp: "E13", metric: "disarmed ns/op per cal vs baseline", sel: e13NsVsBaseline,
+		cmp: atMost, full: 0.02, short: 0.17, limit: noisyBand},
+	{exp: "E13", metric: "disarmed allocs/op vs this run's E11 pooled", sel: e13AllocsVsE11,
+		cmp: atMost, full: 0, short: 0, limit: allocBand},
+	{exp: "E13", metric: "disarmed allocs/op vs baseline", sel: e13AllocsVsBaseline,
+		cmp: atMost, full: 1, short: 1, limit: scaled, armed: sameE13Shape},
+	{exp: "E14", metric: "resident ns/For per cal, budget vs recorded spawn", sel: e14DispatchBudget,
+		cmp: atMost, full: 0.60, short: 0.70, limit: scaled},
+	{exp: "E14", metric: "goroutines spawned per 10k statements",
+		sel: value("dispatch", func(r *reports) float64 { return float64(r.E14.SpawnedPer10k) }),
+		cmp: atMost, full: 0, short: 0, limit: fixed},
+	{exp: "E14", metric: "machines constructed per 10k batches",
+		sel: value("dispatch", func(r *reports) float64 { return float64(r.E14.ConstructedPer10k) }),
+		cmp: atMost, full: 0, short: 0, limit: fixed},
+	{exp: "E15", metric: "calibrated/default ns/op", sel: e15Ratios,
+		cmp: atMost, full: 0.05, short: 0.25, limit: noisyBand},
+	{exp: "E15", metric: "kernels calibrated >=10% faster", sel: e15Wins,
+		cmp: atLeast, full: 2, short: 2, limit: fixed},
+	{exp: "E16", metric: "4-backend/1-backend throughput", sel: e16Scaling,
+		cmp: atLeast, full: 1.8, short: 1.55, limit: fixed,
+		armed: coresAtLeast(4, func(r *reports) int { return r.E16.CPUs })},
+	{exp: "E16", metric: "hedged p99 improvement over unhedged", sel: e16HedgeGain,
+		cmp: atLeast, full: 0.10, short: 0.05, limit: fixed},
+	{exp: "E16", metric: "hedges fired on the tail-injected load",
+		sel: value("cluster", func(r *reports) float64 { return float64(r.E16.HedgesFired) }),
+		cmp: atLeast, full: 1, short: 1, limit: fixed},
+	{exp: "E16", metric: "failed client requests",
+		sel: value("cluster", func(r *reports) float64 { return float64(r.E16.Failures) }),
+		cmp: atMost, full: 0, short: 0, limit: fixed},
+}
+
+// value selects one number from the run.
+func value(label string, get func(cur *reports) float64) func(cur, base *reports) ([]sample, error) {
+	return func(cur, _ *reports) ([]sample, error) { return []sample{{label: label, got: get(cur)}}, nil }
+}
+
+// coresAtLeast arms a scaling row only on a host with the cores it
+// measures: wall-clock speedup beyond the core count is impossible.
+func coresAtLeast(n int, cpus func(*reports) int) func(cur, base *reports) string {
+	return func(cur, _ *reports) string {
+		if c := cpus(cur); c < n {
+			return fmt.Sprintf("host reports %d CPU(s) < %d; run on a >=%d-core host to enforce", c, n, n)
+		}
+		return ""
+	}
+}
+
+// sameE13Shape arms the baseline allocation comparison only when the run
+// and the baseline share a GOMAXPROCS: the parallel kernels' allocation
+// counts depend on it.
+func sameE13Shape(cur, base *reports) string {
+	if c, b := cur.E13.GoMaxProcs, base.E13.GoMaxProcs; c != b {
+		return fmt.Sprintf("run has GOMAXPROCS=%d, baseline GOMAXPROCS=%d; allocation counts differ across host shapes", c, b)
+	}
+	return ""
+}
+
+// pairs gates each of rows that kernel selects against refs[kernel],
+// which carries the reference value and the noise its side measured; a
+// kernel without a reference is an error.
+func pairs[R any](rows []R, kernel func(R) (string, bool), refs map[string]sample, measure func(R) sample) ([]sample, error) {
+	var out []sample
+	for _, r := range rows {
+		k, ok := kernel(r)
+		if !ok {
+			continue
+		}
+		ref, ok := refs[k]
+		if !ok {
+			return nil, fmt.Errorf("%s has no reference row", k)
+		}
+		s := measure(r)
+		s.label, s.ref, s.noise = k, ref.ref, s.noise+ref.noise
+		out = append(out, s)
+	}
+	if len(out) == 0 {
+		return nil, errors.New("report has no rows to gate")
+	}
+	return out, nil
+}
+
+func pooledRow(r row) (string, bool)      { return r.Kernel, r.Pooled }
+func disarmedRow(r e13Row) (string, bool) { return r.Kernel, !r.Armed }
+func allocs(r row) float64                { return float64(r.AllocsOp) }
+func e11Allocs(r row) sample              { return sample{got: allocs(r)} }
+func e13Allocs(r e13Row) sample           { return sample{got: float64(r.AllocsOp)} }
+
+// e11Refs indexes one arm of an E11 run set as references.
+func e11Refs(rep *e11Report, pooled bool, val func(row) float64) map[string]sample {
+	out := make(map[string]sample)
+	for _, r := range rep.Runs {
+		if r.Pooled == pooled {
+			out[r.Kernel] = sample{ref: val(r)}
+		}
+	}
+	return out
+}
+
+// e13Refs indexes the disarmed rows of an E13 run set as references.
+func e13Refs(rep *e13Report, ref func(e13Row) sample) map[string]sample {
+	out := make(map[string]sample)
+	for _, r := range rep.Runs {
+		if !r.Armed {
+			out[r.Kernel] = ref(r)
+		}
+	}
+	return out
+}
+
+// cals returns the run's and the baseline's E13 calibration spins.
+func cals(cur, base *reports) (float64, float64, error) {
+	if cur.E13.CalNsOp <= 0 || base.E13.CalNsOp <= 0 {
+		return 0, 0, errors.New("E13 calibration spin missing from the run or the baseline")
+	}
+	return cur.E13.CalNsOp, base.E13.CalNsOp, nil
+}
+
+func e11AllocBudget(cur, base *reports) ([]sample, error) {
+	return pairs(cur.E11.Runs, pooledRow, e11Refs(base.E11, false, allocs), e11Allocs)
+}
+
+func e11NsBudget(cur, base *reports) ([]sample, error) {
+	cc, bc, err := cals(cur, base)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchgate: %v\n", err)
-		os.Exit(1)
+		return nil, err
 	}
+	return pairs(cur.E11.Runs, pooledRow, e11Refs(base.E11, false, func(r row) float64 { return r.NsOp / bc }),
+		func(r row) sample { return sample{got: r.NsOp / cc} })
+}
 
-	if *write {
-		blob, err := json.MarshalIndent(baseline{Schema: 2, E11: cur11, E12: cur12, E13: cur13, E14: cur14, E15: cur15, E16: cur16}, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchgate: %v\n", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*baselinePath, append(blob, '\n'), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "benchgate: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("benchgate: wrote %s (schema 2: %d E11 rows, %d E12 kernels, %d E13 rows, E14 dispatch, %d E15 kernels, %d E16 throughput rows)\n",
-			*baselinePath, len(cur11.Runs), len(cur12.Kernels), len(cur13.Runs), len(cur15.Kernels), len(cur16.Throughput))
-		return
-	}
+func e11AllocsVsBaseline(cur, base *reports) ([]sample, error) {
+	return pairs(cur.E11.Runs, pooledRow, e11Refs(base.E11, true, allocs), e11Allocs)
+}
 
-	failures := 0
-	fail := func(format string, args ...any) {
-		failures++
-		fmt.Fprintf(os.Stderr, "benchgate: FAIL: "+format+"\n", args...)
-	}
-
-	// Invariant 1: the pooled run earns its keep against the unpooled run
-	// measured in the same process on the same machine.
-	for kernel, pair := range pairByKernel(cur11.Runs) {
-		un, po := pair[0], pair[1]
-		if un == nil || po == nil {
-			fail("%s: missing pooled or unpooled row", kernel)
-			continue
-		}
-		reduction := 1 - float64(po.AllocsOp)/float64(un.AllocsOp)
-		if reduction < *minReduction {
-			fail("%s: allocs/op reduction %.1f%% < required %.0f%% (unpooled %d, pooled %d)",
-				kernel, 100*reduction, 100**minReduction, un.AllocsOp, po.AllocsOp)
-		} else {
-			fmt.Printf("benchgate: %s: allocs/op %d -> %d (%.1f%% reduction) ok\n",
-				kernel, un.AllocsOp, po.AllocsOp, 100*reduction)
-		}
-		if po.NsOp > un.NsOp*(1+*nsBand) {
-			fail("%s: pooled ns/op %.0f exceeds unpooled %.0f by more than %.0f%%",
-				kernel, po.NsOp, un.NsOp, 100**nsBand)
-		}
-	}
-
-	// Invariant 2: no allocation creep against the committed baseline.
-	base, err := readBaseline(*baselinePath)
-	switch {
-	case os.IsNotExist(err):
-		fmt.Printf("benchgate: no baseline at %s; skipping regression check (commit one with -write)\n", *baselinePath)
-	case err != nil:
-		fmt.Fprintf(os.Stderr, "benchgate: %v\n", err)
-		os.Exit(1)
-	default:
-		basePairs := pairByKernel(base.E11.Runs)
-		for kernel, pair := range pairByKernel(cur11.Runs) {
-			po := pair[1]
-			bp, ok := basePairs[kernel]
-			if !ok || bp[1] == nil || po == nil {
-				fmt.Printf("benchgate: %s: not in baseline; skipping\n", kernel)
-				continue
-			}
-			limit := int64(float64(bp[1].AllocsOp)*(1+*allocBand)) + *allocSlack
-			if po.AllocsOp > limit {
-				fail("%s: pooled allocs/op %d exceeds baseline %d (limit %d)",
-					kernel, po.AllocsOp, bp[1].AllocsOp, limit)
-			} else {
-				fmt.Printf("benchgate: %s: pooled allocs/op %d vs baseline %d (limit %d) ok\n",
-					kernel, po.AllocsOp, bp[1].AllocsOp, limit)
+func e12Speedup(cur, _ *reports) ([]sample, error) {
+	var out []sample
+	for _, name := range []string{"monge-cutsmawk", "boolmat-mulpar"} {
+		s := sample{label: name, got: math.NaN()}
+		for _, k := range cur.E12.Kernels {
+			for _, r := range k.Rows {
+				if k.Kernel == name && r.P == 4 {
+					s.got = r.Speedup
+				}
 			}
 		}
-	}
-
-	// Invariant 3: the parallel kernels actually scale — enforceable only
-	// on a host that has the cores the gate asks about.
-	need := *minSpeedup - *speedupSlack
-	if cur12.CPUs < *speedupP {
-		fmt.Printf("benchgate: SKIP speedup gate: host reports %d CPU(s) < gate P=%d; "+
-			"a %.1fx wall-clock speedup cannot be measured here (run on a >=%d-core host to enforce)\n",
-			cur12.CPUs, *speedupP, need, *speedupP)
-	} else {
-		for _, name := range strings.Split(*speedupKernels, ",") {
-			name = strings.TrimSpace(name)
-			if name == "" {
-				continue
-			}
-			r := findE12Row(cur12, name, *speedupP)
-			switch {
-			case r == nil:
-				fail("speedup: kernel %q has no P=%d row in the E12 report", name, *speedupP)
-			case r.Speedup < need:
-				fail("speedup: %s at P=%d reached %.2fx < required %.2fx (min %.2f - slack %.2f)",
-					name, *speedupP, r.Speedup, need, *minSpeedup, *speedupSlack)
-			default:
-				fmt.Printf("benchgate: speedup: %s at P=%d %.2fx >= %.2fx ok\n",
-					name, *speedupP, r.Speedup, need)
-			}
+		if math.IsNaN(s.got) {
+			return nil, fmt.Errorf("kernel %q has no P=4 row", name)
 		}
+		out = append(out, s)
 	}
+	return out, nil
+}
 
-	// Invariant 4: the tracing hooks stay invisible while disarmed. The
-	// armed rows are informational — print the measured opt-in price so
-	// it shows up in CI logs, but never fail on it.
-	band := *traceBand + *traceSlack
-	for kernel, off := range e13ByKernel(cur13.Runs, false) {
-		if on, ok := e13ByKernel(cur13.Runs, true)[kernel]; ok {
-			fmt.Printf("benchgate: trace: %s armed/disarmed %.2fx ns/op, +%d allocs/op (informational)\n",
-				kernel, on.NsOp/off.NsOp, on.AllocsOp-off.AllocsOp)
-		}
-		switch {
-		case base == nil:
-			// no baseline at all: notice already printed above
-		case base.E13 == nil:
-			fmt.Printf("benchgate: trace: %s: baseline has no e13 section; skipping (regenerate with `make bench-baseline`)\n", kernel)
-		default:
-			bo, ok := e13ByKernel(base.E13.Runs, false)[kernel]
-			if !ok {
-				fmt.Printf("benchgate: trace: %s: not in baseline; skipping\n", kernel)
-				continue
-			}
-			// Wall clock on a shared host drifts between runs; two defenses
-			// keep the 2% band honest instead of flaky. Each side's ns/op
-			// is normalized by its own in-process calibration spin, so
-			// host-speed drift (CPU steal, frequency scaling) divides out;
-			// and the band widens by the rep-to-rep noise both sides
-			// actually measured, so a quiet host gates tight.
-			cur, bas := off.NsOp, bo.NsOp
-			if cur13.CalNsOp > 0 && base.E13.CalNsOp > 0 {
-				cur /= cur13.CalNsOp
-				bas /= base.E13.CalNsOp
-			}
-			eff := band + off.NoiseFrac + bo.NoiseFrac + cur13.CalNoise + base.E13.CalNoise
-			limit := bas * (1 + eff)
-			if cur > limit {
-				fail("trace: %s: disarmed normalized ns/op %.4f exceeds baseline %.4f by more than %.1f%% (band %.1f%% + measured noise)",
-					kernel, cur, bas, 100*eff, 100*band)
-			} else {
-				fmt.Printf("benchgate: trace: %s: disarmed normalized ns/op %.4f vs baseline %.4f (effective band %.1f%%) ok\n",
-					kernel, cur, bas, 100*eff)
-			}
-			// Allocation counts are deterministic: a disarmed tracer that
-			// allocates anything new has lost its nil-compare discipline.
-			if off.AllocsOp > bo.AllocsOp {
-				fail("trace: %s: disarmed allocs/op %d exceeds baseline %d — the disarmed path must not allocate",
-					kernel, off.AllocsOp, bo.AllocsOp)
-			}
-		}
+// e13NsVsBaseline normalizes both sides by their own calibration spin;
+// the band widens by the rep noise both runs and both spins measured.
+func e13NsVsBaseline(cur, base *reports) ([]sample, error) {
+	cc, bc, err := cals(cur, base)
+	if err != nil {
+		return nil, err
 	}
+	refs := e13Refs(base.E13, func(r e13Row) sample {
+		return sample{ref: r.NsOp / bc, noise: r.NoiseFrac + base.E13.CalNoise}
+	})
+	return pairs(cur.E13.Runs, disarmedRow, refs, func(r e13Row) sample {
+		return sample{got: r.NsOp / cc, noise: r.NoiseFrac + cur.E13.CalNoise}
+	})
+}
 
-	// Invariant 5: resident dispatch earns its keep. The reduction is a
-	// same-process ratio (like invariant 1), so it gates on any host; the
-	// spawn and construction counts are deterministic and gate at zero.
-	needReduction := *minDispatchReduction - *dispatchSlack
-	if cur14.DispatchSpawnNs <= 0 {
-		fail("dispatch: E14 spawn ns/op is %.0f; report is unusable", cur14.DispatchSpawnNs)
-	} else {
-		reduction := 1 - cur14.DispatchResidentNs/cur14.DispatchSpawnNs
-		if reduction < needReduction {
-			fail("dispatch: resident ns/op %.0f vs spawn %.0f is a %.1f%% reduction < required %.1f%% (min %.0f%% - slack %.0f%%)",
-				cur14.DispatchResidentNs, cur14.DispatchSpawnNs, 100*reduction,
-				100*needReduction, 100**minDispatchReduction, 100**dispatchSlack)
-		} else {
-			fmt.Printf("benchgate: dispatch: ns/For %.0f -> %.0f (%.1f%% reduction >= %.1f%%) ok\n",
-				cur14.DispatchSpawnNs, cur14.DispatchResidentNs, 100*reduction, 100*needReduction)
-		}
-	}
-	if cur14.SpawnedPer10k != 0 {
-		fail("dispatch: %d worker goroutines spawned per 10k statements at steady state, want 0",
-			cur14.SpawnedPer10k)
-	} else {
-		fmt.Println("benchgate: dispatch: 0 goroutines spawned per 10k statements ok")
-	}
-	if cur14.ConstructedPer10k != 0 {
-		fail("dispatch: %d machines constructed per 10k batches at steady state, want 0",
-			cur14.ConstructedPer10k)
-	} else {
-		fmt.Println("benchgate: dispatch: 0 machines constructed per 10k batches ok")
-	}
-	switch {
-	case base == nil:
-		// no baseline at all: notice already printed above
-	case base.E14 == nil:
-		fmt.Println("benchgate: dispatch: baseline has no e14 section; skipping comparison (regenerate with `make bench-baseline`)")
-	default:
-		baseRed := 1 - base.E14.DispatchResidentNs/base.E14.DispatchSpawnNs
-		curRed := 1 - cur14.DispatchResidentNs/cur14.DispatchSpawnNs
-		fmt.Printf("benchgate: dispatch: reduction %.1f%% vs baseline %.1f%%, small-batch ns/op %.0f vs %.0f (informational)\n",
-			100*curRed, 100*baseRed, cur14.BatchNsOp, base.E14.BatchNsOp)
-	}
+// e13AllocsVsE11 holds the disarmed tracer to the allocations of the
+// same kernel measured by E11 in the same run: a disarmed tracer is a
+// nil pointer compare and must not allocate. Above GOMAXPROCS=1 the
+// count drifts by a few allocs/op between measurements (which arena
+// shard serves a slab depends on scheduling), so the row keeps the
+// allocation band's 16 allocs/op of slack; a tracer that allocated per
+// statement or per phase would add thousands.
+func e13AllocsVsE11(cur, _ *reports) ([]sample, error) {
+	return pairs(cur.E13.Runs, disarmedRow, e11Refs(cur.E11, true, allocs), e13Allocs)
+}
 
-	// Invariant 6: calibration earns its keep and never costs. Both arms
-	// of every E15 kernel ran in one process on one host, so the
-	// never-slower band is a same-host ratio; it widens by the rep noise
-	// the run itself measured, like the E13 gate.
-	tband := *tuneBand + *tuneSlack
-	wins := 0
-	if len(cur15.Kernels) == 0 {
-		fail("tuning: E15 report has no kernels; report is unusable")
+func e13AllocsVsBaseline(cur, base *reports) ([]sample, error) {
+	refs := e13Refs(base.E13, func(r e13Row) sample { return sample{ref: float64(r.AllocsOp)} })
+	return pairs(cur.E13.Runs, disarmedRow, refs, e13Allocs)
+}
+
+func e14DispatchBudget(cur, base *reports) ([]sample, error) {
+	cc, bc, err := cals(cur, base)
+	if err != nil {
+		return nil, err
 	}
-	for _, k := range cur15.Kernels {
+	if base.E14.DispatchSpawnNs <= 0 {
+		return nil, errors.New("baseline has no recorded dispatch_spawn_ns")
+	}
+	return []sample{{label: "dispatch", got: cur.E14.DispatchResidentNs / cc, ref: base.E14.DispatchSpawnNs / bc}}, nil
+}
+
+// e15Ratios compares both arms of every tracked kernel, measured in one
+// process on one host; the band widens by the rep noise the run measured.
+func e15Ratios(cur, _ *reports) ([]sample, error) {
+	if len(cur.E15.Kernels) == 0 {
+		return nil, errors.New("E15 report has no kernels")
+	}
+	var out []sample
+	for _, k := range cur.E15.Kernels {
 		if k.DefaultNs <= 0 {
-			fail("tuning: %s: default ns/op is %.0f; report is unusable", k.Kernel, k.DefaultNs)
-			continue
+			return nil, fmt.Errorf("%s: default ns/op is %.0f", k.Kernel, k.DefaultNs)
 		}
-		ratio := k.TunedNs / k.DefaultNs
-		limit := 1 + tband + k.NoiseFrac
-		if ratio > limit {
-			fail("tuning: %s: calibrated ns/op %.0f is %.2fx the default %.0f, over the %.1f%% band (+%.1f%% noise)",
-				k.Kernel, k.TunedNs, ratio, k.DefaultNs, 100*tband, 100*k.NoiseFrac)
-			continue
-		}
-		if ratio <= 0.90 {
-			wins++
-			fmt.Printf("benchgate: tuning: %s: %.0f -> %.0f ns/op (%.1f%% faster) win\n",
-				k.Kernel, k.DefaultNs, k.TunedNs, 100*(1-ratio))
-		} else {
-			fmt.Printf("benchgate: tuning: %s: %.0f -> %.0f ns/op (ratio %.2f, band %.2f) ok\n",
-				k.Kernel, k.DefaultNs, k.TunedNs, ratio, limit)
-		}
+		out = append(out, sample{label: k.Kernel, got: k.TunedNs / k.DefaultNs, ref: 1, noise: k.NoiseFrac})
 	}
-	if len(cur15.Kernels) > 0 && wins < *minTuneWins {
-		fail("tuning: calibrated profile beat the defaults by >=10%% on %d kernel(s), want >=%d", wins, *minTuneWins)
-	} else if len(cur15.Kernels) > 0 {
-		fmt.Printf("benchgate: tuning: profile %s wins on %d/%d kernels (>= %d required) ok\n",
-			cur15.ProfileHash, wins, len(cur15.Kernels), *minTuneWins)
-	}
-	switch {
-	case base == nil:
-		// no baseline at all: notice already printed above
-	case base.E15 == nil:
-		fmt.Println("benchgate: tuning: baseline has no e15 section; skipping comparison (regenerate with `make bench-baseline`)")
-	default:
-		baseWins := 0
-		for _, k := range base.E15.Kernels {
-			if k.DefaultNs > 0 && k.TunedNs/k.DefaultNs <= 0.90 {
-				baseWins++
-			}
-		}
-		fmt.Printf("benchgate: tuning: wins %d/%d vs baseline %d/%d (informational)\n",
-			wins, len(cur15.Kernels), baseWins, len(base.E15.Kernels))
-	}
+	return out, nil
+}
 
-	// Invariant 7: the cluster tier earns its keep. The scaling half needs
-	// real cores (4 in-process backends cannot outrun 1 on a 1-core host),
-	// so it arms like invariant 3; the hedging and zero-failure halves are
-	// same-process ratios and facts, enforced everywhere.
-	clusterNeed := *minClusterSpeedup - *clusterSlack
-	rps := make(map[int]float64, len(cur16.Throughput))
-	for _, r := range cur16.Throughput {
+func e15Wins(cur, _ *reports) ([]sample, error) {
+	wins := 0
+	for _, k := range cur.E15.Kernels {
+		if k.DefaultNs > 0 && k.TunedNs/k.DefaultNs <= 0.90 {
+			wins++
+		}
+	}
+	return []sample{{label: "profile " + cur.E15.ProfileHash, got: float64(wins)}}, nil
+}
+
+func e16Scaling(cur, _ *reports) ([]sample, error) {
+	rps := make(map[int]float64, len(cur.E16.Throughput))
+	for _, r := range cur.E16.Throughput {
 		rps[r.Backends] = r.ReqPerSec
 	}
-	switch {
-	case rps[1] <= 0 || rps[4] <= 0:
-		fail("cluster: E16 report is missing the 1- or 4-backend throughput row")
-	case cur16.CPUs < 4:
-		fmt.Printf("benchgate: SKIP cluster scaling gate: host reports %d CPU(s) < 4; "+
-			"a %.1fx 4-backend speedup cannot be measured here (run on a >=4-core host to enforce)\n",
-			cur16.CPUs, clusterNeed)
-	case rps[4]/rps[1] < clusterNeed:
-		fail("cluster: 4 backends reached %.0f req/s vs %.0f at 1 backend (%.2fx < required %.2fx)",
-			rps[4], rps[1], rps[4]/rps[1], clusterNeed)
-	default:
-		fmt.Printf("benchgate: cluster: 4-backend throughput %.2fx >= %.2fx ok\n", rps[4]/rps[1], clusterNeed)
+	if rps[1] <= 0 || rps[4] <= 0 {
+		return nil, errors.New("E16 report is missing the 1- or 4-backend throughput row")
 	}
-	hedgeNeed := *minHedgeImprovement - *hedgeSlack
-	switch {
-	case cur16.UnhedgedP99MS <= 0 || cur16.HedgedP99MS <= 0:
-		fail("cluster: E16 report is missing the hedged or unhedged p99")
-	case cur16.HedgesFired == 0:
-		fail("cluster: no hedges fired during the tail-injected run; the hedging arm measured nothing")
-	case cur16.HedgedP99MS > cur16.UnhedgedP99MS*(1-hedgeNeed):
-		fail("cluster: hedged p99 %.2fms vs unhedged %.2fms is a %.1f%% improvement < required %.1f%% (min %.0f%% - slack %.0f%%)",
-			cur16.HedgedP99MS, cur16.UnhedgedP99MS, 100*(1-cur16.HedgedP99MS/cur16.UnhedgedP99MS),
-			100*hedgeNeed, 100**minHedgeImprovement, 100**hedgeSlack)
-	default:
-		fmt.Printf("benchgate: cluster: hedged p99 %.2fms vs unhedged %.2fms (%.1f%% improvement >= %.1f%%, %d hedges) ok\n",
-			cur16.HedgedP99MS, cur16.UnhedgedP99MS, 100*(1-cur16.HedgedP99MS/cur16.UnhedgedP99MS),
-			100*hedgeNeed, cur16.HedgesFired)
-	}
-	if cur16.Failures != 0 {
-		fail("cluster: %d failed client requests across the E16 runs, want 0", cur16.Failures)
-	} else {
-		fmt.Println("benchgate: cluster: 0 failed client requests ok")
-	}
-	switch {
-	case base == nil:
-		// no baseline at all: notice already printed above
-	case base.E16 == nil:
-		fmt.Println("benchgate: cluster: baseline has no e16 section; skipping comparison (regenerate with `make bench-baseline`)")
-	default:
-		baseRPS := make(map[int]float64, len(base.E16.Throughput))
-		for _, r := range base.E16.Throughput {
-			baseRPS[r.Backends] = r.ReqPerSec
-		}
-		if baseRPS[1] > 0 && baseRPS[4] > 0 {
-			fmt.Printf("benchgate: cluster: scaling %.2fx vs baseline %.2fx, hedged p99 %.2fms vs %.2fms (informational)\n",
-				rps[4]/rps[1], baseRPS[4]/baseRPS[1], cur16.HedgedP99MS, base.E16.HedgedP99MS)
-		}
-	}
-
-	if failures > 0 {
-		os.Exit(1)
-	}
-	fmt.Println("benchgate: pass")
+	return []sample{{label: "cluster", got: rps[4] / rps[1]}}, nil
 }
 
-// e13ByKernel indexes one arm (armed or disarmed) of an E13 run set.
-func e13ByKernel(rows []e13Row, armed bool) map[string]e13Row {
-	out := make(map[string]e13Row)
-	for _, r := range rows {
-		if r.Armed == armed {
-			out[r.Kernel] = r
-		}
+func e16HedgeGain(cur, _ *reports) ([]sample, error) {
+	r := cur.E16
+	if r.UnhedgedP99MS <= 0 || r.HedgedP99MS <= 0 {
+		return nil, errors.New("E16 report is missing the hedged or unhedged p99")
 	}
-	return out
+	return []sample{{label: "cluster", got: 1 - r.HedgedP99MS/r.UnhedgedP99MS}}, nil
 }
 
-// findE12Row returns the named kernel's row at worker count p, or nil.
-func findE12Row(rep *e12Report, kernel string, p int) *e12Row {
-	for i := range rep.Kernels {
-		if rep.Kernels[i].Kernel != kernel {
-			continue
+// A result is one printed line of the gate: a sample's verdict, or a
+// whole row's SKIP or selector failure.
+type result struct {
+	rule       *rule
+	label      string
+	verdict    string // "ok", "FAIL" or "SKIP"
+	got, limit float64
+	note       string // why a row was skipped or could not be measured
+}
+
+func (r result) String() string {
+	head := fmt.Sprintf("benchgate: %-4s %s %s", r.verdict, r.rule.exp, r.rule.metric)
+	if r.label != "" {
+		head += " [" + r.label + "]"
+	}
+	if r.note != "" {
+		return head + ": " + r.note
+	}
+	op := "<="
+	if r.rule.cmp == atLeast {
+		op = ">="
+	}
+	return fmt.Sprintf("%s: %.6g %s %.6g", head, r.got, op, r.limit)
+}
+
+// shortRun reports whether the run used benchtables -short; E12 and E16
+// record it and must agree.
+func shortRun(cur *reports) (bool, error) {
+	if cur.E12.Short != cur.E16.Short {
+		return false, errors.New("E12 and E16 disagree on -short; pipe in one benchtables run")
+	}
+	return cur.E12.Short, nil
+}
+
+// evaluate applies every rule to the run and the baseline.
+func evaluate(cur, base *reports) ([]result, error) {
+	short, err := shortRun(cur)
+	if err != nil {
+		return nil, err
+	}
+	var out []result
+	for i := range rules {
+		r := &rules[i]
+		bound := r.full
+		if short {
+			bound = r.short
 		}
-		for j := range rep.Kernels[i].Rows {
-			if rep.Kernels[i].Rows[j].P == p {
-				return &rep.Kernels[i].Rows[j]
+		if r.armed != nil {
+			if why := r.armed(cur, base); why != "" {
+				out = append(out, result{rule: r, verdict: "SKIP", limit: bound, note: why})
+				continue
 			}
 		}
-	}
-	return nil
-}
-
-// pairByKernel indexes rows as [unpooled, pooled] per kernel.
-func pairByKernel(rows []row) map[string]*[2]*row {
-	out := make(map[string]*[2]*row)
-	for i := range rows {
-		r := &rows[i]
-		p, ok := out[r.Kernel]
-		if !ok {
-			p = new([2]*row)
-			out[r.Kernel] = p
+		samples, err := r.sel(cur, base)
+		if err != nil {
+			out = append(out, result{rule: r, verdict: "FAIL", note: err.Error()})
+			continue
 		}
-		if r.Pooled {
-			p[1] = r
-		} else {
-			p[0] = r
+		for _, s := range samples {
+			lim := r.limit(bound, s)
+			verdict := "ok"
+			if (r.cmp == atMost && s.got > lim) || (r.cmp == atLeast && s.got < lim) {
+				verdict = "FAIL"
+			}
+			out = append(out, result{rule: r, label: s.label, verdict: verdict, got: s.got, limit: lim})
 		}
 	}
-	return out
+	return out, nil
 }
 
-// readReports scans stdin for the E11–E16 BENCH-JSON lines (other
-// experiment output may precede or separate them).
-func readReports(f *os.File) (*e11Report, *e12Report, *e13Report, *e14Report, *e15Report, *e16Report, error) {
-	sc := bufio.NewScanner(f)
+// readReports scans the E11–E16 BENCH-JSON lines out of benchtables'
+// output; E14–E16 wrap their payload in a "report" object.
+func readReports(in io.Reader) (*reports, error) {
+	var cur reports
+	dst := map[string]any{"E11": &cur.E11, "E12": &cur.E12, "E13": &cur.E13, "E14": &cur.E14, "E15": &cur.E15, "E16": &cur.E16}
+	sc := bufio.NewScanner(in)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
-	var r11 *e11Report
-	var r12 *e12Report
-	var r13 *e13Report
-	var r14 *e14Report
-	var r15 *e15Report
-	var r16 *e16Report
 	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		blob, ok := strings.CutPrefix(line, "BENCH-JSON ")
+		blob, ok := strings.CutPrefix(strings.TrimSpace(sc.Text()), "BENCH-JSON ")
 		if !ok {
 			continue
 		}
-		var probe struct {
-			Experiment string `json:"experiment"`
+		var env struct {
+			Experiment string          `json:"experiment"`
+			Report     json.RawMessage `json:"report"`
 		}
-		if err := json.Unmarshal([]byte(blob), &probe); err != nil {
-			return nil, nil, nil, nil, nil, nil, fmt.Errorf("parsing BENCH-JSON line: %w", err)
+		if err := json.Unmarshal([]byte(blob), &env); err != nil {
+			return nil, fmt.Errorf("parsing BENCH-JSON line: %w", err)
 		}
-		switch probe.Experiment {
-		case "E11":
-			var r e11Report
-			if err := json.Unmarshal([]byte(blob), &r); err != nil {
-				return nil, nil, nil, nil, nil, nil, fmt.Errorf("parsing E11 BENCH-JSON: %w", err)
-			}
-			r11 = &r
-		case "E12":
-			var r e12Report
-			if err := json.Unmarshal([]byte(blob), &r); err != nil {
-				return nil, nil, nil, nil, nil, nil, fmt.Errorf("parsing E12 BENCH-JSON: %w", err)
-			}
-			r12 = &r
-		case "E13":
-			var r e13Report
-			if err := json.Unmarshal([]byte(blob), &r); err != nil {
-				return nil, nil, nil, nil, nil, nil, fmt.Errorf("parsing E13 BENCH-JSON: %w", err)
-			}
-			r13 = &r
-		case "E14":
-			var env struct {
-				Report e14Report `json:"report"`
-			}
-			if err := json.Unmarshal([]byte(blob), &env); err != nil {
-				return nil, nil, nil, nil, nil, nil, fmt.Errorf("parsing E14 BENCH-JSON: %w", err)
-			}
-			r14 = &env.Report
-		case "E15":
-			var env struct {
-				Report e15Report `json:"report"`
-			}
-			if err := json.Unmarshal([]byte(blob), &env); err != nil {
-				return nil, nil, nil, nil, nil, nil, fmt.Errorf("parsing E15 BENCH-JSON: %w", err)
-			}
-			r15 = &env.Report
-		case "E16":
-			var env struct {
-				Report e16Report `json:"report"`
-			}
-			if err := json.Unmarshal([]byte(blob), &env); err != nil {
-				return nil, nil, nil, nil, nil, nil, fmt.Errorf("parsing E16 BENCH-JSON: %w", err)
-			}
-			r16 = &env.Report
+		d, ok := dst[env.Experiment]
+		if !ok {
+			continue
+		}
+		payload := []byte(blob)
+		if env.Report != nil {
+			payload = env.Report
+		}
+		if err := json.Unmarshal(payload, d); err != nil {
+			return nil, fmt.Errorf("parsing %s BENCH-JSON: %w", env.Experiment, err)
 		}
 	}
 	if err := sc.Err(); err != nil {
-		return nil, nil, nil, nil, nil, nil, err
+		return nil, err
 	}
-	if r11 == nil || r12 == nil || r13 == nil || r14 == nil || r15 == nil || r16 == nil {
-		return nil, nil, nil, nil, nil, nil, fmt.Errorf("need the E11, E12, E13, E14, E15 and E16 BENCH-JSON lines on stdin (pipe `benchtables -exp E11,E12,E13,E14,E15,E16` in)")
+	if !cur.complete() {
+		return nil, errors.New("need the E11, E12, E13, E14, E15 and E16 BENCH-JSON lines on stdin (pipe `benchtables -exp E11,E12,E13,E14,E15,E16` in)")
 	}
-	return r11, r12, r13, r14, r15, r16, nil
+	return &cur, nil
 }
 
-// readBaseline parses the committed baseline, rejecting pre-schema-2
-// files with an actionable error instead of misreading them.
-func readBaseline(path string) (*baseline, error) {
+// readBaseline parses the committed baseline. Every section is required:
+// the recorded arms cannot be re-measured, so there is no gating — or
+// rewriting — without them.
+func readBaseline(path string) (*reports, error) {
 	blob, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
@@ -670,12 +594,91 @@ func readBaseline(path string) (*baseline, error) {
 	if err := json.Unmarshal(blob, &b); err != nil {
 		return nil, fmt.Errorf("parsing %s: %w", path, err)
 	}
-	if b.Schema != 2 {
-		return nil, fmt.Errorf("%s uses the old single-experiment baseline schema "+
-			"(no \"schema\":2 field); the gate now stores multi-P results — regenerate it with `make bench-baseline` and commit the result", path)
+	if b.Schema != 2 || !b.complete() {
+		return nil, fmt.Errorf("%s is not a schema-2 baseline with e11 through e16 sections", path)
 	}
-	if b.E11 == nil || b.E12 == nil {
-		return nil, fmt.Errorf("%s is schema 2 but missing the e11 or e12 section; regenerate it with `make bench-baseline`", path)
+	return &b.reports, nil
+}
+
+// writeBaseline replaces the baseline at path with the current run,
+// carrying forward the recorded arms from the file it replaces. Their ns
+// are rescaled to the run's calibration spin so the normalized cost the
+// budgets read stays the same.
+func writeBaseline(path string, cur, old *reports) error {
+	cc, oc, err := cals(cur, old)
+	if err != nil {
+		return err
 	}
-	return &b, nil
+	rescale := cc / oc
+	e11 := *cur.E11
+	e11.Runs = nil
+	for _, r := range old.E11.Runs {
+		if !r.Pooled {
+			r.NsOp *= rescale
+			e11.Runs = append(e11.Runs, r)
+		}
+	}
+	for _, r := range cur.E11.Runs {
+		if r.Pooled {
+			e11.Runs = append(e11.Runs, r)
+		}
+	}
+	e14 := *cur.E14
+	e14.DispatchSpawnNs = old.E14.DispatchSpawnNs * rescale
+
+	next := baseline{Schema: 2, reports: *cur}
+	next.E11, next.E14 = &e11, &e14
+	blob, err := json.MarshalIndent(next, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(blob, '\n'), 0o644)
+}
+
+// run is the command: flags, stdin and stdout in, exit status out.
+func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("benchgate", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	baselinePath := fs.String("baseline", "BENCH_BASELINE.json", "committed baseline file")
+	write := fs.Bool("write", false, "rewrite the baseline from this run, keeping its recorded arms, instead of gating")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintf(stderr, "benchgate: %v\n", err)
+		return 1
+	}
+	cur, err := readReports(stdin)
+	if err != nil {
+		return fail(err)
+	}
+	base, err := readBaseline(*baselinePath)
+	if err != nil {
+		return fail(err)
+	}
+	if *write {
+		if err := writeBaseline(*baselinePath, cur, base); err != nil {
+			return fail(err)
+		}
+		fmt.Fprintf(stdout, "benchgate: wrote %s (recorded E11 unpooled rows and E14 dispatch_spawn_ns carried forward)\n", *baselinePath)
+		return 0
+	}
+	results, err := evaluate(cur, base)
+	if err != nil {
+		return fail(err)
+	}
+	failed := false
+	for _, r := range results {
+		fmt.Fprintln(stdout, r)
+		failed = failed || r.verdict == "FAIL"
+	}
+	if failed {
+		return 1
+	}
+	fmt.Fprintln(stdout, "benchgate: pass")
+	return 0
+}
+
+func main() {
+	os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr))
 }

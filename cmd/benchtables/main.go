@@ -60,10 +60,10 @@ var experiments = []struct {
 	{"E8", "Theorem 8.1 — linear CFL recognition", e8},
 	{"E9", "Runtime — work-stealing scheduler: speedup, steals, overhead", e9},
 	{"E10", "Service — request batching and result caching under load", e10},
-	{"E11", "Workspace pooling — allocation profile before/after", e11},
+	{"E11", "Workspace pooling — allocation profile of the pooled hot paths", e11},
 	{"E12", "Multicore scaling — kernel speedup across worker counts", e12},
 	{"E13", "Tracing — disarmed vs armed overhead on the gated hot paths", e13},
-	{"E14", "Dispatch — resident worker pool vs per-statement spawn", e14},
+	{"E14", "Dispatch — resident worker pool cost per small statement", e14},
 	{"E15", "Tuning — host-calibrated profile vs static defaults", e15},
 	{"E16", "Cluster — sharded gateway scaling and hedged tail latency", e16},
 }
@@ -530,8 +530,10 @@ func e10() {
 // cannot be optimized away.
 var benchSink bool
 
-// e11Row is one (kernel, pooled?) measurement; the same shape is stored
-// in BENCH_BASELINE.json and consumed by cmd/benchgate.
+// e11Row is one kernel measurement; the same shape is stored in
+// BENCH_BASELINE.json and consumed by cmd/benchgate. This run measures
+// only pooled rows: the unpooled rows in the baseline are the recorded
+// pre-arena arm the gate budgets against.
 type e11Row struct {
 	Kernel   string  `json:"kernel"`
 	Pooled   bool    `json:"pooled"`
@@ -543,19 +545,17 @@ type e11Row struct {
 // E11 — the workspace arena's effect on the two hot paths it targets:
 // the lincfl separator recursion (whose block matrices now recycle
 // through internal/pool) and the partreed single-request steady state
-// (pooled scratch plus the raw-body fast path). Each kernel runs twice —
-// pooling on and pooling off — over the identical code, so the delta is
-// exactly what the arena buys. cmd/benchgate compares these rows against
-// the committed BENCH_BASELINE.json.
+// (pooled scratch plus the raw-body fast path). What the arena buys was
+// measured once against the pre-arena code and is recorded as the
+// unpooled rows of the committed BENCH_BASELINE.json; cmd/benchgate
+// budgets these pooled rows against that recorded arm.
 func e11() {
-	measure := func(kernel string, pooled bool, fn func(b *testing.B)) e11Row {
-		prev := wspool.SetEnabled(pooled)
-		defer wspool.SetEnabled(prev)
+	measure := func(kernel string, fn func(b *testing.B)) e11Row {
 		wspool.Reset()
 		res := testing.Benchmark(fn)
 		return e11Row{
 			Kernel:   kernel,
-			Pooled:   pooled,
+			Pooled:   true,
 			NsOp:     float64(res.NsPerOp()),
 			AllocsOp: res.AllocsPerOp(),
 			BytesOp:  res.AllocedBytesPerOp(),
@@ -623,22 +623,12 @@ func e11() {
 		{"lincfl-recognize", lincflBench},
 		{"partreed-hot-path", serveBench},
 	} {
-		for _, pooled := range []bool{false, true} {
-			rows = append(rows, measure(k.name, pooled, k.fn))
-		}
+		rows = append(rows, measure(k.name, k.fn))
 	}
 
-	fmt.Printf("%-20s %8s %14s %14s %14s\n", "kernel", "pooled", "ns/op", "B/op", "allocs/op")
+	fmt.Printf("%-20s %14s %14s %14s\n", "kernel", "ns/op", "B/op", "allocs/op")
 	for _, r := range rows {
-		fmt.Printf("%-20s %8v %14.0f %14d %14d\n", r.Kernel, r.Pooled, r.NsOp, r.BytesOp, r.AllocsOp)
-	}
-	fmt.Println()
-	for i := 0; i+1 < len(rows); i += 2 {
-		before, after := rows[i], rows[i+1]
-		fmt.Printf("%-20s allocs/op %d -> %d (%.1f%% reduction), ns/op %.2fx\n",
-			before.Kernel, before.AllocsOp, after.AllocsOp,
-			100*(1-float64(after.AllocsOp)/float64(before.AllocsOp)),
-			after.NsOp/before.NsOp)
+		fmt.Printf("%-20s %14.0f %14d %14d\n", r.Kernel, r.NsOp, r.BytesOp, r.AllocsOp)
 	}
 
 	blob, err := json.Marshal(map[string]any{
@@ -650,8 +640,9 @@ func e11() {
 		panic(err)
 	}
 	fmt.Printf("\nBENCH-JSON %s\n", blob)
-	fmt.Println("claim: the workspace arena removes ≥70% of allocations per operation on")
-	fmt.Println("       both kernels without slowing them down; make bench-gate holds the line")
+	fmt.Println("claim: the workspace arena removes ≥70% of the recorded unpooled allocations")
+	fmt.Println("       per operation on both kernels without slowing them down; make bench-gate")
+	fmt.Println("       holds the line against BENCH_BASELINE.json")
 }
 
 // e12Row is one (kernel, P) measurement; cmd/benchgate reads the same
@@ -867,11 +858,9 @@ type e13Row struct {
 func e13() {
 	reps := 3
 	if shortMode {
-		reps = 1 // quick mode gates with -trace-slack instead
+		reps = 1 // benchgate widens the band for short runs instead
 	}
 	measure := func(kernel string, armed bool, fn func(b *testing.B)) e13Row {
-		prev := wspool.SetEnabled(true) // production posture: arena on
-		defer wspool.SetEnabled(prev)
 		best := e13Row{Kernel: kernel, Armed: armed}
 		var worst float64
 		for r := 0; r < reps; r++ {
@@ -1286,9 +1275,9 @@ func (r *replayBody) Close() error   { return nil }
 func (r *replayBody) Reset(p []byte) { r.Reader.Reset(p) }
 
 // e14Report is the E14 BENCH-JSON payload; cmd/benchgate reads the same
-// shape back out of BENCH_BASELINE.json. The dispatch pair is measured
-// in-process (like E11's pooled/unpooled pair), so the reduction gate is
-// a ratio on one host, not a cross-host wall-clock comparison.
+// shape back out of BENCH_BASELINE.json, whose E14 section also records
+// dispatch_spawn_ns: the spawn-per-statement dispatcher the resident pool
+// replaced, measured once and budgeted against by the gate.
 type e14Report struct {
 	GOMAXPROCS int `json:"gomaxprocs"`
 	Reps       int `json:"reps"`
@@ -1296,10 +1285,8 @@ type e14Report struct {
 	N          int `json:"n"`
 	Grain      int `json:"grain"`
 
-	// DispatchSpawnNs / DispatchResidentNs: ns per small-n For statement
-	// under the legacy spawn-per-statement dispatcher vs the resident
-	// pool (best of reps; NoiseFrac is the worst observed spread).
-	DispatchSpawnNs    float64 `json:"dispatch_spawn_ns"`
+	// DispatchResidentNs: ns per small-n For statement on the resident
+	// pool (best of reps; NoiseFrac is the observed spread).
 	DispatchResidentNs float64 `json:"dispatch_resident_ns"`
 	NoiseFrac          float64 `json:"noise_frac"`
 
@@ -1319,15 +1306,14 @@ type e14Report struct {
 // E14 — statement-dispatch overhead. The tables the paper's bounds care
 // about count steps; this experiment pins the constant factor in front
 // of them: what one small parallel statement costs to launch. The
-// resident pool must beat per-statement goroutine spawning by the gated
-// margin, spawn nothing at steady state, and the facade machine pool
-// must construct nothing under steady small-batch traffic.
+// resident pool must stay within the gated budget of the recorded
+// per-statement spawning cost, spawn nothing at steady state, and the
+// facade machine pool must construct nothing under steady small-batch
+// traffic.
 func e14() {
-	// E14 and E15 both read the machine-pool and spawned-worker counters;
-	// start from zero so experiments sharing a process don't contaminate
-	// each other's deltas.
+	// Start the facade machine pool empty so experiments sharing a
+	// process don't contaminate each other's reuse counts.
 	partree.DrainMachinePool()
-	pram.ResetSpawnedWorkers()
 	const (
 		dispatchWorkers = 2  // forced, so the measurement shape is host-independent
 		dispatchN       = 64 // small-n: the service-traffic regime where dispatch dominates
@@ -1335,55 +1321,34 @@ func e14() {
 	)
 	reps := 3
 	if shortMode {
-		reps = 1 // quick mode gates with -dispatch-slack instead
+		reps = 1 // benchgate loosens the budget for short runs instead
 	}
 
-	// Dispatch pair: identical statement, identical machine shape, only
-	// the dispatcher differs. The buffer write keeps bodies non-empty
-	// without cross-worker contention.
+	// Dispatch cost: one small statement, best of reps. The buffer write
+	// keeps bodies non-empty without cross-worker contention.
 	buf := make([]int64, dispatchN)
-	newDispatch := func(spawn bool) func(b *testing.B) {
-		return func(b *testing.B) {
-			opts := []pram.Option{
-				pram.WithWorkers(dispatchWorkers),
-				pram.WithGrain(dispatchGrain),
-				pram.WithIdleTimeout(time.Minute), // no mid-measurement retires
-			}
-			if spawn {
-				opts = append(opts, pram.WithSpawnDispatch())
-			}
-			m := pram.New(opts...)
-			defer m.Close()
-			body := func(i int) { buf[i]++ }
-			m.For(dispatchN, body) // warm: builds the resident pool
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				m.For(dispatchN, body)
-			}
+	dispatch := func(b *testing.B) {
+		m := pram.New(pram.WithWorkers(dispatchWorkers), pram.WithGrain(dispatchGrain),
+			pram.WithIdleTimeout(time.Minute)) // no mid-measurement retires
+		defer m.Close()
+		body := func(i int) { buf[i]++ }
+		m.For(dispatchN, body) // warm: builds the resident pool
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			m.For(dispatchN, body)
 		}
 	}
-	measure := func(fn func(b *testing.B)) (float64, float64) {
-		var best, worst float64
-		for r := 0; r < reps; r++ {
-			ns := float64(testing.Benchmark(fn).NsPerOp())
-			if r == 0 || ns < best {
-				best = ns
-			}
-			if ns > worst {
-				worst = ns
-			}
+	var residentNs, worst float64
+	for r := 0; r < reps; r++ {
+		ns := float64(testing.Benchmark(dispatch).NsPerOp())
+		if r == 0 || ns < residentNs {
+			residentNs = ns
 		}
-		noise := 0.0
-		if best > 0 {
-			noise = (worst - best) / best
-		}
-		return best, noise
+		worst = max(worst, ns)
 	}
-	spawnNs, spawnNoise := measure(newDispatch(true))
-	residentNs, residentNoise := measure(newDispatch(false))
-	noise := spawnNoise
-	if residentNoise > noise {
-		noise = residentNoise
+	noise := 0.0
+	if residentNs > 0 {
+		noise = (worst - residentNs) / residentNs
 	}
 
 	// Goroutines spawned per 10k statements on a warm resident machine.
@@ -1419,7 +1384,6 @@ func e14() {
 		Workers:            dispatchWorkers,
 		N:                  dispatchN,
 		Grain:              dispatchGrain,
-		DispatchSpawnNs:    spawnNs,
 		DispatchResidentNs: residentNs,
 		NoiseFrac:          noise,
 		SpawnedPer10k:      spawned,
@@ -1429,9 +1393,7 @@ func e14() {
 	}
 
 	fmt.Printf("%-34s %14s\n", "metric", "value")
-	fmt.Printf("%-34s %14.0f\n", "dispatch ns/For (spawn)", rep.DispatchSpawnNs)
 	fmt.Printf("%-34s %14.0f\n", "dispatch ns/For (resident)", rep.DispatchResidentNs)
-	fmt.Printf("%-34s %13.1f%%\n", "dispatch reduction", 100*(1-rep.DispatchResidentNs/rep.DispatchSpawnNs))
 	fmt.Printf("%-34s %13.1f%%\n", "noise", 100*rep.NoiseFrac)
 	fmt.Printf("%-34s %14d\n", "goroutines spawned / 10k For", rep.SpawnedPer10k)
 	fmt.Printf("%-34s %14d\n", "machines constructed / 10k batches", rep.ConstructedPer10k)
@@ -1446,9 +1408,9 @@ func e14() {
 		panic(err)
 	}
 	fmt.Printf("\nBENCH-JSON %s\n", blob)
-	fmt.Println("claim: resident workers cut small-statement dispatch by ≥40% over")
-	fmt.Println("       per-statement spawning, and steady-state traffic spawns zero")
-	fmt.Println("       goroutines and constructs zero machines; make bench-gate holds it")
+	fmt.Println("claim: resident workers cut small-statement dispatch by ≥40% from the")
+	fmt.Println("       recorded per-statement spawning cost, and steady-state traffic spawns")
+	fmt.Println("       zero goroutines and constructs zero machines; make bench-gate holds it")
 }
 
 // e15Kernel is one tracked kernel's default-vs-calibrated timing pair.
@@ -1464,7 +1426,7 @@ type e15Kernel struct {
 
 // e15Report is the E15 BENCH-JSON payload; cmd/benchgate reads the same
 // shape back out of BENCH_BASELINE.json. Both arms run in this process on
-// this host, so the gate is a same-host ratio like E11's and E14's.
+// this host, so the gate is a same-host ratio.
 type e15Report struct {
 	GOMAXPROCS  int         `json:"gomaxprocs"`
 	Reps        int         `json:"reps"`
@@ -1485,7 +1447,6 @@ type e15Report struct {
 // two of them.
 func e15() {
 	partree.DrainMachinePool()
-	pram.ResetSpawnedWorkers()
 
 	const workers = 2 // forced, so the measurement shape is host-independent
 	reps := 3

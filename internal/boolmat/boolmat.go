@@ -53,7 +53,7 @@ func NewFromPool(r, c int) *Matrix {
 		panic("boolmat: negative dimension")
 	}
 	w := (c + 63) / 64
-	if reuseHeaders && pool.Enabled() {
+	if reuseHeaders {
 		m := headerPool.Get().(*Matrix)
 		m.R, m.C, m.words = r, c, w
 		m.bits = pool.Uint64s(r * w)
@@ -78,7 +78,7 @@ func (m *Matrix) Release() {
 		pool.PutUint64s(m.bits)
 	}
 	m.bits = nil
-	if m.pooled && reuseHeaders && pool.Enabled() {
+	if m.pooled && reuseHeaders {
 		headerPool.Put(m)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"partree/internal/grammar"
-	"partree/internal/pool"
 	"partree/internal/pram"
 )
 
@@ -19,23 +18,10 @@ func palindromeWord(n int) []byte {
 }
 
 // BenchmarkRecognizeDC measures the separator divide-and-conquer on the
-// palindrome grammar; run with -benchmem to see the workspace arena's
-// effect (BenchmarkRecognizeDCUnpooled is the same kernel with pooling
-// off).
+// palindrome grammar; run with -benchmem to see its allocations per
+// call (EXPERIMENTS.md E11 records the figure without the workspace
+// arena).
 func BenchmarkRecognizeDC(b *testing.B) {
-	g := grammar.Palindrome()
-	w := palindromeWord(127)
-	m := pram.New(pram.WithGrain(64))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		RecognizeDC(m, g, w)
-	}
-}
-
-func BenchmarkRecognizeDCUnpooled(b *testing.B) {
-	prev := pool.SetEnabled(false)
-	defer pool.SetEnabled(prev)
 	g := grammar.Palindrome()
 	w := palindromeWord(127)
 	m := pram.New(pram.WithGrain(64))

@@ -5,16 +5,14 @@ import (
 	"testing"
 
 	"partree/internal/matrix"
-	"partree/internal/pool"
 	"partree/internal/pram"
 )
 
 // FuzzConcaveMultiply differentially checks the concave (min,+) engines on
 // fuzz-shaped random concave inputs: the Section 4.1 recursive product and
 // the Section 4.2 bottom-up product must match the brute-force product
-// value-for-value, and the pooled run must be identical to a run with the
-// workspace arena disabled — the recycled slabs must never leak state into
-// a result. Fuzz with `go test -fuzz=FuzzConcaveMultiply ./internal/monge`.
+// value-for-value, so recycled workspace slabs can never leak state into a
+// result unnoticed. Fuzz with `go test -fuzz=FuzzConcaveMultiply ./internal/monge`.
 func FuzzConcaveMultiply(f *testing.F) {
 	f.Add(int64(1), uint8(4), uint8(5), uint8(6), uint8(10), uint8(3))
 	f.Add(int64(7), uint8(1), uint8(1), uint8(1), uint8(1), uint8(0))
@@ -40,22 +38,11 @@ func FuzzConcaveMultiply(f *testing.F) {
 		smawkCut := CutSMAWK(a, b, &cnt)
 		smawkParCut := CutSMAWKPar(pram.New(pram.WithWorkers(4), pram.WithGrain(1)), a, b, &cnt)
 
-		prev := pool.SetEnabled(false)
-		plainVal, plainCut := Mul(a, b, &cnt)
-		pool.SetEnabled(prev)
-
 		if !pooledVal.Equal(bruteVal, 0) {
 			t.Fatalf("(%d,%d,%d): concave product differs from brute force", p, q, r)
 		}
-		if !pooledVal.Equal(plainVal, 0) {
-			t.Fatalf("(%d,%d,%d): pooled product differs from unpooled", p, q, r)
-		}
 		for i := 0; i < p; i++ {
 			for j := 0; j < r; j++ {
-				if pooledCut.At(i, j) != plainCut.At(i, j) {
-					t.Fatalf("(%d,%d,%d): pooled cut (%d,%d)=%d, unpooled %d",
-						p, q, r, i, j, pooledCut.At(i, j), plainCut.At(i, j))
-				}
 				if pooledCut.At(i, j) != bottomCut.At(i, j) {
 					t.Fatalf("(%d,%d,%d): recursive cut (%d,%d)=%d, bottom-up %d",
 						p, q, r, i, j, pooledCut.At(i, j), bottomCut.At(i, j))

@@ -24,11 +24,6 @@
 // zeroed slab, so a pooled slab is indistinguishable from a fresh
 // make([]T, n).
 //
-// Pooling can be switched off globally with SetEnabled(false): every Get
-// degenerates to make and every Put to a drop, which gives differential
-// tests and the E11 before/after benches an unpooled baseline with the
-// identical code path.
-//
 // Misuse detection: the `pooldebug` build tag arms a slab ledger that
 // panics on double release and poisons released slabs with sentinel
 // values so stale aliased views read garbage deterministically instead of
@@ -71,15 +66,10 @@ const (
 	refillBatch = maxFreePerShard / 2
 )
 
-// enabled gates pooling globally (default on). Atomic so benches and
-// differential tests can toggle it around concurrent workloads.
-var enabled atomic.Bool
-
 // shardCount is the live shard count: a power of two in [1, maxShards].
 var shardCount atomic.Int32
 
 func init() {
-	enabled.Store(true)
 	shardCount.Store(int32(clampShards(runtime.GOMAXPROCS(0))))
 }
 
@@ -96,14 +86,6 @@ func clampShards(n int) int {
 	}
 	return n
 }
-
-// Enabled reports whether slab recycling is active.
-func Enabled() bool { return enabled.Load() }
-
-// SetEnabled switches slab recycling on or off; off means Get = make and
-// Put = discard (the unpooled baseline). It returns the previous setting
-// so callers can restore it.
-func SetEnabled(on bool) bool { return enabled.Swap(on) }
 
 // Shards returns the live shard count.
 func Shards() int { return int(shardCount.Load()) }
@@ -212,7 +194,7 @@ func (p *slabPool[T]) getAt(si, n int) []T {
 	sh := &p.shards[si]
 	sh.gets.Add(1)
 	ci := classFor(n)
-	if ci < 0 || !enabled.Load() {
+	if ci < 0 {
 		return make([]T, n)
 	}
 	sh.mu.Lock()
@@ -263,7 +245,7 @@ func (p *slabPool[T]) putAt(si int, s []T) {
 	sh := &p.shards[si]
 	sh.puts.Add(1)
 	ci := classOfCap(cap(s))
-	if ci < 0 || !enabled.Load() {
+	if ci < 0 {
 		sh.discards.Add(1)
 		return
 	}

@@ -11,11 +11,7 @@ import (
 func withCleanArena(t *testing.T) {
 	t.Helper()
 	Reset()
-	prev := SetEnabled(true)
-	t.Cleanup(func() {
-		SetEnabled(prev)
-		Reset()
-	})
+	t.Cleanup(Reset)
 }
 
 // withShards pins the shard count for the duration of a test; tests that
@@ -78,19 +74,6 @@ func TestReuseAndZeroing(t *testing.T) {
 	st := Snapshot()
 	if st.Hits != 1 {
 		t.Errorf("hits = %d, want 1", st.Hits)
-	}
-}
-
-func TestDisabledBypassesArena(t *testing.T) {
-	withCleanArena(t)
-	SetEnabled(false)
-	s := Float64s(100)
-	if cap(s) != 100 {
-		t.Errorf("disabled Get should plain-make: cap = %d, want 100", cap(s))
-	}
-	PutFloat64s(s)
-	if st := Snapshot(); st.Hits != 0 || st.Free != 0 {
-		t.Errorf("disabled arena must stay empty: %+v", st)
 	}
 }
 

@@ -7,7 +7,7 @@ import (
 )
 
 // BenchmarkDispatch measures the cost of one small parallel statement
-// under both dispatchers — the number E14 gates. Run with:
+// on the resident pool — the number E14 gates. Run with:
 //
 //	go test -bench Dispatch -run xxx ./internal/pram
 func BenchmarkDispatch(b *testing.B) {
@@ -18,21 +18,15 @@ func BenchmarkDispatch(b *testing.B) {
 	} {
 		buf := make([]int64, shape.n)
 		body := func(i int) { buf[i]++ }
-		for _, spawn := range []bool{true, false} {
-			name := fmt.Sprintf("w%d/n%d/g%d/spawn=%v", shape.w, shape.n, shape.g, spawn)
-			b.Run(name, func(b *testing.B) {
-				opts := []Option{WithWorkers(shape.w), WithGrain(shape.g), WithIdleTimeout(time.Minute)}
-				if spawn {
-					opts = append(opts, WithSpawnDispatch())
-				}
-				m := New(opts...)
-				defer m.Close()
+		name := fmt.Sprintf("w%d/n%d/g%d", shape.w, shape.n, shape.g)
+		b.Run(name, func(b *testing.B) {
+			m := New(WithWorkers(shape.w), WithGrain(shape.g), WithIdleTimeout(time.Minute))
+			defer m.Close()
+			m.For(shape.n, body)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
 				m.For(shape.n, body)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					m.For(shape.n, body)
-				}
-			})
-		}
+			}
+		})
 	}
 }

@@ -107,9 +107,8 @@ type Machine struct {
 	// pool hosts the resident worker goroutines and the reused deque/stat
 	// slices (see wpool.go). Built lazily by the first parallel statement;
 	// nil until then and on machines that never go parallel.
-	pool          *wpool
-	idleTimeout   time.Duration // park time before a resident worker retires
-	spawnDispatch bool          // WithSpawnDispatch: use the legacy spawn-per-statement path
+	pool        *wpool
+	idleTimeout time.Duration // park time before a resident worker retires
 
 	statsMu    sync.Mutex
 	phase      string
@@ -194,15 +193,6 @@ func WithIdleTimeout(d time.Duration) Option {
 		}
 		m.idleTimeout = d
 	}
-}
-
-// WithSpawnDispatch selects the legacy dispatcher that spawns fresh
-// worker goroutines and allocates scheduler state for every parallel
-// statement instead of using the resident pool. It exists so the
-// dispatch-overhead experiment (E14) can measure both paths in one
-// process; production callers should never need it.
-func WithSpawnDispatch() Option {
-	return func(m *Machine) { m.spawnDispatch = true }
 }
 
 // New constructs a Machine. With no options it models an unbounded-processor
@@ -414,16 +404,10 @@ func (m *Machine) forChunked(n int, body func(lo, hi int)) {
 	// slices; disarmed statements use the amortized clock protocol (see
 	// worker in sched.go).
 	exact := m.tracer != nil
-	var st stmtStats
-	var ws []workerStats
-	if m.spawnDispatch {
-		st, ws = runSpawn(n, w, g, body, done, start)
-	} else {
-		if m.pool == nil {
-			m.pool = newWPool(m.workers, m.idleTimeout)
-		}
-		st, ws = m.pool.run(n, w, g, body, done, start, exact)
+	if m.pool == nil {
+		m.pool = newWPool(m.workers, m.idleTimeout)
 	}
+	st, ws := m.pool.run(n, w, g, body, done, start, exact)
 	// Workers bail at pop/steal boundaries once the context is done,
 	// abandoning unexecuted chunks; the statement is then incomplete, so
 	// the abort must happen before anyone reads its outputs.

@@ -34,27 +34,19 @@ import (
 // barrier is the WaitGroup around the worker calls: For returns only
 // after every range has been executed exactly once.
 //
-// Worker goroutines are normally resident (see wpool.go): parked between
+// Worker goroutines are resident (see wpool.go): parked between
 // statements and woken per statement, so steady-state dispatch spawns
-// nothing. runSpawn below is the legacy spawn-per-statement dispatcher,
-// kept selectable (WithSpawnDispatch) as the measurable pre-resident
-// baseline for the E14 dispatch-overhead experiment.
+// nothing.
 
-// spawnedWorkers counts every worker goroutine launched by either
-// dispatcher, process-wide. Monotone between resets; read it twice and
-// subtract to measure goroutines spawned by a window of statements (the
-// resident pool's steady state must show a delta of zero).
+// spawnedWorkers counts every worker goroutine launched, process-wide.
+// Monotone; read it twice and subtract to measure goroutines spawned by
+// a window of statements (the resident pool's steady state must show a
+// delta of zero).
 var spawnedWorkers atomic.Int64
 
 // SpawnedWorkers returns the total number of PRAM worker goroutines
-// launched in this process since start (or the last ResetSpawnedWorkers).
+// launched in this process since start.
 func SpawnedWorkers() int64 { return spawnedWorkers.Load() }
-
-// ResetSpawnedWorkers zeroes the process-wide spawn counter. Experiments
-// that share one process (E14, E15) call it between runs so one
-// experiment's warm-up spawns never leak into another's steady-state
-// window; production code has no reason to call it.
-func ResetSpawnedWorkers() { spawnedWorkers.Store(0) }
 
 // wdeque is one worker's deque: a contiguous sub-range [lo, hi) of the
 // statement's index space. Bottom (lo side) is popped by the owner; the
@@ -145,36 +137,6 @@ func aggregate(ws []workerStats) stmtStats {
 	return st
 }
 
-// runSpawn executes body over [0, n) on w workers (the caller is worker
-// 0) with chunk size g: the legacy dispatcher that allocates fresh
-// deque/stat slices and spawns w-1 goroutines for every statement, with
-// exact per-chunk timing. Machines use the resident pool (wpool.go)
-// unless WithSpawnDispatch pins them here; E14 measures the difference.
-// start is the statement's start instant, taken by the caller so traced
-// spans and worker finish times share one zero point. done, when
-// non-nil, is a cancellation signal: workers stop taking new chunks once
-// it is closed (the orchestrator detects the resulting incomplete
-// statement at the barrier and unwinds — see Machine.checkpoint).
-func runSpawn(n, w, g int, body func(lo, hi int), done <-chan struct{}, start time.Time) (stmtStats, []workerStats) {
-	dq := make([]wdeque, w)
-	partition(dq, n, w)
-
-	ws := make([]workerStats, w)
-	var wg sync.WaitGroup
-	spawnedWorkers.Add(int64(w - 1))
-	for i := 1; i < w; i++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			worker(id, dq, g, body, &ws[id], start, done, true)
-		}(i)
-	}
-	worker(0, dq, g, body, &ws[0], start, done, true)
-	wg.Wait()
-
-	return aggregate(ws), ws
-}
-
 // partition installs the statement's even initial split: one contiguous
 // range of ⌈n/w⌉ indices per worker.
 func partition(dq []wdeque, n, w int) {
@@ -198,7 +160,7 @@ func partition(dq []wdeque, n, w int) {
 // package comment on livelock freedom).
 //
 // exact selects the timing discipline. Exact — required when a tracer is
-// armed, and the legacy dispatcher's only mode — brackets every body
+// armed — brackets every body
 // chunk and every steal hunt with clock reads, so per-worker busy time
 // is precise at two time.Now() calls per chunk. Amortized (exact=false,
 // the disarmed default) reads the clock twice per worker plus once per

@@ -106,8 +106,13 @@ func newWPool(workers int, idle time.Duration) *wpool {
 	return p
 }
 
-// run executes one parallel statement on w ≤ p.workers workers with the
-// same contract as runSpawn, reusing the pool's slices and goroutines.
+// run executes body over [0, n) on w ≤ p.workers workers (the caller is
+// worker 0) with chunk size g, reusing the pool's slices and goroutines.
+// start is the statement's start instant, taken by the caller so traced
+// spans and worker finish times share one zero point. done, when
+// non-nil, is a cancellation signal: workers stop taking new chunks once
+// it is closed (the orchestrator detects the resulting incomplete
+// statement at the barrier and unwinds — see Machine.checkpoint).
 func (p *wpool) run(n, w, g int, body func(lo, hi int), done <-chan struct{}, start time.Time, exact bool) (stmtStats, []workerStats) {
 	partition(p.dq[:w], n, w)
 	// Deques beyond this statement's width must read empty to thieves: a

@@ -65,7 +65,12 @@ func PostJSONRetry(ctx context.Context, hc *http.Client, url string, body []byte
 		wait := backoff
 		if ra := resp.Header.Get("Retry-After"); ra != "" {
 			if secs, perr := strconv.Atoi(ra); perr == nil && secs >= 0 {
-				wait = time.Duration(secs) * time.Second
+				// Clamp before scaling: a huge header value would wrap
+				// the multiplication negative and retry at once.
+				wait = pol.MaxBackoff
+				if d := time.Duration(secs); d <= pol.MaxBackoff/time.Second {
+					wait = d * time.Second
+				}
 			}
 		}
 		if wait > pol.MaxBackoff {

@@ -79,34 +79,40 @@ func TestPostJSONRetryDoesNotRetryServerErrors(t *testing.T) {
 }
 
 func TestPostJSONRetryHonorsRetryAfter(t *testing.T) {
-	var calls atomic.Int64
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if calls.Add(1) == 1 {
-			w.Header().Set("Retry-After", "1") // one second…
-			w.WriteHeader(http.StatusTooManyRequests)
-			return
-		}
-		w.WriteHeader(http.StatusOK)
-	}))
-	defer ts.Close()
+	// Every Retry-After here exceeds the 30ms MaxBackoff, so each retry
+	// must wait the clamped 30ms: the huge values must not wrap the
+	// seconds-to-Duration conversion negative and retry at once.
+	for _, retryAfter := range []string{"1", "9999999999", "9223372036854775807"} {
+		t.Run(retryAfter, func(t *testing.T) {
+			var calls atomic.Int64
+			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if calls.Add(1) == 1 {
+					w.Header().Set("Retry-After", retryAfter)
+					w.WriteHeader(http.StatusTooManyRequests)
+					return
+				}
+				w.WriteHeader(http.StatusOK)
+			}))
+			defer ts.Close()
 
-	// …clamped to a 30ms MaxBackoff, so the whole call stays fast.
-	start := time.Now()
-	resp, err := PostJSONRetry(context.Background(), ts.Client(), ts.URL, []byte(`{}`),
-		RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Millisecond, MaxBackoff: 30 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	elapsed := time.Since(start)
-	if resp.StatusCode != http.StatusOK {
-		t.Errorf("status %d, want 200", resp.StatusCode)
-	}
-	if elapsed < 25*time.Millisecond {
-		t.Errorf("retried after %v; Retry-After ignored (want >= ~30ms wait)", elapsed)
-	}
-	if elapsed > 500*time.Millisecond {
-		t.Errorf("retried after %v; Retry-After not clamped to MaxBackoff", elapsed)
+			start := time.Now()
+			resp, err := PostJSONRetry(context.Background(), ts.Client(), ts.URL, []byte(`{}`),
+				RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Millisecond, MaxBackoff: 30 * time.Millisecond})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			elapsed := time.Since(start)
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("status %d, want 200", resp.StatusCode)
+			}
+			if elapsed < 25*time.Millisecond {
+				t.Errorf("retried after %v; Retry-After ignored (want >= ~30ms wait)", elapsed)
+			}
+			if elapsed > 500*time.Millisecond {
+				t.Errorf("retried after %v; Retry-After not clamped to MaxBackoff", elapsed)
+			}
+		})
 	}
 }
 

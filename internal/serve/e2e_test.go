@@ -397,8 +397,8 @@ func TestE2ECacheHitAndStats(t *testing.T) {
 			t.Errorf("shard hit rate inconsistent: %+v", sh)
 		}
 	}
-	if snap.Pool.Enabled && gets == 0 {
-		t.Errorf("arena enabled but /statsz saw no shard traffic: %+v", snap.Pool)
+	if gets == 0 {
+		t.Errorf("/statsz saw no arena shard traffic: %+v", snap.Pool)
 	}
 }
 

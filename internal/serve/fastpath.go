@@ -18,9 +18,7 @@ import (
 // (the engines are pure functions of the request body, so replaying a
 // rendered response is always sound). Misses fall through to the full
 // handler and the canonical-key cache, which still collapses requests
-// that differ only in JSON spelling. Like the rest of the workspace
-// pooling, the fast path is gated on pool.Enabled() so the unpooled
-// baseline measures the pre-pooling request path.
+// that differ only in JSON spelling.
 
 // maxFastPathBody bounds both the request and response sizes the fast
 // path will store, so one giant request cannot monopolize the cache.

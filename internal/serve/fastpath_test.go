@@ -5,8 +5,6 @@ import (
 	"net/http"
 	"testing"
 	"time"
-
-	"partree/internal/pool"
 )
 
 // TestE2EFastPathByteIdentical replays the exact same request bytes and
@@ -75,31 +73,6 @@ func TestE2EFastPathByteIdentical(t *testing.T) {
 	}
 	if snap.Cache.Hits != 1 {
 		t.Fatalf("canonical cache counters = %+v, want 1 hit", snap.Cache)
-	}
-}
-
-// TestE2EFastPathDisabledWithPooling checks the differential baseline:
-// with the workspace arena off, the fast path steps aside and responses
-// are still correct and still canonically cached.
-func TestE2EFastPathDisabledWithPooling(t *testing.T) {
-	prev := pool.SetEnabled(false)
-	defer pool.SetEnabled(prev)
-
-	s, ts := newTestServer(t, Config{MaxBatch: 4, Linger: 0, RequestTimeout: 5 * time.Second})
-	client := ts.Client()
-
-	for i, want := range []string{"miss", "hit"} {
-		status, body, hdr := post(t, client, ts.URL+"/v1/huffman",
-			map[string]any{"weights": []float64{2, 7, 1, 8}})
-		if status != http.StatusOK {
-			t.Fatalf("request %d: status %d, body %s", i, status, body)
-		}
-		if got := hdr.Get("X-Partree-Cache"); got != want {
-			t.Fatalf("request %d: cache header %q, want %q", i, got, want)
-		}
-	}
-	if snap := s.Snapshot(); snap.FastPath.Hits != 0 || snap.FastPath.Misses != 0 {
-		t.Fatalf("fastpath saw traffic with pooling disabled: %+v", snap.FastPath)
 	}
 }
 

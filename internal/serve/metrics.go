@@ -382,12 +382,6 @@ func renderMetrics(w io.Writer, v metricsView) {
 		p.sample("partree_pram_steal_wait_seconds_total", fmt.Sprintf(`engine=%q`, e), snap.PRAM[e].StealWaitMS/1e3)
 	}
 
-	p.header("partree_pool_enabled", "Whether the workspace arena is enabled (1) or bypassed (0).", "gauge")
-	enabled := 0.0
-	if snap.Pool.Enabled {
-		enabled = 1
-	}
-	p.sample("partree_pool_enabled", "", enabled)
 	p.header("partree_pool_shards", "Workspace arena shard count.", "gauge")
 	p.sample("partree_pool_shards", "", float64(snap.Pool.Shards))
 	p.header("partree_pool_free_slabs", "Free slabs available across all shards.", "gauge")

@@ -53,7 +53,6 @@ func goldenView() metricsView {
 				"obst":    {Steps: 50, Work: 800, SpanMS: 9},
 			},
 			Pool: PoolCounters{
-				Enabled:    true,
 				Shards:     2,
 				GlobalFree: 6,
 				PerShard: []PoolShardCounters{

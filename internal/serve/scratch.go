@@ -6,32 +6,21 @@ import (
 	"encoding/json"
 	"hash"
 	"sync"
-
-	"partree/internal/pool"
 )
 
 // Scratch pooling for the per-request hot path: sha256 states for cache
-// keys and buffer+encoder pairs for responses. Both are gated on
-// pool.Enabled() so the unpooled baseline (differential tests, the E11
-// "before" column) exercises the plain allocation path.
+// keys and buffer+encoder pairs for responses.
 
 // hashers recycles sha256 states across cache-key computations.
 var hashers = sync.Pool{New: func() any { return sha256.New() }}
 
 func getHasher() hash.Hash {
-	if !pool.Enabled() {
-		return sha256.New()
-	}
 	h := hashers.Get().(hash.Hash)
 	h.Reset()
 	return h
 }
 
-func putHasher(h hash.Hash) {
-	if pool.Enabled() {
-		hashers.Put(h)
-	}
-}
+func putHasher(h hash.Hash) { hashers.Put(h) }
 
 // jsonScratch is a reusable response-encoding buffer with an encoder
 // permanently bound to it, so neither is reallocated per response.
@@ -53,16 +42,13 @@ var encoders = sync.Pool{New: func() any { return newJSONScratch() }}
 const maxRetainedEncodeBuf = 1 << 20
 
 func getEncoder() *jsonScratch {
-	if !pool.Enabled() {
-		return newJSONScratch()
-	}
 	s := encoders.Get().(*jsonScratch)
 	s.buf.Reset()
 	return s
 }
 
 func putEncoder(s *jsonScratch) {
-	if pool.Enabled() && s.buf.Cap() <= maxRetainedEncodeBuf {
+	if s.buf.Cap() <= maxRetainedEncodeBuf {
 		encoders.Put(s)
 	}
 }

@@ -340,7 +340,7 @@ func (s *Server) v1(engine string, h func(w http.ResponseWriter, r *http.Request
 			writeError(w, &apiError{Status: http.StatusTooManyRequests, Code: "overloaded", Message: "admission queue full; retry"})
 			return
 		}
-		if s.fast != nil && pool.Enabled() && r.Header.Get(traceHeader) != "1" {
+		if s.fast != nil && r.Header.Get(traceHeader) != "1" {
 			s.serveFastPath(engine, w, r, withDeadline)
 			return
 		}
@@ -468,7 +468,6 @@ type PoolShardCounters struct {
 // matches the deployment (all traffic on one shard at -workers 1, spread
 // otherwise) and how well each shard's free lists are hitting.
 type PoolCounters struct {
-	Enabled    bool                `json:"enabled"`
 	Shards     int                 `json:"shards"`
 	GlobalFree int                 `json:"global_free"`
 	PerShard   []PoolShardCounters `json:"per_shard"`
@@ -476,7 +475,6 @@ type PoolCounters struct {
 
 func poolCounters() PoolCounters {
 	pc := PoolCounters{
-		Enabled:    pool.Enabled(),
 		Shards:     pool.Shards(),
 		GlobalFree: pool.GlobalFree(),
 	}
