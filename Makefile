@@ -125,6 +125,7 @@ cover:
 
 fuzz:
 	$(GO) test -fuzz=FuzzDecodeStream -fuzztime=30s ./internal/huffman
+	$(GO) test -fuzz='^FuzzDecode$$' -fuzztime=30s ./internal/huffman
 	$(GO) test -fuzz=FuzzLeafPattern -fuzztime=30s ./internal/leafpattern
 	$(GO) test -fuzz=FuzzLinCFL -fuzztime=30s ./internal/lincfl
 	$(GO) test -fuzz=FuzzDecodeRequest -fuzztime=30s ./internal/serve
@@ -138,6 +139,7 @@ fuzz:
 # `make fuzz` for real exploration.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzDecodeStream -fuzztime=5s ./internal/huffman
+	$(GO) test -fuzz='^FuzzDecode$$' -fuzztime=5s ./internal/huffman
 	$(GO) test -fuzz=FuzzLeafPattern -fuzztime=5s ./internal/leafpattern
 	$(GO) test -fuzz=FuzzLinCFL -fuzztime=5s ./internal/lincfl
 	$(GO) test -fuzz=FuzzDecodeRequest -fuzztime=5s ./internal/serve

@@ -154,6 +154,45 @@ func (m *Matrix) Or(o *Matrix) *Matrix {
 	return m
 }
 
+// OrRows ORs the n consecutive rows of src starting at row si into the n
+// rows of m starting at row di (column counts must match): one contiguous
+// word range, since rows are packed back to back.
+func (m *Matrix) OrRows(di int, src *Matrix, si, n int) {
+	if m.C != src.C {
+		panic("boolmat: shape mismatch")
+	}
+	m.check()
+	src.check()
+	dst := m.bits[di*m.words : (di+n)*m.words]
+	for x, w := range src.bits[si*src.words : (si+n)*src.words] {
+		dst[x] |= w
+	}
+}
+
+// OrBits ORs the n bits of src's row si starting at column sc into m's
+// row di starting at column dc, one destination word per iteration: each
+// is filled from the (at most two) source words its bits straddle.
+func (m *Matrix) OrBits(di, dc int, src *Matrix, si, sc, n int) {
+	if dc < 0 || sc < 0 || n < 0 || dc+n > m.C || sc+n > src.C {
+		panic("boolmat: bit range out of bounds")
+	}
+	drow, srow := m.row(di), src.row(si)
+	for n > 0 {
+		db := uint(dc & 63)
+		c := 64 - int(db) // bits left in this destination word
+		if c > n {
+			c = n
+		}
+		sw, sb := sc>>6, uint(sc&63)
+		v := srow[sw] >> sb
+		if sb != 0 && sw+1 < len(srow) {
+			v |= srow[sw+1] << (64 - sb)
+		}
+		drow[dc>>6] |= (v & (^uint64(0) >> uint(64-c))) << db
+		dc, sc, n = dc+c, sc+c, n-c
+	}
+}
+
 // mulKTile picks the k-tile height for the blocked kernel: the number of
 // B rows (a multiple of 64, so tiles stay word-aligned in A's rows) whose
 // packed words fit the profile's cache budget (engine.BoolmatKTileBytes,

@@ -258,3 +258,85 @@ func TestClosureParMatchesSequential(t *testing.T) {
 		}
 	}
 }
+
+// orBitsNaive is OrBits one bit at a time.
+func orBitsNaive(m *Matrix, di, dc int, src *Matrix, si, sc, n int) {
+	for x := 0; x < n; x++ {
+		if src.Get(si, sc+x) {
+			m.Set(di, dc+x, true)
+		}
+	}
+}
+
+// TestOrBitsOffsets checks the bit-range OR against a bit-at-a-time
+// copy at source and destination offsets on and around word edges,
+// with ranges inside one word, straddling two, and spanning several.
+func TestOrBitsOffsets(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	offsets := []int{0, 1, 63, 64, 65, 127, 128, 129}
+	lengths := []int{0, 1, 2, 62, 63, 64, 65, 66, 130}
+	for _, dc := range offsets {
+		for _, sc := range offsets {
+			for _, n := range lengths {
+				src := randMat(rng, 2, sc+n+rng.Intn(70), 0.5)
+				got := randMat(rng, 3, dc+n+rng.Intn(70), 0.3)
+				want := got.Clone()
+				orBitsNaive(want, 1, dc, src, 1, sc, n)
+				got.OrBits(1, dc, src, 1, sc, n)
+				if !got.Equal(want) {
+					t.Fatalf("dc=%d sc=%d n=%d:\ngot\n%vwant\n%v", dc, sc, n, got, want)
+				}
+			}
+		}
+	}
+	// A range that straddles two destination words from inside one
+	// source word, and the reverse.
+	src := randMat(rng, 1, 128, 0.5)
+	for _, c := range [][3]int{{60, 2, 10}, {2, 60, 10}, {56, 120, 8}} {
+		got := New(1, 128)
+		want := New(1, 128)
+		orBitsNaive(want, 0, c[0], src, 0, c[1], c[2])
+		got.OrBits(0, c[0], src, 0, c[1], c[2])
+		if !got.Equal(want) {
+			t.Fatalf("straddle %v:\ngot\n%vwant\n%v", c, got, want)
+		}
+	}
+}
+
+func TestOrBitsBounds(t *testing.T) {
+	m := New(1, 64)
+	for _, c := range [][3]int{{60, 0, 5}, {0, 60, 5}, {-1, 0, 1}, {0, 0, -1}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("OrBits(dc=%d, sc=%d, n=%d) on 64 columns did not panic", c[0], c[1], c[2])
+				}
+			}()
+			m.OrBits(0, c[0], m, 0, c[1], c[2])
+		}()
+	}
+}
+
+func TestOrRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	src := randMat(rng, 6, 130, 0.4)
+	got := randMat(rng, 5, 130, 0.2)
+	want := got.Clone()
+	for x := 0; x < 3; x++ {
+		for j := 0; j < 130; j++ {
+			if src.Get(2+x, j) {
+				want.Set(1+x, j, true)
+			}
+		}
+	}
+	got.OrRows(1, src, 2, 3)
+	if !got.Equal(want) {
+		t.Fatalf("got\n%vwant\n%v", got, want)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("OrRows across different column counts did not panic")
+		}
+	}()
+	got.OrRows(0, New(1, 129), 0, 1)
+}

@@ -23,15 +23,21 @@ import (
 //	square:   IN = top row ∪ right column, OUT = left column ∪ bottom row
 //
 // (paths only move down (i+1) or left (j-1), so they enter and leave a
-// region exactly through those boundaries). Region matrices are combined
-// with Boolean matrix products — three per level, as in the paper — giving
-// the processor recurrence P(n) = max(4·P(n/2), M(n)) = O(M(n)).
+// region exactly through those boundaries). Combining regions takes one
+// Boolean matrix product per triangle, single-row or single-column
+// rectangle, and three per quadrant split — each a child's reachability
+// composed with what its exit boundary reaches in the parent — giving the
+// processor recurrence P(n) = max(4·P(n/2), M(n)) = O(M(n)). Moving state
+// from one region's boundary to the next is data movement, not
+// multiplication (route.go).
 
 // DCResult carries the recognition verdict together with the measurements
 // the experiment harness reports.
 type DCResult struct {
 	Accepted bool
-	// Products is the number of Boolean matrix products performed.
+	// Products is the number of Boolean reachability products performed
+	// — the M(n) work Theorem 8.1 is parameterized by. Boundary moves
+	// between regions are counted PRAM steps, not products.
 	Products int
 	// WordOps is the number of 64-bit word operations across products.
 	WordOps int64
@@ -49,9 +55,33 @@ type dcCtx struct {
 	prods int
 	depth int
 
-	leftBlock  map[byte]*boolmat.Matrix // [A][B] = A → tB
-	rightBlock map[byte]*boolmat.Matrix // [A][B] = A → Bt
-	empty      *boolmat.Matrix          // shared all-false K×K block
+	// K×K rule blocks per terminal t; terminals without rules share one
+	// all-false block.
+	left  [256]*boolmat.Matrix // [A][B] = A → tB
+	right [256]*boolmat.Matrix // [A][B] = A → Bt
+}
+
+// newDCCtx builds the recognizer context for g on w, with the rule
+// blocks the boundary crossings route through.
+func newDCCtx(m *pram.Machine, g *grammar.Linear, w []byte) *dcCtx {
+	ctx := &dcCtx{g: g, w: w, k: g.NumNT, m: m, cnt: &boolmat.OpCounter{}}
+	empty := boolmat.New(ctx.k, ctx.k)
+	for t := range ctx.left {
+		ctx.left[t], ctx.right[t] = empty, empty
+	}
+	block := func(b **boolmat.Matrix) *boolmat.Matrix {
+		if *b == empty {
+			*b = boolmat.New(ctx.k, ctx.k)
+		}
+		return *b
+	}
+	for _, r := range g.Left {
+		block(&ctx.left[r.T]).Set(r.A, r.B, true)
+	}
+	for _, r := range g.Right {
+		block(&ctx.right[r.T]).Set(r.A, r.B, true)
+	}
+	return ctx
 }
 
 // release returns every matrix to the workspace arena.
@@ -69,27 +99,7 @@ func RecognizeDC(m *pram.Machine, g *grammar.Linear, w []byte) *DCResult {
 		return res
 	}
 	defer m.Phase("lincfl.RecognizeDC")()
-	ctx := &dcCtx{
-		g: g, w: w, k: g.NumNT, m: m, cnt: &boolmat.OpCounter{},
-		leftBlock:  make(map[byte]*boolmat.Matrix),
-		rightBlock: make(map[byte]*boolmat.Matrix),
-	}
-	for _, r := range g.Left {
-		b, ok := ctx.leftBlock[r.T]
-		if !ok {
-			b = boolmat.New(ctx.k, ctx.k)
-			ctx.leftBlock[r.T] = b
-		}
-		b.Set(r.A, r.B, true)
-	}
-	for _, r := range g.Right {
-		b, ok := ctx.rightBlock[r.T]
-		if !ok {
-			b = boolmat.New(ctx.k, ctx.k)
-			ctx.rightBlock[r.T] = b
-		}
-		b.Set(r.A, r.B, true)
-	}
+	ctx := newDCCtx(m, g, w)
 
 	n := len(w)
 	reach := ctx.tri(0, n-1, 1)
@@ -216,37 +226,6 @@ func rectIn(a, b, c, d int) boundary { return boundary{kind: bRectIn, a: a, b: b
 // rectOut: left column, then bottom row (excluding the shared corner).
 func rectOut(a, b, c, d int) boundary { return boundary{kind: bRectOut, a: a, b: b, c: c, d: d} }
 
-// inject builds the |from|·K × |to|·K matrix that routes state (cell, A)
-// to (mapCell(cell), B) for every (A,B) set in block (nil block = the
-// identity on nonterminals). Cells that mapCell rejects route nowhere.
-func (ctx *dcCtx) inject(from, to boundary, mapCell func([2]int) ([2]int, bool), block *boolmat.Matrix) *boolmat.Matrix {
-	out := boolmat.NewFromPool(from.size()*ctx.k, to.size()*ctx.k)
-	for fi, fn := 0, from.size(); fi < fn; fi++ {
-		tc, ok := mapCell(from.cell(fi))
-		if !ok {
-			continue
-		}
-		ti, ok := to.lookup(tc)
-		if !ok {
-			continue
-		}
-		if block == nil {
-			for a := 0; a < ctx.k; a++ {
-				out.Set(fi*ctx.k+a, ti*ctx.k+a, true)
-			}
-			continue
-		}
-		for a := 0; a < ctx.k; a++ {
-			for b := 0; b < ctx.k; b++ {
-				if block.Get(a, b) {
-					out.Set(fi*ctx.k+a, ti*ctx.k+b, true)
-				}
-			}
-		}
-	}
-	return out
-}
-
 func (ctx *dcCtx) mul(a, b *boolmat.Matrix) *boolmat.Matrix {
 	ctx.prods++
 	ctx.cnt.Add(int64(a.R) * int64(a.C) * int64((b.C+63)/64))
@@ -267,53 +246,6 @@ func (ctx *dcCtx) noteDepth(d int) {
 	if d > ctx.depth {
 		ctx.depth = d
 	}
-}
-
-// same returns the cell unchanged (same-cell injection between regions
-// whose boundaries share cells).
-func same(c [2]int) ([2]int, bool) { return c, true }
-
-// crossLeft maps (i, col) → (i, col-1), consuming w[col].
-func crossLeft(col int) func([2]int) ([2]int, bool) {
-	return func(c [2]int) ([2]int, bool) {
-		if c[1] != col {
-			return c, false
-		}
-		return [2]int{c[0], col - 1}, true
-	}
-}
-
-// crossDown maps (row, j) → (row+1, j), consuming w[row].
-func crossDown(row int) func([2]int) ([2]int, bool) {
-	return func(c [2]int) ([2]int, bool) {
-		if c[0] != row {
-			return c, false
-		}
-		return [2]int{row + 1, c[1]}, true
-	}
-}
-
-func (ctx *dcCtx) blockLeft(t byte) *boolmat.Matrix {
-	if b, ok := ctx.leftBlock[t]; ok {
-		return b
-	}
-	return ctx.emptyBlock() // no rules: empty block
-}
-
-func (ctx *dcCtx) blockRight(t byte) *boolmat.Matrix {
-	if b, ok := ctx.rightBlock[t]; ok {
-		return b
-	}
-	return ctx.emptyBlock()
-}
-
-// emptyBlock lazily builds the shared all-false block; inject only reads
-// blocks, so one instance serves every terminal with no rules.
-func (ctx *dcCtx) emptyBlock() *boolmat.Matrix {
-	if ctx.empty == nil {
-		ctx.empty = boolmat.New(ctx.k, ctx.k)
-	}
-	return ctx.empty
 }
 
 // tri computes the triangle reachability IN×OUT.
@@ -348,6 +280,7 @@ func (ctx *dcCtx) tri(lo, hi, depth int) *boolmat.Matrix {
 // combineTri assembles a triangle's boundary reachability from its three
 // pieces' matrices — shared with the caching recursion in derive_dc.go.
 func (ctx *dcCtx) combineTri(lo, hi int, rl, rr, rq *boolmat.Matrix) (res *boolmat.Matrix) {
+	k := ctx.k
 	mid := (lo + hi) / 2
 	inT := triIn(lo, hi)
 	outT := triOut(lo, hi)
@@ -356,39 +289,35 @@ func (ctx *dcCtx) combineTri(lo, hi int, rl, rr, rq *boolmat.Matrix) (res *boolm
 	inQ, outQ := rectIn(lo, mid, mid+1, hi), rectOut(lo, mid, mid+1, hi)
 
 	// Every intermediate is declared up front and nil'd as it is released
-	// on the normal path, so a cancellation abort inside any product can
+	// on the normal path, so a cancellation abort inside the product can
 	// return exactly the still-live ones to the arena (Release is
 	// nil-safe) before the unwind continues.
-	var loutT, routT, lFull, rFull, xl, xr, ql, qr, qFull, sl, sr, sq, tr, tq *boolmat.Matrix
+	var lFull, rFull, x, qFull *boolmat.Matrix
 	defer func() {
 		if rec := recover(); rec != nil {
-			release(loutT, routT, lFull, rFull, xl, xr, ql, qr, qFull, sl, sr, sq, tr, tq, res)
+			release(lFull, rFull, x, qFull, res)
 			panic(rec)
 		}
 	}()
 
-	// Region → OUT(T) pipelines.
-	loutT = ctx.inject(outL, outT, same, nil) // L's diagonal is part of T's
-	routT = ctx.inject(outR, outT, same, nil) // R's diagonal too
-	lFull = ctx.mul(rl, loutT)                // IN(L) → OUT(T)
-	rFull = ctx.mul(rr, routT)                // IN(R) → OUT(T)
-	xl = ctx.inject(outQ, inL, crossLeft(mid+1), ctx.blockRight(ctx.w[mid+1]))
-	xr = ctx.inject(outQ, inR, crossDown(mid), ctx.blockLeft(ctx.w[mid]))
-	ql = ctx.mul(xl, lFull)
-	qr = ctx.mul(xr, rFull)
-	qFull = ctx.mul(rq, ql.Or(qr)) // IN(Q) → OUT(T)
-	release(loutT, routT, xl, xr, ql, qr)
-	loutT, routT, xl, xr, ql, qr = nil, nil, nil, nil, nil, nil
+	// Region → OUT(T): L's and R's diagonals are part of T's, and Q exits
+	// across column mid+1 into L or across row mid into R.
+	lFull = ctx.place(rl, outL, outT) // IN(L) → OUT(T)
+	rFull = ctx.place(rr, outR, outT) // IN(R) → OUT(T)
+	x = boolmat.NewFromPool(outQ.size()*k, outT.size()*k)
+	ctx.route(x, outQ, inL, crossLeft(mid+1), ctx.right[ctx.w[mid+1]], lFull)
+	ctx.route(x, outQ, inR, crossDown(mid), ctx.left[ctx.w[mid]], rFull)
+	qFull = ctx.mul(rq, x) // IN(Q) → OUT(T)
+	x.Release()
+	x = nil
 
-	// IN(T) routing.
-	sl = ctx.inject(inT, inL, same, nil)
-	sr = ctx.inject(inT, inR, same, nil)
-	sq = ctx.inject(inT, inQ, same, nil)
-	res = ctx.mul(sl, lFull)
-	tr = ctx.mul(sr, rFull)
-	tq = ctx.mul(sq, qFull)
-	res.Or(tr).Or(tq)
-	release(sl, sr, sq, tr, tq, lFull, rFull, qFull)
+	// IN(T) is partitioned among IN(L), IN(R) and IN(Q).
+	res = boolmat.NewFromPool(inT.size()*k, outT.size()*k)
+	ctx.route(res, inT, inL, same, nil, lFull)
+	ctx.route(res, inT, inR, same, nil, rFull)
+	ctx.route(res, inT, inQ, same, nil, qFull)
+	ctx.m.Step(7) // two placements, five routings
+	release(lFull, rFull, qFull)
 	return res
 }
 
@@ -439,66 +368,72 @@ func (ctx *dcCtx) rect(a, b, c, d, depth int) *boolmat.Matrix {
 // halves. Like combineTri, it releases every intermediate it creates but
 // leaves the child matrices to the caller (the extractor caches them).
 func (ctx *dcCtx) combineRectRow(a, b, c, d int, rw, re *boolmat.Matrix) (res *boolmat.Matrix) {
+	k := ctx.k
 	inQ := rectIn(a, b, c, d)
 	outQ := rectOut(a, b, c, d)
 	m2 := (c + d) / 2
 	inW, outW := rectIn(a, b, c, m2), rectOut(a, b, c, m2)
 	inE, outE := rectIn(a, b, m2+1, d), rectOut(a, b, m2+1, d)
-	var woutQ, eoutQ, wFull, xw, xwF, eFull, sw, se, te *boolmat.Matrix
+	var wFull, x, eFull *boolmat.Matrix
 	defer func() {
 		if rec := recover(); rec != nil {
-			release(woutQ, eoutQ, wFull, xw, xwF, eFull, sw, se, te, res)
+			release(wFull, x, eFull, res)
 			panic(rec)
 		}
 	}()
-	woutQ = ctx.inject(outW, outQ, same, nil)
-	eoutQ = ctx.inject(outE, outQ, same, nil)
-	wFull = ctx.mul(rw, woutQ)
-	xw = ctx.inject(outE, inW, crossLeft(m2+1), ctx.blockRight(ctx.w[m2+1]))
-	xwF = ctx.mul(xw, wFull)
-	eFull = ctx.mul(re, eoutQ.Or(xwF))
-	sw = ctx.inject(inQ, inW, same, nil)
-	se = ctx.inject(inQ, inE, same, nil)
-	res = ctx.mul(sw, wFull)
-	te = ctx.mul(se, eFull)
-	res.Or(te)
-	release(woutQ, eoutQ, xw, xwF, sw, se, te, wFull, eFull)
+	wFull = ctx.place(rw, outW, outQ)
+	// OUT(E) → OUT(Q): direct exits plus crossing left into W.
+	x = boolmat.NewFromPool(outE.size()*k, outQ.size()*k)
+	ctx.route(x, outE, inW, crossLeft(m2+1), ctx.right[ctx.w[m2+1]], wFull)
+	ctx.addIdentity(x, outE, outQ)
+	eFull = ctx.mul(re, x)
+	x.Release()
+	x = nil
+	res = boolmat.NewFromPool(inQ.size()*k, outQ.size()*k)
+	ctx.route(res, inQ, inW, same, nil, wFull)
+	ctx.route(res, inQ, inE, same, nil, eFull)
+	ctx.m.Step(5) // one placement, one identity, three routings
+	release(wFull, eFull)
 	return res
 }
 
 // combineRectCol assembles a single-column rectangle from its north/south
 // halves.
 func (ctx *dcCtx) combineRectCol(a, b, c, d int, rn, rs *boolmat.Matrix) (res *boolmat.Matrix) {
+	k := ctx.k
 	inQ := rectIn(a, b, c, d)
 	outQ := rectOut(a, b, c, d)
 	m1 := (a + b) / 2
 	inN, outN := rectIn(a, m1, c, d), rectOut(a, m1, c, d)
 	inS, outS := rectIn(m1+1, b, c, d), rectOut(m1+1, b, c, d)
-	var noutQ, soutQ, sFull, xn, xnF, nFull, sn, ss, ts *boolmat.Matrix
+	var sFull, x, nFull *boolmat.Matrix
 	defer func() {
 		if rec := recover(); rec != nil {
-			release(noutQ, soutQ, sFull, xn, xnF, nFull, sn, ss, ts, res)
+			release(sFull, x, nFull, res)
 			panic(rec)
 		}
 	}()
-	noutQ = ctx.inject(outN, outQ, same, nil)
-	soutQ = ctx.inject(outS, outQ, same, nil)
-	sFull = ctx.mul(rs, soutQ)
-	xn = ctx.inject(outN, inS, crossDown(m1), ctx.blockLeft(ctx.w[m1]))
-	xnF = ctx.mul(xn, sFull)
-	// IN(N) → OUT(Q): direct exits plus crossing down into S.
-	nFull = ctx.mul(rn, noutQ.Or(xnF))
-	sn = ctx.inject(inQ, inN, same, nil)
-	ss = ctx.inject(inQ, inS, same, nil)
-	res = ctx.mul(sn, nFull)
-	ts = ctx.mul(ss, sFull)
-	res.Or(ts)
-	release(noutQ, soutQ, xn, xnF, sn, ss, ts, nFull, sFull)
+	sFull = ctx.place(rs, outS, outQ)
+	// OUT(N) → OUT(Q): direct exits plus crossing down into S.
+	x = boolmat.NewFromPool(outN.size()*k, outQ.size()*k)
+	ctx.route(x, outN, inS, crossDown(m1), ctx.left[ctx.w[m1]], sFull)
+	ctx.addIdentity(x, outN, outQ)
+	nFull = ctx.mul(rn, x)
+	x.Release()
+	x = nil
+	res = boolmat.NewFromPool(inQ.size()*k, outQ.size()*k)
+	ctx.route(res, inQ, inN, same, nil, nFull)
+	ctx.route(res, inQ, inS, same, nil, sFull)
+	ctx.m.Step(5) // one placement, one identity, three routings
+	release(sFull, nFull)
 	return res
 }
 
-// combineRectQuad assembles a rectangle from its four quadrants.
+// combineRectQuad assembles a rectangle from its four quadrants: SW
+// first, then NW and SE (which exit through SW), then NE (which exits
+// through NW and SE) — three products.
 func (ctx *dcCtx) combineRectQuad(a, b, c, d int, rnw, rne, rsw, rse *boolmat.Matrix) (res *boolmat.Matrix) {
+	k := ctx.k
 	inQ := rectIn(a, b, c, d)
 	outQ := rectOut(a, b, c, d)
 	m1 := (a + b) / 2
@@ -508,43 +443,45 @@ func (ctx *dcCtx) combineRectQuad(a, b, c, d int, rnw, rne, rsw, rse *boolmat.Ma
 	inNE, outNE := rectIn(a, m1, m2+1, d), rectOut(a, m1, m2+1, d)
 	inSW, outSW := rectIn(m1+1, b, c, m2), rectOut(m1+1, b, c, m2)
 	inSE, outSE := rectIn(m1+1, b, m2+1, d), rectOut(m1+1, b, m2+1, d)
+	// Rule blocks for the two interior crossings: down across row m1,
+	// left across column m2+1.
+	downBlock, leftBlock := ctx.left[ctx.w[m1]], ctx.right[ctx.w[m2+1]]
 
-	var swOut, swFull, xwDown, xwF, nwOut, nwFull, xsLeft, xsF, seOut, seFull,
-		xnLeft, xeDown, xnF, xeF, neFull, snw, sne, sse, tne, tse *boolmat.Matrix
+	var swFull, x, nwFull, seFull, neFull *boolmat.Matrix
 	defer func() {
 		if rec := recover(); rec != nil {
-			release(swOut, swFull, xwDown, xwF, nwOut, nwFull, xsLeft, xsF, seOut, seFull,
-				xnLeft, xeDown, xnF, xeF, neFull, snw, sne, sse, tne, tse, res)
+			release(swFull, x, nwFull, seFull, neFull, res)
 			panic(rec)
 		}
 	}()
 
-	swOut = ctx.inject(outSW, outQ, same, nil)
-	swFull = ctx.mul(rsw, swOut)
-	xwDown = ctx.inject(outNW, inSW, crossDown(m1), ctx.blockLeft(ctx.w[m1]))
-	xwF = ctx.mul(xwDown, swFull)
-	nwOut = ctx.inject(outNW, outQ, same, nil)
-	nwFull = ctx.mul(rnw, nwOut.Or(xwF))
-	xsLeft = ctx.inject(outSE, inSW, crossLeft(m2+1), ctx.blockRight(ctx.w[m2+1]))
-	xsF = ctx.mul(xsLeft, swFull)
-	seOut = ctx.inject(outSE, outQ, same, nil)
-	seFull = ctx.mul(rse, seOut.Or(xsF))
-	xnLeft = ctx.inject(outNE, inNW, crossLeft(m2+1), ctx.blockRight(ctx.w[m2+1]))
-	xeDown = ctx.inject(outNE, inSE, crossDown(m1), ctx.blockLeft(ctx.w[m1]))
-	xnF = ctx.mul(xnLeft, nwFull)
-	xeF = ctx.mul(xeDown, seFull)
-	neFull = ctx.mul(rne, xnF.Or(xeF))
-	release(swOut, xwDown, xwF, nwOut, xsLeft, xsF, seOut, xnLeft, xeDown, xnF, xeF)
-	swOut, xwDown, xwF, nwOut, xsLeft, xsF = nil, nil, nil, nil, nil, nil
-	seOut, xnLeft, xeDown, xnF, xeF = nil, nil, nil, nil, nil
+	swFull = ctx.place(rsw, outSW, outQ)
+	// OUT(NW) → OUT(Q): direct exits plus crossing down into SW.
+	x = boolmat.NewFromPool(outNW.size()*k, outQ.size()*k)
+	ctx.route(x, outNW, inSW, crossDown(m1), downBlock, swFull)
+	ctx.addIdentity(x, outNW, outQ)
+	nwFull = ctx.mul(rnw, x)
+	x.Release()
+	// OUT(SE) → OUT(Q): direct exits plus crossing left into SW.
+	x = boolmat.NewFromPool(outSE.size()*k, outQ.size()*k)
+	ctx.route(x, outSE, inSW, crossLeft(m2+1), leftBlock, swFull)
+	ctx.addIdentity(x, outSE, outQ)
+	seFull = ctx.mul(rse, x)
+	x.Release()
+	// OUT(NE) → OUT(Q): left into NW or down into SE; NE touches no exit.
+	x = boolmat.NewFromPool(outNE.size()*k, outQ.size()*k)
+	ctx.route(x, outNE, inNW, crossLeft(m2+1), leftBlock, nwFull)
+	ctx.route(x, outNE, inSE, crossDown(m1), downBlock, seFull)
+	neFull = ctx.mul(rne, x)
+	x.Release()
+	x = nil
 
-	snw = ctx.inject(inQ, inNW, same, nil)
-	sne = ctx.inject(inQ, inNE, same, nil)
-	sse = ctx.inject(inQ, inSE, same, nil)
-	res = ctx.mul(snw, nwFull)
-	tne = ctx.mul(sne, neFull)
-	tse = ctx.mul(sse, seFull)
-	res.Or(tne).Or(tse)
-	release(snw, sne, sse, tne, tse, nwFull, neFull, swFull, seFull)
+	// IN(Q) is partitioned among IN(NW), IN(NE) and IN(SE).
+	res = boolmat.NewFromPool(inQ.size()*k, outQ.size()*k)
+	ctx.route(res, inQ, inNW, same, nil, nwFull)
+	ctx.route(res, inQ, inNE, same, nil, neFull)
+	ctx.route(res, inQ, inSE, same, nil, seFull)
+	ctx.m.Step(10) // one placement, two identities, seven routings
+	release(swFull, nwFull, seFull, neFull)
 	return res
 }

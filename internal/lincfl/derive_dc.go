@@ -94,29 +94,8 @@ type traceCtx struct {
 }
 
 func newTraceCtx(m *pram.Machine, g *grammar.Linear, w []byte) *traceCtx {
-	base := &dcCtx{
-		g: g, w: w, k: g.NumNT, m: m, cnt: &boolmat.OpCounter{},
-		leftBlock:  make(map[byte]*boolmat.Matrix),
-		rightBlock: make(map[byte]*boolmat.Matrix),
-	}
-	for _, r := range g.Left {
-		b, ok := base.leftBlock[r.T]
-		if !ok {
-			b = boolmat.New(base.k, base.k)
-			base.leftBlock[r.T] = b
-		}
-		b.Set(r.A, r.B, true)
-	}
-	for _, r := range g.Right {
-		b, ok := base.rightBlock[r.T]
-		if !ok {
-			b = boolmat.New(base.k, base.k)
-			base.rightBlock[r.T] = b
-		}
-		b.Set(r.A, r.B, true)
-	}
 	return &traceCtx{
-		dcCtx:     base,
+		dcCtx:     newDCCtx(m, g, w),
 		triCache:  make(map[[2]int]*boolmat.Matrix),
 		rectCache: make(map[[4]int]*boolmat.Matrix),
 	}

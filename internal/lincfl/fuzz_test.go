@@ -1,6 +1,8 @@
 package lincfl
 
 import (
+	"hash/fnv"
+	"math/rand"
 	"testing"
 
 	"partree/internal/cyk"
@@ -12,8 +14,11 @@ import (
 // paper's separator divide-and-conquer (RecognizeDC, Theorem 8.1), the
 // quadratic sequential DP (Sequential), and the general-CFL CYK algorithm
 // run on the linear grammar converted to Chomsky normal form — three
-// independent implementations that must render identical verdicts. Fuzz
-// with `go test -fuzz=FuzzLinCFL ./internal/lincfl`.
+// independent implementations that must render identical verdicts — and
+// replays DeriveDC's derivation against the grammar. Besides the two
+// stock grammars it draws a random grammar with up to 5 nonterminals
+// seeded from the input, so multi-rule blocks at larger K are exercised.
+// Fuzz with `go test -fuzz=FuzzLinCFL ./internal/lincfl`.
 func FuzzLinCFL(f *testing.F) {
 	f.Add([]byte("c"))
 	f.Add([]byte("acbca"))                  // not a palindrome, not equal-ends… checked below
@@ -22,6 +27,7 @@ func FuzzLinCFL(f *testing.F) {
 	f.Add([]byte(""))                       // empty word
 	f.Add([]byte("aaaaaaaaaaaaaaaaaaaaac")) // long one-sided word
 	f.Add([]byte{0xff, 0x00, 'a'})          // bytes outside the alphabet
+	f.Add([]byte("abcabcbbacbabcacbca"))    // longer word, another random grammar
 
 	type oracle struct {
 		name string
@@ -50,8 +56,12 @@ func FuzzLinCFL(f *testing.F) {
 				w[i] = b
 			}
 		}
+		h := fnv.New64a()
+		h.Write(data)
+		rng := rand.New(rand.NewSource(int64(h.Sum64())))
+		g := grammar.Random(rng, 1+rng.Intn(5), []byte("abc"), 1+rng.Intn(3))
 		m := pram.New(pram.WithWorkers(2), pram.WithGrain(8))
-		for _, o := range oracles {
+		for _, o := range append(oracles, oracle{"random", g, cyk.FromLinear(g)}) {
 			want := Sequential(o.g, w)
 			if got := cyk.Recognize(o.cnf, w); got != want {
 				t.Fatalf("%s: CYK says %v, sequential DP says %v on %q", o.name, got, want, w)
@@ -59,6 +69,14 @@ func FuzzLinCFL(f *testing.F) {
 			if got := RecognizeDC(m, o.g, w).Accepted; got != want {
 				t.Fatalf("%s: divide-and-conquer says %v, sequential DP says %v on %q",
 					o.name, got, want, w)
+			}
+			steps, ok := DeriveDC(m, o.g, w)
+			if ok != want {
+				t.Fatalf("%s: DeriveDC found a derivation: %v, sequential DP says %v on %q",
+					o.name, ok, want, w)
+			}
+			if ok {
+				validateSteps(t, o.g, w, steps)
 			}
 		}
 	})

@@ -54,7 +54,7 @@ func (t *traceCtx) pathTri(lo, hi int, s, tv vertex) []vertex {
 	// s inside the square Q.
 	if d <= mid {
 		// Exit Q through its left column into L.
-		block := t.blockRight(t.w[mid+1])
+		block := t.right[t.w[mid+1]]
 		for i := lo; i <= mid; i++ {
 			for a := 0; a < t.k; a++ {
 				m := vertex{cell: [2]int{i, mid + 1}, nt: a}
@@ -76,7 +76,7 @@ func (t *traceCtx) pathTri(lo, hi int, s, tv vertex) []vertex {
 		panic("lincfl: no waypoint into L despite reachability")
 	}
 	// Exit Q through its bottom row into R.
-	block := t.blockLeft(t.w[mid])
+	block := t.left[t.w[mid]]
 	for j := mid + 1; j <= hi; j++ {
 		for a := 0; a < t.k; a++ {
 			m := vertex{cell: [2]int{mid, j}, nt: a}
@@ -120,7 +120,7 @@ func (t *traceCtx) pathRect(a, b, c, d int, s, tv vertex) []vertex {
 			return t.pathRect(a, b, m2+1, d, s, tv)
 		}
 		// East → West through the column interface.
-		block := t.blockRight(t.w[m2+1])
+		block := t.right[t.w[m2+1]]
 		for i := a; i <= b; i++ {
 			for ant := 0; ant < t.k; ant++ {
 				m := vertex{cell: [2]int{i, m2 + 1}, nt: ant}
@@ -153,7 +153,7 @@ func (t *traceCtx) pathRect(a, b, c, d int, s, tv vertex) []vertex {
 	case !sNorth && !tNorth:
 		return t.pathRect(m1+1, b, c, d, s, tv)
 	}
-	block := t.blockLeft(t.w[m1])
+	block := t.left[t.w[m1]]
 	for j := c; j <= d; j++ {
 		for ant := 0; ant < t.k; ant++ {
 			m := vertex{cell: [2]int{m1, j}, nt: ant}

@@ -31,7 +31,10 @@ type cacheEntry struct {
 }
 
 // flight is one in-progress computation; done is closed when val/err are
-// final.
+// final. It runs on its leader's goroutine, bounded by the leader's
+// deadline but not by the leader's cancellation: a client that hangs up,
+// or a gateway's canceled losing hedge, still finishes a computation that
+// the callers waiting for it, and later ones through the cache, can use.
 type flight struct {
 	done chan struct{}
 	val  any
@@ -77,15 +80,16 @@ func (c *lruCache) counters() CacheCounters {
 }
 
 // Do returns the cached value for key, or computes it. Concurrent Do
-// calls with the same key collapse onto one compute invocation; the
-// others wait for its result (or their ctx). Errors are returned to every
-// waiter but never cached, except the leader's own context error: a
-// waiter whose context is live retries instead. hit reports whether the
-// value came from the cache or from another caller's flight rather than
-// from this caller's own compute.
-func (c *lruCache) Do(ctx context.Context, key string, compute func() (any, error)) (val any, hit bool, err error) {
+// calls with the same key collapse onto one compute invocation, which the
+// first caller runs under its ctx's values and deadline but not its
+// cancellation; the others wait for its result or their own ctx. Errors
+// are returned to every waiter but never cached, except that a waiter
+// whose ctx outlives the flight's deadline retries instead of inheriting
+// the context error. hit reports whether the value came from the cache or
+// from another caller's flight rather than from this caller's compute.
+func (c *lruCache) Do(ctx context.Context, key string, compute func(context.Context) (any, error)) (val any, hit bool, err error) {
 	if c == nil {
-		v, err := compute()
+		v, err := compute(ctx)
 		return v, false, err
 	}
 	c.mu.Lock()
@@ -101,9 +105,6 @@ func (c *lruCache) Do(ctx context.Context, key string, compute func() (any, erro
 		c.mu.Unlock()
 		select {
 		case <-f.done:
-			// A leader that died of its own context (its client hung up,
-			// or a gateway canceled a losing hedge) has no answer for a
-			// live waiter.
 			if ctx.Err() == nil && (errors.Is(f.err, context.Canceled) || errors.Is(f.err, context.DeadlineExceeded)) {
 				return c.Do(ctx, key, compute)
 			}
@@ -117,7 +118,13 @@ func (c *lruCache) Do(ctx context.Context, key string, compute func() (any, erro
 	c.misses++
 	c.mu.Unlock()
 
-	f.val, f.err = compute()
+	fctx := context.WithoutCancel(ctx)
+	if d, ok := ctx.Deadline(); ok {
+		var cancel context.CancelFunc
+		fctx, cancel = context.WithDeadline(fctx, d)
+		defer cancel()
+	}
+	f.val, f.err = compute(fctx)
 
 	c.mu.Lock()
 	delete(c.flights, key)

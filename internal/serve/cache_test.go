@@ -15,7 +15,7 @@ func fill(t *testing.T, c *lruCache, keys ...string) {
 	t.Helper()
 	for _, k := range keys {
 		k := k
-		if _, _, err := c.Do(context.Background(), k, func() (any, error) { return "val:" + k, nil }); err != nil {
+		if _, _, err := c.Do(context.Background(), k, func(context.Context) (any, error) { return "val:" + k, nil }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -24,7 +24,7 @@ func fill(t *testing.T, c *lruCache, keys ...string) {
 // probe runs Do with a compute that fails the test if called.
 func probe(t *testing.T, c *lruCache, key string) (any, bool) {
 	t.Helper()
-	v, hit, err := c.Do(context.Background(), key, func() (any, error) {
+	v, hit, err := c.Do(context.Background(), key, func(context.Context) (any, error) {
 		return "recomputed:" + key, nil
 	})
 	if err != nil {
@@ -132,7 +132,7 @@ func TestCacheSingleflightCollapse(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			v, hit, err := c.Do(context.Background(), "k", func() (any, error) {
+			v, hit, err := c.Do(context.Background(), "k", func(context.Context) (any, error) {
 				computes.Add(1)
 				<-gate
 				return "expensive", nil
@@ -185,7 +185,7 @@ func TestCacheErrorsNotCached(t *testing.T) {
 	wantErr := errors.New("boom")
 	calls := 0
 	for i := 0; i < 2; i++ {
-		_, hit, err := c.Do(context.Background(), "k", func() (any, error) {
+		_, hit, err := c.Do(context.Background(), "k", func(context.Context) (any, error) {
 			calls++
 			return nil, wantErr
 		})
@@ -206,7 +206,7 @@ func TestCacheWaiterHonorsContext(t *testing.T) {
 	gate := make(chan struct{})
 	started := make(chan struct{})
 	go func() {
-		c.Do(context.Background(), "k", func() (any, error) {
+		c.Do(context.Background(), "k", func(context.Context) (any, error) {
 			close(started)
 			<-gate
 			return "late", nil
@@ -216,7 +216,7 @@ func TestCacheWaiterHonorsContext(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
-	_, _, err := c.Do(ctx, "k", func() (any, error) { return "never", nil })
+	_, _, err := c.Do(ctx, "k", func(context.Context) (any, error) { return "never", nil })
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Errorf("waiter error = %v, want DeadlineExceeded", err)
 	}
@@ -231,7 +231,7 @@ func TestCacheWaiterRetriesAfterLeaderCanceled(t *testing.T) {
 	gate := make(chan struct{})
 	started := make(chan struct{})
 	go func() {
-		c.Do(context.Background(), "k", func() (any, error) {
+		c.Do(context.Background(), "k", func(context.Context) (any, error) {
 			close(started)
 			<-gate
 			return nil, context.Canceled
@@ -247,7 +247,7 @@ func TestCacheWaiterRetriesAfterLeaderCanceled(t *testing.T) {
 	)
 	go func() {
 		defer close(done)
-		v, hit, err = c.Do(context.Background(), "k", func() (any, error) { return "fresh", nil })
+		v, hit, err = c.Do(context.Background(), "k", func(context.Context) (any, error) { return "fresh", nil })
 	}()
 	for c.counters().Collapses == 0 {
 		time.Sleep(time.Millisecond)
@@ -262,7 +262,7 @@ func TestCacheWaiterRetriesAfterLeaderCanceled(t *testing.T) {
 func TestCacheNilPassthrough(t *testing.T) {
 	var c *lruCache
 	for i := 0; i < 2; i++ {
-		v, hit, err := c.Do(context.Background(), "k", func() (any, error) {
+		v, hit, err := c.Do(context.Background(), "k", func(context.Context) (any, error) {
 			return fmt.Sprintf("fresh-%d", i), nil
 		})
 		if err != nil || hit || v != fmt.Sprintf("fresh-%d", i) {
@@ -271,5 +271,54 @@ func TestCacheNilPassthrough(t *testing.T) {
 	}
 	if cnt := c.counters(); cnt != (CacheCounters{}) {
 		t.Errorf("nil cache counters = %+v", cnt)
+	}
+}
+
+// TestCacheFlightOutlivesCanceledLeader: a leader whose client hangs up
+// (or a gateway's canceled losing hedge) still finishes the computation
+// for the callers waiting on it, and the value lands in the cache, so the
+// key is computed once.
+func TestCacheFlightOutlivesCanceledLeader(t *testing.T) {
+	c := newLRUCache(4)
+	gate := make(chan struct{})
+	started := make(chan struct{})
+	leaderCtx, cancelLeader := context.WithCancel(context.Background())
+	leaderErr := make(chan error)
+	go func() {
+		_, _, err := c.Do(leaderCtx, "k", func(ctx context.Context) (any, error) {
+			close(started)
+			<-gate
+			return "computed", ctx.Err()
+		})
+		leaderErr <- err
+	}()
+	<-started
+
+	type result struct {
+		v   any
+		hit bool
+		err error
+	}
+	waiter := make(chan result)
+	go func() {
+		v, hit, err := c.Do(context.Background(), "k", func(context.Context) (any, error) { return "recomputed", nil })
+		waiter <- result{v, hit, err}
+	}()
+	for c.counters().Collapses == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	cancelLeader()
+	close(gate)
+	if err := <-leaderErr; err != nil {
+		t.Errorf("leader's computation saw %v, want it to outlive the leader's cancellation", err)
+	}
+	if r := <-waiter; r.err != nil || !r.hit || r.v != "computed" {
+		t.Errorf("waiter got v=%v hit=%v err=%v, want the leader's flight value", r.v, r.hit, r.err)
+	}
+	if v, hit, _ := c.Do(context.Background(), "k", nil); !hit || v != "computed" {
+		t.Errorf("later caller got v=%v hit=%v, want the cached flight value", v, hit)
+	}
+	if cnt := c.counters(); cnt.Misses != 1 {
+		t.Errorf("counters = %+v, want one miss", cnt)
 	}
 }

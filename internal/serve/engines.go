@@ -146,19 +146,8 @@ func (d *engineDef[J, R]) serve(s *Server, b *batcher[J, R], w http.ResponseWrit
 		writeError(w, e)
 		return
 	}
-	if d.release != nil {
-		// The buffers go back to the arena only when the request ran to
-		// completion: after a context-error return the batch may still be
-		// executing with a reference to them (Submit's "slot outlives us"
-		// path), so reuse would race — let the GC take them instead.
-		defer func() {
-			if r.Context().Err() == nil {
-				d.release(job)
-			}
-		}()
-	}
-	val, hit, err := s.cache.Do(r.Context(), key, func() (any, error) {
-		res, err := b.Submit(r.Context(), job)
+	val, hit, err := s.cache.Do(r.Context(), key, func(ctx context.Context) (any, error) {
+		res, err := b.Submit(ctx, job)
 		if err != nil {
 			return nil, err
 		}
@@ -169,6 +158,17 @@ func (d *engineDef[J, R]) serve(s *Server, b *batcher[J, R], w http.ResponseWrit
 		return v, nil
 	})
 	s.finish(w, r, d.name, val, hit, err)
+	// The job's buffers go back to the arena only when no batch can still
+	// hold them: this caller's own computation finished (err == nil), or
+	// the answer came from the cache or another caller's flight (hit), so
+	// this job never reached a batcher. After an error the batch may still
+	// be executing with a reference to them (Submit's "slot outlives us"
+	// path) — the request context need not be done yet, since the flight
+	// times out on a timer of its own — so reuse would race; let the GC
+	// take them instead.
+	if d.release != nil && (err == nil || hit) {
+		d.release(job)
+	}
 }
 
 func codeStrings(codes []partree.Codeword) []string {
