@@ -50,7 +50,7 @@ test-chaos:
 # rides along for the cancellation-unwind suite: an abort must release
 # every slab exactly once.
 test-pooldebug:
-	$(GO) test -tags pooldebug . ./internal/pool ./internal/boolmat ./internal/matrix ./internal/monge ./internal/lincfl ./internal/serve ./internal/cluster
+	$(GO) test -tags pooldebug . ./internal/pool ./internal/boolmat ./internal/matrix ./internal/monge ./internal/lincfl ./internal/obst ./internal/hufpar ./internal/serve ./internal/cluster
 
 # Observability suite: the span ring and Chrome-trace export, the PRAM
 # phase/worker span accounting (including the disarmed zero-alloc bar),

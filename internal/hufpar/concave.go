@@ -125,6 +125,7 @@ func buildConcave(m *pram.Machine, weights []float64, mul mulFunc) *Result {
 	}()
 
 	restore := m.Phase("hufpar.heights")
+	// No fixed-point exit: A_t(0, n) is first finite at t = ⌈log₂ n⌉, the last level.
 	for h := 0; h < levels; h++ {
 		faultpoint.Hit("hufpar.height.level")
 		var cut *matrix.IntMat
@@ -235,7 +236,8 @@ func reconstruct(weights []float64, mp *matrix.Dense, pathCuts, heightCuts []*ma
 }
 
 // heightSubtree rebuilds the optimal height-≤h tree over leaves a…b-1
-// (0-indexed symbols) from the height cut tables.
+// (0-indexed symbols) from the height cut tables. Levels past the last
+// table repeat it (HeightLimited stops at its fixed point).
 func heightSubtree(weights []float64, heightCuts []*matrix.IntMat, a, b, h int) *tree.Node {
 	if b == a+1 {
 		return tree.NewLeaf(a, weights[a])
@@ -243,7 +245,7 @@ func heightSubtree(weights []float64, heightCuts []*matrix.IntMat, a, b, h int) 
 	if h <= 0 {
 		panic("hufpar: height budget exhausted during reconstruction")
 	}
-	k := heightCuts[h-1].At(a, b)
+	k := heightCuts[min(h, len(heightCuts))-1].At(a, b)
 	if k <= a || k >= b {
 		panic("hufpar: invalid height cut during reconstruction")
 	}

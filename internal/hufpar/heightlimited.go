@@ -2,6 +2,7 @@ package hufpar
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"partree/internal/faultpoint"
 	"partree/internal/matrix"
@@ -15,10 +16,12 @@ import (
 // for a non-decreasing frequency vector, by running the Section 5
 // height-bounded recurrence to level h: A_t = (A_{t-1} ⋆ A_{t-1}) + S,
 // each step one concave matrix product (Lemma 5.1 keeps every level
-// concave). This is the "Constructing Height Bounded Subtrees" half of
-// the paper's paradigm exposed as a feature in its own right — the
-// length-limited coding problem — with the tree reconstructed from the
-// stored cut tables. It returns an error when 2^h < n.
+// concave). It stops early at the first level that leaves A unchanged,
+// which happens when h exceeds the height the weights need. This is the
+// "Constructing Height Bounded Subtrees" half of the paper's paradigm
+// exposed as a feature in its own right — the length-limited coding
+// problem — with the tree reconstructed from the stored cut tables. It
+// returns an error when 2^h < n.
 func HeightLimited(m *pram.Machine, weights []float64, h int) (*tree.Node, float64, error) {
 	checkSorted(weights)
 	n := len(weights)
@@ -59,18 +62,29 @@ func HeightLimited(m *pram.Machine, weights []float64, h int) (*tree.Node, float
 		prod, cut = monge.MulPar(m, a, a, &cnt)
 		cuts[t] = cut
 		next := matrix.NewInf(n+1, n+1)
+		var changed atomic.Bool
 		m.For((n+1)*(n+1), func(e int) {
 			i, j := e/(n+1), e%(n+1)
 			switch {
 			case j == i+1:
 				next.Set(i, j, 0)
 			case j > i+1:
-				next.Set(i, j, prod.At(i, j)+s.At(i, j))
+				v := prod.At(i, j) + s.At(i, j)
+				next.Set(i, j, v)
+				if v != a.At(i, j) && !changed.Load() {
+					changed.Store(true)
+				}
 			}
 		})
 		a = next
 		prod.Release()
 		prod = nil
+		if !changed.Load() {
+			// A_t = F(A_{t-1}) for a fixed F: every later level would
+			// repeat this one, so heightSubtree reads its cuts for them.
+			cuts = cuts[:t+1]
+			break
+		}
 	}
 	releaseCuts := func() {
 		for _, c := range cuts {

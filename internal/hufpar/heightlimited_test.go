@@ -1,10 +1,16 @@
 package hufpar
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"partree/internal/huffman"
+	"partree/internal/matrix"
+	"partree/internal/monge"
+	"partree/internal/pram"
+	"partree/internal/tree"
 	"partree/internal/workload"
 	"partree/internal/xmath"
 )
@@ -102,3 +108,91 @@ func TestHeightLimitedMonotoneInBudget(t *testing.T) {
 }
 
 func semInf() float64 { return 1e300 }
+
+// fullHeightLimited is HeightLimited without the fixed-point exit: all h
+// levels of A_t = (A_{t-1} ⋆ A_{t-1}) + S, every level's own cut table
+// kept. It is the oracle the exit is checked against.
+func fullHeightLimited(m *pram.Machine, weights []float64, h int) (*tree.Node, float64) {
+	n := len(weights)
+	pre := prefixSums(weights)
+	a := matrix.NewInf(n+1, n+1)
+	for i := 0; i < n; i++ {
+		a.Set(i, i+1, 0)
+	}
+	cuts := make([]*matrix.IntMat, h)
+	for t := 0; t < h; t++ {
+		var prod *matrix.Dense
+		prod, cuts[t] = monge.MulPar(m, a, a, nil)
+		next := matrix.NewInf(n+1, n+1)
+		m.For((n+1)*(n+1), func(e int) {
+			i, j := e/(n+1), e%(n+1)
+			switch {
+			case j == i+1:
+				next.Set(i, j, 0)
+			case j > i+1:
+				next.Set(i, j, prod.At(i, j)+(pre[j]-pre[i]))
+			}
+		})
+		a = next
+		prod.Release()
+	}
+	t := heightSubtree(weights, cuts, 0, n, h)
+	for _, c := range cuts {
+		c.Release()
+	}
+	return t, a.At(0, n)
+}
+
+// HeightLimited stops once h exceeds the height the weights need; its
+// trees and costs must stay bit-identical to the full run, and the exit
+// must fire (fewer counted steps than the full run) on generous budgets.
+func TestHeightLimitedMatchesFullRun(t *testing.T) {
+	rng := rand.New(rand.NewSource(263))
+	fired := 0
+	for trial := 0; trial < 40; trial++ {
+		n := 2 + rng.Intn(60)
+		var w []float64
+		switch trial % 3 {
+		case 0:
+			w = workload.SortedAscending(workload.Random(rng, n))
+		case 1:
+			w = workload.SortedAscending(workload.Zipf(n, 1.2))
+		default:
+			w = make([]float64, n) // all equal: every split ties
+			for i := range w {
+				w[i] = 1
+			}
+		}
+		minH := xmath.CeilLog2(n)
+		for _, h := range []int{minH, minH + 2, n - 1, n + 3} {
+			if h < minH || h < 1 {
+				continue
+			}
+			m, full := pram.New(pram.WithWorkers(2)), pram.New(pram.WithWorkers(2))
+			tr, cost, err := HeightLimited(m, w, h)
+			if err != nil {
+				t.Fatalf("trial %d (n=%d h=%d): %v", trial, n, h, err)
+			}
+			want, wantCost := fullHeightLimited(full, w, h)
+			if math.Float64bits(cost) != math.Float64bits(wantCost) {
+				t.Fatalf("trial %d (n=%d h=%d): cost %v, full run %v", trial, n, h, cost, wantCost)
+			}
+			gs, gsym := tree.Marshal(tr)
+			ws, wsym := tree.Marshal(want)
+			if gs != ws || !slices.Equal(gsym, wsym) || !tr.Equal(want) {
+				t.Fatalf("trial %d (n=%d h=%d): tree differs from the full run", trial, n, h)
+			}
+			if s, fs := m.Counters().Steps, full.Counters().Steps; s < fs {
+				fired++
+			} else if s > fs {
+				t.Fatalf("trial %d (n=%d h=%d): %d counted steps, full run %d", trial, n, h, s, fs)
+			}
+			m.Close()
+			full.Close()
+		}
+	}
+	if fired == 0 {
+		t.Fatal("the fixed-point exit never fired")
+	}
+	t.Logf("exit fired on %d runs", fired)
+}

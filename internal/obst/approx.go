@@ -3,9 +3,6 @@ package obst
 import (
 	"math"
 
-	"partree/internal/faultpoint"
-	"partree/internal/matrix"
-	"partree/internal/monge"
 	"partree/internal/pram"
 	"partree/internal/tree"
 )
@@ -22,8 +19,12 @@ type ApproxResult struct {
 	Epsilon float64
 	// Collapsed is the number of keys in the collapsed instance.
 	Collapsed int
-	// HeightBound is the H = O(log(1/ε)) used for the bounded DP.
+	// HeightBound is Lemma 6.1's H = O(log(1/ε)) for the collapsed
+	// instance: the cap on the bounded DP's levels and its worst case.
 	HeightBound int
+	// Levels is the number of levels the DP ran (≤ HeightBound): it
+	// stops at the first level that leaves its table unchanged.
+	Levels int
 	// Comparisons counts semiring comparisons across all concave products.
 	Comparisons int64
 }
@@ -39,9 +40,10 @@ var goldenRatio = (1 + math.Sqrt(5)) / 2
 //     gap probability) collapses to one pseudo-gap of weight < ε.
 //  3. H = O(log(1/δ)) bounds the height of an optimal tree of the
 //     collapsed instance (Lemma 6.1, via the golden ratio).
-//  4. The optimal collapsed tree is found exactly by H height-bounded
-//     concave matrix products (Lemma 5.1 applies verbatim; each product
-//     uses the Section 4 algorithm).
+//  4. The optimal collapsed tree is found exactly by at most H
+//     height-bounded concave products (Lemma 5.1 applies verbatim; each
+//     product uses the Section 4 algorithm), stopping early at the DP's
+//     fixed point (see heightDP).
 //  5. Collapsed pseudo-gaps are expanded into balanced trees of height
 //     ≤ log n over their runs.
 //
@@ -49,6 +51,45 @@ var goldenRatio = (1 + math.Sqrt(5)) / 2
 // probability mass should be ≈ 1 for the lemma's bound to be meaningful.
 func Approx(m *pram.Machine, in *Instance, eps float64) *ApproxResult {
 	defer m.Phase("obst.Approx")()
+	c := collapse(in, eps)
+	nc := c.inst.N()
+
+	// Degenerate case: everything collapsed into one pseudo-gap — any
+	// balanced tree is within ε of optimal.
+	if nc == 0 {
+		t := Balanced(0, in.N())
+		fillWeights(in, t)
+		return &ApproxResult{
+			Tree: t, Cost: in.Cost(t), Epsilon: eps, Collapsed: 0,
+		}
+	}
+
+	_, cuts, cmp := heightDP(m, nc, c.inst.weights(), c.h, "obst.approx.level")
+	t := c.expand(in, cuts)
+	cuts.release()
+	return &ApproxResult{
+		Tree:        t,
+		Cost:        in.Cost(t),
+		Epsilon:     eps,
+		Collapsed:   nc,
+		HeightBound: c.h,
+		Levels:      len(cuts),
+		Comparisons: cmp,
+	}
+}
+
+// collapsed is Approx's residual problem after steps 1–3: the instance
+// over the kept keys (keys[i] is collapsed key i's original index) and
+// the pseudo-gaps (runs[g] is the original gap range pseudo-gap g
+// covers), with Lemma 6.1's height bound h.
+type collapsed struct {
+	inst *Instance
+	keys []int
+	runs [][2]int
+	h    int
+}
+
+func collapse(in *Instance, eps float64) collapsed {
 	n := in.N()
 	if eps <= 0 {
 		panic("obst: eps must be positive")
@@ -60,150 +101,42 @@ func Approx(m *pram.Machine, in *Instance, eps float64) *ApproxResult {
 	// maximal interval gap g₀, key g₀+1, …, gap g₁ with every α and β
 	// inside < δ. Runs of a single gap are allowed (they start and end
 	// with a p value, themselves).
-	type gapInfo struct {
-		weight float64
-		gLo    int // original gap range [gLo, gHi] this pseudo-gap covers
-		gHi    int
-	}
-	var gaps []gapInfo
-	var keys []int // collapsed key index → original key index
+	c := collapsed{inst: &Instance{}}
 	g := 0
 	for g <= n {
+		g1, weight := g, in.Alpha[g]
 		if in.Alpha[g] < delta {
 			// Extend the run while the following key and gap are small.
-			h := g
-			weight := in.Alpha[g]
-			for h < n && in.Beta[h] < delta && in.Alpha[h+1] < delta {
-				weight += in.Beta[h] + in.Alpha[h+1]
-				h++
+			for g1 < n && in.Beta[g1] < delta && in.Alpha[g1+1] < delta {
+				weight += in.Beta[g1] + in.Alpha[g1+1]
+				g1++
 			}
-			gaps = append(gaps, gapInfo{weight: weight, gLo: g, gHi: h})
-			if h < n {
-				keys = append(keys, h)
-			}
-			g = h + 1
-		} else {
-			gaps = append(gaps, gapInfo{weight: in.Alpha[g], gLo: g, gHi: g})
-			if g < n {
-				keys = append(keys, g)
-			}
-			g++
 		}
-	}
-	nc := len(keys) // collapsed key count; len(gaps) == nc+1
-
-	// Degenerate case: everything collapsed into one pseudo-gap — any
-	// balanced tree is within ε of optimal.
-	if nc == 0 {
-		t := Balanced(0, n)
-		fillWeights(in, t)
-		return &ApproxResult{
-			Tree: t, Cost: in.Cost(t), Epsilon: eps, Collapsed: 0,
+		c.runs = append(c.runs, [2]int{g, g1})
+		c.inst.Alpha = append(c.inst.Alpha, weight)
+		if g1 < n {
+			c.keys = append(c.keys, g1)
+			c.inst.Beta = append(c.inst.Beta, in.Beta[g1])
 		}
+		g = g1 + 1
 	}
 
-	// Step 3: height bound from Lemma 6.1.
+	// Step 3: height bound from Lemma 6.1; no minimal tree is deeper than
+	// the node count.
 	h := int(math.Ceil(math.Log2(1/delta)/math.Log2(goldenRatio))) + 3
-	maxUseful := 2 * (nc + 1) // no minimal tree is deeper than the node count
-	if h > maxUseful {
-		h = maxUseful
-	}
+	c.h = min(h, 2*(len(c.keys)+1))
+	return c
+}
 
-	// Step 4: height-bounded DP over the collapsed instance with concave
-	// products: E_t = shift(E_{t-1}) ⋆ E_{t-1} + W, diag(E_t) = 0.
-	cBeta := make([]float64, nc)
-	for i, k := range keys {
-		cBeta[i] = in.Beta[k]
+// expand reconstructs the optimal collapsed tree from the cut tables and
+// expands each pseudo-gap into a balanced tree over its run (step 5).
+func (c collapsed) expand(in *Instance, cuts levelCuts) *tree.Node {
+	gap := func(g int) *tree.Node {
+		sub := Balanced(c.runs[g][0], c.runs[g][1])
+		fillWeights(in, sub)
+		return sub
 	}
-	cAlpha := make([]float64, nc+1)
-	for i, gi := range gaps {
-		cAlpha[i] = gi.weight
-	}
-	cInst := &Instance{Beta: cBeta, Alpha: cAlpha}
-	w := cInst.weights()
-
-	e := matrix.NewInf(nc+1, nc+1)
-	for a := 0; a <= nc; a++ {
-		e.Set(a, a, 0)
-	}
-	var cnt matrix.OpCount
-	cuts := make([]*matrix.IntMat, h)
-	var prod *matrix.Dense
-	defer func() {
-		if rec := recover(); rec != nil {
-			for _, c := range cuts {
-				c.Release()
-			}
-			prod.Release()
-			panic(rec)
-		}
-	}()
-	for t := 0; t < h; t++ {
-		faultpoint.Hit("obst.approx.level")
-		shifted := matrix.NewInf(nc+1, nc+1)
-		m.For((nc+1)*(nc+1), func(idx int) {
-			a, k := idx/(nc+1), idx%(nc+1)
-			if k >= 1 {
-				shifted.Set(a, k, e.At(a, k-1))
-			}
-		})
-		var cut *matrix.IntMat
-		prod, cut = monge.MulPar(m, shifted, e, &cnt)
-		cuts[t] = cut
-		next := matrix.NewInf(nc+1, nc+1)
-		m.For((nc+1)*(nc+1), func(idx int) {
-			a, b := idx/(nc+1), idx%(nc+1)
-			switch {
-			case a == b:
-				next.Set(a, b, 0)
-			case a < b:
-				next.Set(a, b, prod.At(a, b)+w(a, b))
-			}
-		})
-		e = next
-		prod.Release()
-		prod = nil
-	}
-
-	// Reconstruct the collapsed tree from the cut tables, then expand the
-	// pseudo-gaps (step 5).
-	var build func(level, a, b int) *tree.Node
-	build = func(level, a, b int) *tree.Node {
-		if a == b {
-			gi := gaps[a]
-			if gi.gLo == gi.gHi {
-				return tree.NewLeaf(gi.gLo, in.Alpha[gi.gLo])
-			}
-			sub := Balanced(gi.gLo, gi.gHi)
-			fillWeights(in, sub)
-			return sub
-		}
-		r := cuts[level-1].At(a, b)
-		if r <= a || r > b {
-			panic("obst: invalid cut during reconstruction")
-		}
-		orig := keys[r-1]
-		return &tree.Node{
-			Symbol: orig,
-			Weight: in.Beta[orig],
-			Left:   build(level-1, a, r-1),
-			Right:  build(level-1, r, b),
-		}
-	}
-	t := build(h, 0, nc)
-	for _, c := range cuts {
-		c.Release()
-	}
-	cuts = nil
-
-	return &ApproxResult{
-		Tree:        t,
-		Cost:        in.Cost(t),
-		Epsilon:     eps,
-		Collapsed:   nc,
-		HeightBound: h,
-		Comparisons: cnt.Load(),
-	}
+	return cuts.build(in, c.h, 0, len(c.keys), gap, func(r int) int { return c.keys[r-1] })
 }
 
 // fillWeights stamps instance probabilities onto a structurally built
