@@ -142,6 +142,7 @@ func BenchmarkE4HuffmanConcave(b *testing.B) {
 				}
 				b.ReportMetric(float64(res.Comparisons)/float64(n*n), "cmp/n²")
 				b.ReportMetric(float64(m.Counters().Steps), "statements")
+				b.ReportMetric(float64(m.Counters().Work), "work")
 			})
 		}
 	}
@@ -196,9 +197,12 @@ func BenchmarkE5ApproxOBST(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					res = obst.Approx(m, in, eps)
 				}
+				ctr := m.Counters()
 				b.ReportMetric(res.Cost-opt, "gap")
 				b.ReportMetric(eps, "eps")
 				b.ReportMetric(float64(res.Comparisons), "cmp")
+				b.ReportMetric(float64(ctr.Steps)/float64(b.N), "statements")
+				b.ReportMetric(float64(ctr.Work)/float64(b.N), "work")
 			})
 		}
 	}

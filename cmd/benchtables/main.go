@@ -151,8 +151,10 @@ func e3() {
 }
 
 func e4() {
-	fmt.Printf("%6s %10s %12s %12s %14s %12s %10s\n",
-		"n", "cmp/n²", "statements", "≈log²n", "crcw stmts", "optimal?", "left-just?")
+	yes := map[bool]string{true: "yes", false: "no"}
+	// Markdown rows, pasted as EXPERIMENTS.md's E4 table.
+	fmt.Println("| n | comparisons / n² | CREW statements | CREW work | ~log² n | CRCW statements | optimal cost? | tree left-justified? |")
+	fmt.Println("|---:|---:|---:|---:|---:|---:|:---|:---|")
 	for _, n := range []int{64, 128, 256, 512} {
 		w := workload.SortedAscending(workload.Zipf(n, 1.1))
 		acc := pram.New()
@@ -161,10 +163,10 @@ func e4() {
 		hufpar.BuildConcaveCRCW(crcw, w)
 		want := huffman.Cost(w)
 		l := xmath.CeilLog2(n)
-		fmt.Printf("%6d %10.1f %12d %12d %14d %12v %10v\n",
-			n, float64(res.Comparisons)/float64(n*n), acc.Counters().Steps, l*l,
+		fmt.Printf("| %d | %.1f | %d | %d | %d | %d | %s | %s |\n",
+			n, float64(res.Comparisons)/float64(n*n), acc.Counters().Steps, acc.Counters().Work, l*l,
 			crcw.Counters().Steps,
-			xmath.AlmostEqual(res.Cost, want, 1e-9), res.Tree.IsLeftJustified())
+			yes[xmath.AlmostEqual(res.Cost, want, 1e-9)], yes[res.Tree.IsLeftJustified()])
 	}
 	fmt.Println("claim: comparisons O(n² log n), CREW statement depth O(log² n),")
 	fmt.Println("       CRCW depth O(log n·(log log n)²); exact optimal left-justified tree")

@@ -31,19 +31,15 @@ func CutRecursive(a, b *matrix.Dense, cnt *matrix.OpCount) *matrix.IntMat {
 // cutRecStrided computes the cut table for the view (rows of A with stride
 // rs, columns of B with stride cs). The result is indexed by view position:
 // entry (ii, jj) corresponds to row ii*rs of A and column jj*cs of B.
+// Each phase runs over the compact index space of its view (see
+// mulCtx.index); the parallel recursion issues the same phases as PRAM
+// statements.
 func cutRecStrided(c *mulCtx, rs, cs int) *matrix.IntMat {
 	p := stridedCount(c.a.R, rs)
 	r := stridedCount(c.b.C, cs)
-	q := c.a.C
-
 	if p == 1 || r == 1 {
-		out := matrix.NewIntFromPool(p, r)
-		for ii := 0; ii < p; ii++ {
-			for jj := 0; jj < r; jj++ {
-				_, arg := c.scan(ii*rs, jj*cs, 0, q-1)
-				out.Set(ii, jj, arg)
-			}
-		}
+		out, n := c.newCut(rs, cs)
+		c.fullScans(out, rs, cs, 0, n)
 		return out
 	}
 
@@ -51,56 +47,104 @@ func cutRecStrided(c *mulCtx, rs, cs int) *matrix.IntMat {
 	ee := cutRecStrided(c, 2*rs, 2*cs)
 
 	// Cut(A_even, B) by interpolation: even view-rows, all view-columns.
-	pe := stridedCount(c.a.R, 2*rs)
-	eb := matrix.NewIntFromPool(pe, r)
-	for ii := 0; ii < pe; ii++ {
-		for jj := 0; jj < r; jj++ {
-			if jj%2 == 0 {
-				eb.Set(ii, jj, ee.At(ii, jj/2))
-				continue
-			}
-			lo, hi := 0, q-1
-			if k := ee.At(ii, (jj-1)/2); k >= 0 {
-				lo = k
-			}
-			if (jj+1)/2 < ee.C {
-				if k := ee.At(ii, (jj+1)/2); k >= 0 {
-					hi = k
-				}
-			}
-			_, arg := c.scan(ii*2*rs, jj*cs, lo, hi)
-			eb.Set(ii, jj, arg)
-		}
-	}
+	eb, n := c.newCut(2*rs, cs)
+	c.oddCols(eb, ee, 2*rs, cs, 0, n)
 	// The even-grid table is fully folded into eb; recycle it for the
 	// sibling recursion levels.
 	ee.Release()
 
 	// Cut(A, B) by interpolation: all view-rows from the even view-rows.
-	out := matrix.NewIntFromPool(p, r)
-	for ii := 0; ii < p; ii++ {
+	out, n := c.newCut(rs, cs)
+	c.oddRows(out, eb, rs, cs, 0, n)
+	eb.Release()
+	return out
+}
+
+// The three phases below fill positions [lo, hi) of the current view's
+// compact index space (mulCtx.index), whose rows have stride rs and
+// columns stride cs. Each looks up its first row once and then walks the
+// rows' hull entries in order.
+
+// fullScans is the base case (one view row or column): an unbracketed scan
+// per entry.
+func (c *mulCtx) fullScans(out *matrix.IntMat, rs, cs, lo, hi int) {
+	q := c.a.C
+	for ii := c.rowAt(lo, out.R); lo < hi; ii++ {
+		jj := c.first[ii] + lo - c.off[ii]
+		for end := min(hi, c.off[ii+1]); lo < end; lo, jj = lo+1, jj+1 {
+			_, arg := c.scan(ii*rs, jj*cs, 0, q-1)
+			out.Set(ii, jj, arg)
+		}
+	}
+}
+
+// oddCols fills eb = Cut(A_even, B) from ee = Cut(A_even, B_even): even
+// view columns are copied, odd ones scanned between their neighbours'
+// cuts.
+func (c *mulCtx) oddCols(eb, ee *matrix.IntMat, rs, cs, lo, hi int) {
+	q := c.a.C
+	for ii := c.rowAt(lo, eb.R); lo < hi; ii++ {
+		jj := c.first[ii] + lo - c.off[ii]
+		for end := min(hi, c.off[ii+1]); lo < end; lo, jj = lo+1, jj+1 {
+			if jj%2 == 0 {
+				eb.Set(ii, jj, ee.At(ii, jj/2))
+				continue
+			}
+			klo, khi := 0, q-1
+			if k := ee.At(ii, (jj-1)/2); k >= 0 {
+				klo = k
+			}
+			if (jj+1)/2 < ee.C {
+				if k := ee.At(ii, (jj+1)/2); k >= 0 {
+					khi = k
+				}
+			}
+			_, arg := c.scan(ii*rs, jj*cs, klo, khi)
+			eb.Set(ii, jj, arg)
+		}
+	}
+}
+
+// oddRows fills out = Cut(A, B) from eb = Cut(A_even, B): even view rows
+// are copied, odd ones scanned between their neighbours' cuts.
+func (c *mulCtx) oddRows(out, eb *matrix.IntMat, rs, cs, lo, hi int) {
+	q := c.a.C
+	for ii := c.rowAt(lo, out.R); lo < hi; ii++ {
+		jj := c.first[ii] + lo - c.off[ii]
+		end := min(hi, c.off[ii+1])
 		if ii%2 == 0 {
-			for jj := 0; jj < r; jj++ {
+			for ; lo < end; lo, jj = lo+1, jj+1 {
 				out.Set(ii, jj, eb.At(ii/2, jj))
 			}
 			continue
 		}
-		for jj := 0; jj < r; jj++ {
-			lo, hi := 0, q-1
+		for ; lo < end; lo, jj = lo+1, jj+1 {
+			klo, khi := 0, q-1
 			if k := eb.At((ii-1)/2, jj); k >= 0 {
-				lo = k
+				klo = k
 			}
 			if (ii+1)/2 < eb.R {
 				if k := eb.At((ii+1)/2, jj); k >= 0 {
-					hi = k
+					khi = k
 				}
 			}
-			_, arg := c.scan(ii*rs, jj*cs, lo, hi)
+			_, arg := c.scan(ii*rs, jj*cs, klo, khi)
 			out.Set(ii, jj, arg)
 		}
 	}
-	eb.Release()
-	return out
+}
+
+// values fills the product entries in the hull of the full view (laid out
+// by index(1, 1)) from the cut table; out must hold +∞ elsewhere.
+func (c *mulCtx) values(out *matrix.Dense, cut *matrix.IntMat, lo, hi int) {
+	for i := c.rowAt(lo, cut.R); lo < hi; i++ {
+		j := c.first[i] + lo - c.off[i]
+		for end := min(hi, c.off[i+1]); lo < end; lo, j = lo+1, j+1 {
+			if k := cut.At(i, j); k >= 0 {
+				out.Set(i, j, c.a.At(i, k)+c.b.At(k, j))
+			}
+		}
+	}
 }
 
 // Mul computes the (min,+) product of two concave matrices with the

@@ -12,20 +12,36 @@ import (
 // fuzz-shaped random concave inputs: the Section 4.1 recursive product and
 // the Section 4.2 bottom-up product must match the brute-force product
 // value-for-value, so recycled workspace slabs can never leak state into a
-// result unnoticed. Fuzz with `go test -fuzz=FuzzConcaveMultiply ./internal/monge`.
+// result unnoticed. The shape byte picks all-finite operands, A_h-style
+// bands or upper triangles; the ∞-padded shapes drive the output hulls'
+// edges, where the recursion must agree with brute force cut for cut.
+// Fuzz with `go test -fuzz=FuzzConcaveMultiply ./internal/monge`.
 func FuzzConcaveMultiply(f *testing.F) {
-	f.Add(int64(1), uint8(4), uint8(5), uint8(6), uint8(10), uint8(3))
-	f.Add(int64(7), uint8(1), uint8(1), uint8(1), uint8(1), uint8(0))
-	f.Add(int64(42), uint8(17), uint8(2), uint8(31), uint8(50), uint8(7))
-	f.Add(int64(-3), uint8(33), uint8(40), uint8(9), uint8(0), uint8(0))
+	f.Add(int64(1), uint8(4), uint8(5), uint8(6), uint8(10), uint8(3), uint8(0))
+	f.Add(int64(7), uint8(1), uint8(1), uint8(1), uint8(1), uint8(0), uint8(0))
+	f.Add(int64(42), uint8(17), uint8(2), uint8(31), uint8(50), uint8(7), uint8(0))
+	f.Add(int64(-3), uint8(33), uint8(40), uint8(9), uint8(0), uint8(0), uint8(0))
+	f.Add(int64(5), uint8(40), uint8(40), uint8(40), uint8(30), uint8(2), uint8(1))
+	f.Add(int64(9), uint8(2), uint8(47), uint8(19), uint8(9), uint8(4), uint8(1))
+	f.Add(int64(11), uint8(31), uint8(0), uint8(0), uint8(20), uint8(3), uint8(2))
+	f.Add(int64(13), uint8(1), uint8(0), uint8(0), uint8(5), uint8(1), uint8(2))
 
-	f.Fuzz(func(t *testing.T, seed int64, pb, qb, rb, span, maxDelta uint8) {
+	f.Fuzz(func(t *testing.T, seed int64, pb, qb, rb, span, maxDelta, shape uint8) {
 		p := 1 + int(pb)%48
 		q := 1 + int(qb)%48
 		r := 1 + int(rb)%48
 		rng := rand.New(rand.NewSource(seed))
 		a := Random(rng, p, q, int(span)+1, int(maxDelta))
 		b := Random(rng, q, r, int(span)+1, int(maxDelta))
+		switch shape % 3 {
+		case 1: // A_h ⋆ A_h: both operands finite on 1 ≤ j-i ≤ w
+			w := 1 + rng.Intn(q)
+			a, b = band(a, 1, w), band(b, 1, w)
+		case 2: // M′ ⋆ M′: square, finite on i < j
+			a = band(Random(rng, p, p, int(span)+1, int(maxDelta)), 1, p)
+			b = band(Random(rng, p, p, int(span)+1, int(maxDelta)), 1, p)
+			q, r = p, p
+		}
 
 		if v := Violations(a); v != nil {
 			t.Fatalf("Random produced a non-concave A: %+v", v)
@@ -34,15 +50,22 @@ func FuzzConcaveMultiply(f *testing.F) {
 		var cnt matrix.OpCount
 		pooledVal, pooledCut := Mul(a, b, &cnt)
 		bottomCut := CutBottomUp(a, b, &cnt)
-		bruteVal, _ := matrix.MulBrute(a, b, &cnt)
+		bruteVal, bruteCut := matrix.MulBrute(a, b, &cnt)
 		smawkCut := CutSMAWK(a, b, &cnt)
-		smawkParCut := CutSMAWKPar(pram.New(pram.WithWorkers(4), pram.WithGrain(1)), a, b, &cnt)
+		m := pram.New(pram.WithWorkers(4), pram.WithGrain(1))
+		defer m.Close()
+		smawkParCut := CutSMAWKPar(m, a, b, &cnt)
+		parVal, parCut := MulPar(m, a, b, &cnt)
 
-		if !pooledVal.Equal(bruteVal, 0) {
+		if !pooledVal.Equal(bruteVal, 0) || !parVal.Equal(bruteVal, 0) {
 			t.Fatalf("(%d,%d,%d): concave product differs from brute force", p, q, r)
 		}
 		for i := 0; i < p; i++ {
 			for j := 0; j < r; j++ {
+				if pooledCut.At(i, j) != bruteCut.At(i, j) || parCut.At(i, j) != bruteCut.At(i, j) {
+					t.Fatalf("(%d,%d,%d): cut (%d,%d) recursive %d, parallel %d, brute %d",
+						p, q, r, i, j, pooledCut.At(i, j), parCut.At(i, j), bruteCut.At(i, j))
+				}
 				if pooledCut.At(i, j) != bottomCut.At(i, j) {
 					t.Fatalf("(%d,%d,%d): recursive cut (%d,%d)=%d, bottom-up %d",
 						p, q, r, i, j, pooledCut.At(i, j), bottomCut.At(i, j))
@@ -62,6 +85,8 @@ func FuzzConcaveMultiply(f *testing.F) {
 		}
 		pooledVal.Release()
 		pooledCut.Release()
+		parVal.Release()
+		parCut.Release()
 		bottomCut.Release()
 		smawkParCut.Release()
 	})

@@ -1,6 +1,7 @@
 package monge
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -8,6 +9,7 @@ import (
 	"partree/internal/matrix"
 	"partree/internal/pram"
 	"partree/internal/semiring"
+	"partree/internal/tune"
 )
 
 func TestIsConcaveKnown(t *testing.T) {
@@ -266,42 +268,109 @@ func TestCutExtremeShapes(t *testing.T) {
 	}
 }
 
+// band restricts d to the band lo ≤ j-i ≤ hi, +∞ elsewhere: the shape of
+// the Huffman DP's A_h (finite on 1 ≤ j-i ≤ 2^h). A band restriction of a
+// Monge matrix stays Monge, for the same reason as RandomUpperTriangular
+// (the upper triangle is the band 1 ≤ j-i < C).
+func band(d *matrix.Dense, lo, hi int) *matrix.Dense {
+	out := matrix.NewInf(d.R, d.C)
+	for i := 0; i < d.R; i++ {
+		for j := max(0, i+lo); j < d.C && j-i <= hi; j++ {
+			out.Set(i, j, d.At(i, j))
+		}
+	}
+	return out
+}
+
+func randomBand(rng *rand.Rand, r, c, lo, hi int) *matrix.Dense {
+	return band(Random(rng, r, c, 60, 4), lo, hi)
+}
+
+// shiftRight returns shift(E): column k holds E's column k-1, column 0 is
+// +∞. obst's height-bounded DP multiplies shift(E) ⋆ E for an upper
+// triangular E with a finite diagonal.
+func shiftRight(e *matrix.Dense) *matrix.Dense {
+	d := matrix.NewInf(e.R, e.C)
+	for i := 0; i < e.R; i++ {
+		for k := 1; k < e.C; k++ {
+			d.Set(i, k, e.At(i, k-1))
+		}
+	}
+	return d
+}
+
+// infShapedPair draws one operand pair of the given ∞-padded shape:
+// "triangle" (the path matrix M′), "band" (A_h ⋆ A_h), "rect-band"
+// (rectangular bands with independent offsets, negative ones included)
+// or "shifted" (obst's shift(E) ⋆ E).
+func infShapedPair(rng *rand.Rand, shape string) (*matrix.Dense, *matrix.Dense) {
+	n := 2 + rng.Intn(40)
+	switch shape {
+	case "triangle":
+		return RandomUpperTriangular(rng, n, 60, 4), RandomUpperTriangular(rng, n, 60, 4)
+	case "band":
+		w := 1 + rng.Intn(n)
+		return randomBand(rng, n, n, 1, w), randomBand(rng, n, n, 1, w)
+	case "rect-band":
+		p, q, r := 1+rng.Intn(40), 1+rng.Intn(40), 1+rng.Intn(40)
+		lo1, lo2 := rng.Intn(11)-5, rng.Intn(11)-5
+		return randomBand(rng, p, q, lo1, lo1+rng.Intn(12)), randomBand(rng, q, r, lo2, lo2+rng.Intn(12))
+	case "shifted":
+		e := randomBand(rng, n, n, 0, n)
+		return shiftRight(e), e
+	}
+	panic("unknown shape " + shape)
+}
+
+// sameCut reports the first entry where two cut tables differ.
+func sameCut(t *testing.T, what string, got, want *matrix.IntMat) {
+	t.Helper()
+	for i := 0; i < want.R; i++ {
+		for j := 0; j < want.C; j++ {
+			if got.At(i, j) != want.At(i, j) {
+				t.Fatalf("%s: cut differs at (%d,%d): %d vs brute %d",
+					what, i, j, got.At(i, j), want.At(i, j))
+			}
+		}
+	}
+}
+
 // TestDifferentialMulParVsBrute is the parallel path's differential
-// oracle: for seeded random Monge operands — rectangular and the
-// ∞-padded upper-triangular shape the Huffman DP multiplies — the
-// work-stealing MulPar must reproduce the naive O(pqr) product exactly,
+// oracle: for seeded random Monge operands — rectangular, and every
+// ∞-padded shape the Huffman and BST DPs multiply — the serial and
+// work-stealing recursions (the latter with its serial cutover off and
+// forced) and MulPar must reproduce the naive O(pqr) product exactly,
 // values and cut matrix both.
 func TestDifferentialMulParVsBrute(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	m := pram.New(pram.WithWorkers(4), pram.WithGrain(8))
+	check := func(what string, a, b *matrix.Dense) {
+		t.Helper()
+		var c1, c2 matrix.OpCount
+		want, wantCut := matrix.MulBrute(a, b, &c1)
+		sameCut(t, what+" CutRecursive", CutRecursive(a, b, &c2), wantCut)
+		sameCut(t, what+" CutRecursivePar", CutRecursivePar(m, a, b, &c2), wantCut)
+		prof := tune.Defaults()
+		prof.Tuned.MongeSerialEntries = 1 << 20
+		tune.SetActive(prof)
+		forced := CutRecursivePar(m, a, b, &c2)
+		tune.SetActive(nil)
+		sameCut(t, what+" CutRecursivePar (serial cutover)", forced, wantCut)
+		got, gotCut := MulPar(m, a, b, &c2)
+		if !got.Equal(want, 0) {
+			t.Fatalf("%s: parallel values differ from brute", what)
+		}
+		sameCut(t, what+" MulPar", gotCut, wantCut)
+	}
 	for trial := 0; trial < 30; trial++ {
 		p, q, r := 1+rng.Intn(40), 1+rng.Intn(40), 1+rng.Intn(40)
 		a, b := randomPair(rng, p, q, r)
-		var c1, c2 matrix.OpCount
-		want, wantCut := matrix.MulBrute(a, b, &c1)
-		got, gotCut := MulPar(m, a, b, &c2)
-		if !got.Equal(want, 1e-9) {
-			t.Fatalf("trial %d dims (%d,%d,%d): parallel values differ from brute",
-				trial, p, q, r)
-		}
-		for i := 0; i < p; i++ {
-			for j := 0; j < r; j++ {
-				if gotCut.At(i, j) != wantCut.At(i, j) {
-					t.Fatalf("trial %d dims (%d,%d,%d): cut differs at (%d,%d): %d vs %d",
-						trial, p, q, r, i, j, gotCut.At(i, j), wantCut.At(i, j))
-				}
-			}
-		}
+		check(fmt.Sprintf("trial %d dims (%d,%d,%d)", trial, p, q, r), a, b)
 	}
-	for trial := 0; trial < 15; trial++ {
-		n := 2 + rng.Intn(30)
-		a := RandomUpperTriangular(rng, n, 60, 4)
-		b := RandomUpperTriangular(rng, n, 60, 4)
-		var c1, c2 matrix.OpCount
-		want, _ := matrix.MulBrute(a, b, &c1)
-		got, _ := MulPar(m, a, b, &c2)
-		if !got.Equal(want, 1e-9) {
-			t.Fatalf("triangular trial %d n=%d: parallel values differ from brute", trial, n)
+	for _, shape := range []string{"triangle", "band", "rect-band", "shifted"} {
+		for trial := 0; trial < 15; trial++ {
+			a, b := infShapedPair(rng, shape)
+			check(fmt.Sprintf("%s trial %d dims (%d,%d,%d)", shape, trial, a.R, a.C, b.C), a, b)
 		}
 	}
 }
