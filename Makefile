@@ -2,11 +2,11 @@
 
 GO ?= go
 
-.PHONY: all build fmt-check test test-race test-e2e test-chaos test-pooldebug test-trace test-cluster check vet bench-vet bench bench-par bench-gate bench-gate-quick bench-baseline tables examples cover fuzz fuzz-smoke clean
+.PHONY: all build fmt-check test test-race test-flaky test-e2e test-chaos test-pooldebug test-trace test-cluster check vet bench-vet bench bench-par bench-gate bench-gate-quick bench-baseline tables examples cover fuzz fuzz-smoke clean
 
 all: build vet test
 
-check: build fmt-check vet bench-vet test test-race test-e2e test-chaos test-pooldebug test-trace test-cluster fuzz-smoke bench-gate-quick
+check: build fmt-check vet bench-vet test test-race test-flaky test-e2e test-chaos test-pooldebug test-trace test-cluster fuzz-smoke bench-gate-quick
 
 build:
 	$(GO) build ./...
@@ -31,6 +31,13 @@ test:
 # whole suite under the race detector to keep statement bodies honest.
 test-race:
 	$(GO) test -race ./...
+
+# Tests that once flaked under the race detector, repeated so a
+# regression of their synchronization shows: the graceful drain waits
+# for the batcher to hold every job, and the single-flight test holds
+# its flight open until every waiter has joined it.
+test-flaky:
+	$(GO) test -race -count=30 -run '^(TestE2EGracefulDrain|TestCacheSingleflightCollapse)$$' ./internal/serve
 
 # End-to-end tests of the partreed HTTP service: differential checks
 # against the serial oracles, concurrent-client batching, load shedding

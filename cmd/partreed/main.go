@@ -1,8 +1,8 @@
 // Command partreed serves the partree tree-construction engines over a
 // JSON HTTP API. Concurrent small requests are coalesced into batches
-// that run as one data-parallel PRAM pass per engine, results are cached
-// by canonical request hash, and overload is shed with 429s so the
-// service stays responsive.
+// that run as one data-parallel PRAM pass per engine, rendered responses
+// are cached under raw-body and canonical request hashes, and overload
+// is shed with 429s so the service stays responsive.
 //
 // Endpoints:
 //
@@ -58,7 +58,7 @@ func run(args []string) int {
 		workers    = fs.Int("workers", 0, "PRAM worker goroutines per batch run and workspace-arena shard count; 0 = GOMAXPROCS, 1 runs single-shard (no sharding overhead)")
 		maxBatch   = fs.Int("max-batch", 64, "max jobs coalesced into one engine batch")
 		linger     = fs.Duration("linger", 200*time.Microsecond, "how long an open batch waits for more jobs")
-		cacheSize  = fs.Int("cache-size", 4096, "LRU result cache entries (negative disables caching)")
+		cacheSize  = fs.Int("cache-size", 4096, "response cache size: holds up to 2× this many rendered bodies, raw-body and canonical keys together (negative disables caching)")
 		inflight   = fs.Int("max-inflight", 256, "concurrent requests admitted before shedding with 429")
 		reqTimeout = fs.Duration("request-timeout", 10*time.Second, "per-request deadline")
 		traceCap   = fs.Int("trace-capacity", 512, "spans kept per X-Partree-Trace request trace")

@@ -132,6 +132,7 @@ func (b *batcher[Req, Resp]) Submit(ctx context.Context, req Req) (Resp, error) 
 	select {
 	case b.queue <- p:
 		b.mu.RUnlock()
+		faultpoint.Hit("batcher.submit", b.name)
 	case <-ctx.Done():
 		b.mu.RUnlock()
 		return zero, ctx.Err()

@@ -1,9 +1,6 @@
 package serve
 
-import (
-	"bytes"
-	"fmt"
-)
+import "fmt"
 
 // CanonicalKey computes the canonical cache key a partreed backend would
 // use for the given /v1 request: it runs the engine's own parse step —
@@ -21,7 +18,7 @@ func CanonicalKey(path string, body []byte, lim Limits) (string, error) {
 	for _, e := range engineTable {
 		if _, p := e.route(); p == path {
 			lim.setDefaults()
-			key, ae := e.canonicalKey(bytes.NewReader(body), lim)
+			key, ae := e.canonicalKey(body, lim)
 			if ae != nil {
 				return "", ae
 			}

@@ -9,10 +9,12 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"partree"
+	"partree/internal/faultpoint"
 	"partree/internal/shannonfano"
 	"partree/internal/tree"
 	"partree/internal/xmath"
@@ -548,6 +550,17 @@ func TestE2EGracefulDrain(t *testing.T) {
 		Linger:   2 * time.Second, // longer than the test: only a drain can cut
 	})
 	const n = 6
+	// Count the jobs the huffman batcher has accepted: a request holds its
+	// limiter slot before its body is even parsed, so a full limiter does
+	// not yet mean a queued job, and a Close that lands before Submit
+	// rightly answers 503.
+	var queued atomic.Int64
+	faultpoint.Set("batcher.submit", func(args ...any) {
+		if name, _ := args[0].(string); name == "huffman" {
+			queued.Add(1)
+		}
+	})
+	t.Cleanup(faultpoint.Reset)
 	var wg sync.WaitGroup
 	statuses := make([]int, n)
 	for i := 0; i < n; i++ {
@@ -559,12 +572,12 @@ func TestE2EGracefulDrain(t *testing.T) {
 			statuses[i] = status
 		}(i)
 	}
-	// Wait until all n requests are admitted (holding limiter slots while
-	// parked in the lingering batch), then close.
-	deadline := time.Now().Add(2 * time.Second)
-	for len(s.inflight) < n {
+	// Wait until the batcher holds all n jobs (parked in the lingering
+	// batch), then close.
+	deadline := time.Now().Add(5 * time.Second)
+	for queued.Load() < n {
 		if time.Now().After(deadline) {
-			break // close anyway; Submit-side locking guarantees no loss
+			t.Fatalf("only %d of %d jobs reached the batcher", queued.Load(), n)
 		}
 		time.Sleep(time.Millisecond)
 	}

@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"errors"
-	"io"
 	"net/http"
 
 	"partree"
@@ -87,7 +86,7 @@ type engineDef[J, R any] struct {
 	// the engine solves and its canonical cache key, hashed under the
 	// engine name it is given. The handler and CanonicalKey both call it,
 	// so the gateway's routing key is the backend's cache key.
-	parse func(name string, body io.Reader, lim Limits) (J, string, *apiError)
+	parse func(name string, body []byte, lim Limits) (J, string, *apiError)
 	// release, when set, returns a parsed job's pooled buffers.
 	release func(J)
 	// batch is the façade …BatchContext entry point the batcher runs.
@@ -101,9 +100,13 @@ type engineDef[J, R any] struct {
 // the table can hold every engine.
 type engineSpec interface {
 	route() (name, path string)
-	canonicalKey(body io.Reader, lim Limits) (string, *apiError)
-	start(s *Server, opts partree.Options) (http.HandlerFunc, engineBatcher)
+	canonicalKey(body []byte, lim Limits) (string, *apiError)
+	start(s *Server, opts partree.Options) (engineHandler, engineBatcher)
 }
+
+// engineHandler answers one engine request from its already-read body
+// and returns the 200 body it wrote, or nil when it wrote anything else.
+type engineHandler func(w http.ResponseWriter, r *http.Request, body []byte) []byte
 
 // engineBatcher is what the server needs of a running batcher.
 type engineBatcher interface {
@@ -113,7 +116,7 @@ type engineBatcher interface {
 
 func (d *engineDef[J, R]) route() (string, string) { return d.name, d.path }
 
-func (d *engineDef[J, R]) canonicalKey(body io.Reader, lim Limits) (string, *apiError) {
+func (d *engineDef[J, R]) canonicalKey(body []byte, lim Limits) (string, *apiError) {
 	job, key, e := d.parse(d.name, body, lim)
 	if e != nil {
 		return "", e
@@ -126,7 +129,7 @@ func (d *engineDef[J, R]) canonicalKey(body io.Reader, lim Limits) (string, *api
 
 // start launches the engine's batcher on s, folding each run's Stats and
 // trace into the server's accumulators, and returns its handler.
-func (d *engineDef[J, R]) start(s *Server, opts partree.Options) (http.HandlerFunc, engineBatcher) {
+func (d *engineDef[J, R]) start(s *Server, opts partree.Options) (engineHandler, engineBatcher) {
 	b := newBatcher(d.name, s.cfg.MaxBatch, s.cfg.Linger, s.cfg.MaxInflight,
 		func(ctx context.Context, jobs []J) ([]R, error) {
 			res, st, err := d.batch(ctx, jobs, opts)
@@ -134,19 +137,20 @@ func (d *engineDef[J, R]) start(s *Server, opts partree.Options) (http.HandlerFu
 			return res, err
 		})
 	b.observe = s.observeTrace
-	return func(w http.ResponseWriter, r *http.Request) { d.serve(s, b, w, r) }, b
+	return func(w http.ResponseWriter, r *http.Request, body []byte) []byte { return d.serve(s, b, w, r, body) }, b
 }
 
-// serve is every engine's handler: parse → cache lookup (single-flight)
-// → batcher → render → finish.
-func (d *engineDef[J, R]) serve(s *Server, b *batcher[J, R], w http.ResponseWriter, r *http.Request) {
-	job, key, e := d.parse(d.name, r.Body, s.cfg.Limits)
+// serve is every engine's handler: parse → canonical-key lookup
+// (single-flight) → batcher → render and encode, once per flight →
+// finish. It returns the body a 200 carried, nil otherwise.
+func (d *engineDef[J, R]) serve(s *Server, b *batcher[J, R], w http.ResponseWriter, r *http.Request, body []byte) []byte {
+	job, key, e := d.parse(d.name, body, s.cfg.Limits)
 	if e != nil {
 		s.served[d.name].Errors.Add(1)
 		writeError(w, e)
-		return
+		return nil
 	}
-	val, hit, err := s.cache.Do(r.Context(), key, func(ctx context.Context) (any, error) {
+	out, hit, err := s.cache.Do(r.Context(), key, func(ctx context.Context) ([]byte, error) {
 		res, err := b.Submit(ctx, job)
 		if err != nil {
 			return nil, err
@@ -155,9 +159,9 @@ func (d *engineDef[J, R]) serve(s *Server, b *batcher[J, R], w http.ResponseWrit
 		if e != nil {
 			return nil, e
 		}
-		return v, nil
+		return encodeBody(v)
 	})
-	s.finish(w, r, d.name, val, hit, err)
+	s.finish(w, r, d.name, out, hit, err)
 	// The job's buffers go back to the arena only when no batch can still
 	// hold them: this caller's own computation finished (err == nil), or
 	// the answer came from the cache or another caller's flight (hit), so
@@ -169,6 +173,10 @@ func (d *engineDef[J, R]) serve(s *Server, b *batcher[J, R], w http.ResponseWrit
 	if d.release != nil && (err == nil || hit) {
 		d.release(job)
 	}
+	if err != nil {
+		return nil
+	}
+	return out
 }
 
 func codeStrings(codes []partree.Codeword) []string {

@@ -1,13 +1,13 @@
 package serve
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"hash"
-	"io"
 	"math"
 	"net/http"
 
@@ -74,10 +74,13 @@ func badRequest(code, format string, args ...any) *apiError {
 }
 
 // decodeJSON strictly decodes one JSON object from at most limit bytes
-// of r: unknown fields and trailing garbage are errors, so a typo'd
+// of body: unknown fields and trailing garbage are errors, so a typo'd
 // request cannot silently fall back to defaults.
-func decodeJSON(r io.Reader, limit int64, dst any) *apiError {
-	dec := json.NewDecoder(io.LimitReader(r, limit))
+func decodeJSON(body []byte, limit int64, dst any) *apiError {
+	if int64(len(body)) > limit {
+		body = body[:limit]
+	}
+	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
 		return badRequest("bad_json", "decoding request body: %v", err)
@@ -107,7 +110,7 @@ type codingRequest struct {
 
 // parseCoding parses /v1/huffman and /v1/shannonfano bodies into
 // unit-sum weights (pooled; see engineDef.release).
-func parseCoding(name string, body io.Reader, lim Limits) ([]float64, string, *apiError) {
+func parseCoding(name string, body []byte, lim Limits) ([]float64, string, *apiError) {
 	var req codingRequest
 	if e := decodeJSON(body, lim.MaxBodyBytes, &req); e != nil {
 		return nil, "", e
@@ -170,7 +173,7 @@ type depthsRequest struct {
 	Depths []int `json:"depths"`
 }
 
-func parseDepths(name string, body io.Reader, lim Limits) ([]int, string, *apiError) {
+func parseDepths(name string, body []byte, lim Limits) ([]int, string, *apiError) {
 	var req depthsRequest
 	if e := decodeJSON(body, lim.MaxBodyBytes, &req); e != nil {
 		return nil, "", e
@@ -215,7 +218,7 @@ type obstRequest struct {
 // parseOBST parses an OBST body into an instance over pooled, unit-mass
 // probability vectors. normalizeOBST rejects everything
 // partree.NewBSTInstance would, so the instance is built directly.
-func parseOBST(name string, body io.Reader, lim Limits) (*partree.BSTInstance, string, *apiError) {
+func parseOBST(name string, body []byte, lim Limits) (*partree.BSTInstance, string, *apiError) {
 	var req obstRequest
 	if e := decodeJSON(body, lim.MaxBodyBytes, &req); e != nil {
 		return nil, "", e
@@ -308,7 +311,7 @@ type lincflResponse struct {
 
 // parseLinCFL parses a lincfl body, resolving its grammar. The key hashes
 // the request as given (stock name or rules), not the normalized grammar.
-func parseLinCFL(name string, body io.Reader, lim Limits) (partree.LinCFLBatchJob, string, *apiError) {
+func parseLinCFL(name string, body []byte, lim Limits) (partree.LinCFLBatchJob, string, *apiError) {
 	var req lincflRequest
 	if e := decodeJSON(body, lim.MaxBodyBytes, &req); e != nil {
 		return partree.LinCFLBatchJob{}, "", e

@@ -9,7 +9,7 @@ import (
 )
 
 // Scratch pooling for the per-request hot path: sha256 states for cache
-// keys and buffer+encoder pairs for responses.
+// keys, request-body buffers, and buffer+encoder pairs for responses.
 
 // hashers recycles sha256 states across cache-key computations.
 var hashers = sync.Pool{New: func() any { return sha256.New() }}
@@ -51,4 +51,30 @@ func putEncoder(s *jsonScratch) {
 	if s.buf.Cap() <= maxRetainedEncodeBuf {
 		encoders.Put(s)
 	}
+}
+
+// bodyBufs recycles the buffers request bodies are read into.
+var bodyBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+func getBodyBuf() *bytes.Buffer {
+	b := bodyBufs.Get().(*bytes.Buffer)
+	b.Reset()
+	return b
+}
+
+func putBodyBuf(b *bytes.Buffer) {
+	if b.Cap() <= maxRetainedEncodeBuf {
+		bodyBufs.Put(b)
+	}
+}
+
+// encodeBody renders v as a response body: the encoder's output, newline
+// included, in a slice of its own.
+func encodeBody(v any) ([]byte, error) {
+	s := getEncoder()
+	defer putEncoder(s)
+	if err := s.enc.Encode(v); err != nil {
+		return nil, err
+	}
+	return append([]byte(nil), s.buf.Bytes()...), nil
 }

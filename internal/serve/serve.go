@@ -1,15 +1,18 @@
 // Package serve implements partreed, the batched tree-construction
 // service: an HTTP JSON façade over the partree engines that coalesces
 // concurrently arriving small jobs into one simulated-PRAM machine run
-// per engine (the partree *Batch entry points), caches results under
-// canonical request hashes with single-flight de-duplication, and sheds
-// load when its admission queue is full.
+// per engine (the partree *Batch entry points), caches rendered
+// responses in one LRU reached by raw-body and canonical keys, collapses
+// identical in-flight computations, and sheds load when its admission
+// queue is full.
 //
 // Request path, outermost first:
 //
 //	recover → admission limiter (429 + Retry-After when full) →
+//	read body → raw-key lookup (hit: write the stored bytes) →
 //	per-request deadline → decode/validate (structured 400) →
-//	cache lookup (single-flight) → batcher (one PRAM run per batch)
+//	canonical-key lookup (single-flight) → batcher (one PRAM run per
+//	batch) → render + encode → write, store under the raw key
 //
 // /healthz bypasses the limiter so the server stays observable under
 // saturation; /statsz reports the per-phase PRAM PhaseStats alongside
@@ -17,9 +20,12 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"strconv"
@@ -45,8 +51,10 @@ type Config struct {
 	// job before it is cut. 0 dispatches immediately with whatever has
 	// already queued.
 	Linger time.Duration
-	// CacheSize is the result cache capacity in entries; 0 means the
-	// default (4096), negative disables caching entirely.
+	// CacheSize sizes the response cache, which holds up to 2×CacheSize
+	// rendered bodies counting raw-body and canonical keys together (one
+	// of each per distinct request); 0 means the default (4096), negative
+	// disables caching entirely.
 	CacheSize int
 	// MaxInflight bounds concurrently admitted /v1 requests; excess
 	// requests are shed with 429 + Retry-After.
@@ -109,8 +117,7 @@ type Server struct {
 	cfg   Config
 	start time.Time
 	mux   *http.ServeMux
-	cache *lruCache // nil when disabled
-	fast  *rawCache // raw-body fast path; nil when caching is disabled
+	cache *responseCache // nil when disabled
 
 	inflight chan struct{}
 	shed     atomic.Int64
@@ -188,8 +195,7 @@ func New(cfg Config) *Server {
 		batchHist:   NewHistSet(),
 	}
 	if cfg.CacheSize > 0 {
-		s.cache = newLRUCache(cfg.CacheSize)
-		s.fast = newRawCache(cfg.CacheSize)
+		s.cache = newResponseCache(2 * cfg.CacheSize)
 	}
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/statsz", s.handleStatsz)
@@ -293,38 +299,22 @@ func (s *Server) recoverer(next http.Handler) http.Handler {
 }
 
 // v1 wraps an engine handler with the POST check, the admission limiter,
-// the raw-body fast path, and the per-request deadline. The deadline is
-// installed inside the fast path's miss continuation so cache hits — which
-// do no blocking work — skip the context machinery entirely.
+// the body read, the raw-key lookup, and the per-request deadline. The
+// body is read once; a raw-key hit writes the stored bytes straight back,
+// and a miss hands the bytes to the engine handler and stores the body it
+// answered with under the raw key. The deadline is installed only on a
+// miss, so hits — which do no blocking work — skip the context machinery
+// entirely.
 //
 // A client may tighten (never extend) its own deadline with an
 // X-Partree-Deadline-Ms header; values above the configured
 // RequestTimeout are clamped to it.
 //
 // A request carrying "X-Partree-Trace: 1" gets a fresh trace recorder on
-// its context (armed through the batcher into the PRAM run) and bypasses
-// the raw-body fast path: traced responses carry per-request span
-// timings, so a byte-identical replay would be a lie.
-func (s *Server) v1(engine string, h func(w http.ResponseWriter, r *http.Request)) http.Handler {
-	withDeadline := func(w http.ResponseWriter, r *http.Request) {
-		timeout := s.cfg.RequestTimeout
-		if hdr := r.Header.Get(deadlineHeader); hdr != "" {
-			// Compare in milliseconds: converting a huge header to a
-			// Duration first would overflow into an expired deadline.
-			if ms, err := strconv.ParseInt(hdr, 10, 64); err == nil && ms > 0 && ms < timeout.Milliseconds() {
-				timeout = time.Duration(ms) * time.Millisecond
-			}
-		}
-		ctx, cancel := context.WithTimeout(r.Context(), timeout)
-		defer cancel()
-		if r.Header.Get(traceHeader) == "1" {
-			tr := trace.New(s.cfg.TraceCapacity)
-			tr.SetID(trace.NewID())
-			w.Header().Set(traceIDHeader, tr.ID())
-			ctx = trace.NewContext(ctx, tr)
-		}
-		h(w, r.WithContext(ctx))
-	}
+// its context (armed through the batcher into the PRAM run) and skips the
+// raw key: traced responses carry per-request span timings, so a
+// byte-identical replay would be a lie.
+func (s *Server) v1(engine string, h engineHandler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
 			w.Header().Set("Allow", http.MethodPost)
@@ -340,11 +330,51 @@ func (s *Server) v1(engine string, h func(w http.ResponseWriter, r *http.Request
 			writeError(w, &apiError{Status: http.StatusTooManyRequests, Code: "overloaded", Message: "admission queue full; retry"})
 			return
 		}
-		if s.fast != nil && r.Header.Get(traceHeader) != "1" {
-			s.serveFastPath(engine, w, r, withDeadline)
+		buf := getBodyBuf()
+		defer putBodyBuf(buf)
+		if _, err := buf.ReadFrom(io.LimitReader(r.Body, s.cfg.Limits.MaxBodyBytes+1)); err != nil {
+			s.served[engine].Errors.Add(1)
+			writeError(w, badRequest("bad_body", "reading request body: %v", err))
 			return
 		}
-		withDeadline(w, r)
+		body := buf.Bytes()
+
+		traced := r.Header.Get(traceHeader) == "1"
+		var k rawKey
+		if s.cache != nil && !traced {
+			hs := getHasher()
+			hs.Write([]byte(r.URL.Path))
+			hs.Write([]byte{0})
+			hs.Write(body)
+			hs.Sum(k[:0])
+			putHasher(hs)
+			if out := s.cache.get(k); out != nil {
+				s.served[engine].OK.Add(1)
+				w.Header().Set("X-Partree-Cache", "hit")
+				writeBody(w, http.StatusOK, out)
+				return
+			}
+		}
+
+		timeout := s.cfg.RequestTimeout
+		if hdr := r.Header.Get(deadlineHeader); hdr != "" {
+			// Compare in milliseconds: converting a huge header to a
+			// Duration first would overflow into an expired deadline.
+			if ms, err := strconv.ParseInt(hdr, 10, 64); err == nil && ms > 0 && ms < timeout.Milliseconds() {
+				timeout = time.Duration(ms) * time.Millisecond
+			}
+		}
+		ctx, cancel := context.WithTimeout(r.Context(), timeout)
+		defer cancel()
+		if traced {
+			tr := trace.New(s.cfg.TraceCapacity)
+			tr.SetID(trace.NewID())
+			w.Header().Set(traceIDHeader, tr.ID())
+			ctx = trace.NewContext(ctx, tr)
+		}
+		if out := h(w, r.WithContext(ctx), body); out != nil && !traced {
+			s.cache.put(k, out)
+		}
 	})
 }
 
@@ -353,11 +383,17 @@ func (s *Server) v1(engine string, h func(w http.ResponseWriter, r *http.Request
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	s := getEncoder()
 	_ = s.enc.Encode(v)
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(s.buf.Len()))
-	w.WriteHeader(status)
-	_, _ = w.Write(s.buf.Bytes())
+	writeBody(w, status, s.buf.Bytes())
 	putEncoder(s)
+}
+
+// writeBody writes an already rendered JSON body.
+func writeBody(w http.ResponseWriter, status int, body []byte) {
+	hd := w.Header()
+	hd.Set("Content-Type", "application/json")
+	hd.Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(status)
+	_, _ = w.Write(body)
 }
 
 func writeError(w http.ResponseWriter, e *apiError) {
@@ -365,10 +401,12 @@ func writeError(w http.ResponseWriter, e *apiError) {
 }
 
 // finish maps the outcome of a cached batch computation onto the wire:
-// engine/context errors to their statuses, values to 200 with a cache
-// disposition header. A traced request (trace recorder on the context)
-// gets its result wrapped in an envelope carrying the span timings.
-func (s *Server) finish(w http.ResponseWriter, r *http.Request, engine string, val any, hit bool, err error) {
+// engine/context errors to their statuses, a rendered body to 200 with a
+// cache disposition header. A traced request (trace recorder on the
+// context) gets the body embedded as "result" in an envelope carrying the
+// span timings; the encoder's trailing newline is dropped there, so the
+// field is byte-for-byte the untraced body's JSON value.
+func (s *Server) finish(w http.ResponseWriter, r *http.Request, engine string, body []byte, hit bool, err error) {
 	counters := s.served[engine]
 	if err != nil {
 		counters.Errors.Add(1)
@@ -402,10 +440,11 @@ func (s *Server) finish(w http.ResponseWriter, r *http.Request, engine string, v
 		// disposition) and return the trace in the envelope. The grafted
 		// batch/phase spans are already in tr by the time Submit returned.
 		tr.Add(trace.Span{Name: engine, Cat: trace.CatRequest, Dur: tr.Now(), Cut: disposition})
-		writeJSON(w, http.StatusOK, &tracedResponse{Result: val, Trace: traceEnvelopeOf(tr)})
+		result := json.RawMessage(bytes.TrimSuffix(body, []byte("\n")))
+		writeJSON(w, http.StatusOK, &tracedResponse{Result: result, Trace: traceEnvelopeOf(tr)})
 		return
 	}
-	writeJSON(w, http.StatusOK, val)
+	writeBody(w, http.StatusOK, body)
 }
 
 // --- observability endpoints ---
@@ -503,7 +542,8 @@ type MachinePoolCounters struct {
 	Discarded   int64 `json:"discarded"`
 }
 
-// StatsSnapshot is the /statsz payload.
+// StatsSnapshot is the /statsz payload. Cache and FastPath are the
+// response cache's canonical-key and raw-key counters.
 type StatsSnapshot struct {
 	UptimeS     float64                    `json:"uptime_s"`
 	ShardID     string                     `json:"shard_id,omitempty"`
@@ -556,7 +596,7 @@ func (s *Server) Snapshot() StatsSnapshot {
 		Panics:   s.panics.Load(),
 		Requests: make(map[string]RequestCounters, len(s.served)),
 		Cache:    s.cache.counters(),
-		FastPath: s.fast.counters(),
+		FastPath: s.cache.rawCounters(),
 		Batchers: make(map[string]BatcherCounters, len(s.batchers)),
 		PRAM:     make(map[string]engineStatsJSON, len(s.engineStats)),
 		Pool:     poolCounters(),

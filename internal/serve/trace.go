@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"encoding/json"
 	"time"
 
 	"partree/internal/trace"
@@ -44,8 +45,8 @@ type traceEnvelope struct {
 }
 
 type tracedResponse struct {
-	Trace  *traceEnvelope `json:"trace"`
-	Result any            `json:"result"`
+	Trace  *traceEnvelope  `json:"trace"`
+	Result json.RawMessage `json:"result"`
 }
 
 func usOf(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }

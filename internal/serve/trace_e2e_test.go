@@ -57,6 +57,7 @@ func TestTracedRequestEnvelope(t *testing.T) {
 		t.Errorf("missing %s header", traceIDHeader)
 	}
 	got := mustDecode[tracedCodingResponse](t, raw)
+	missEnv := raw
 	if got.Trace.ID == "" || got.Trace.ID != hdr.Get(traceIDHeader) {
 		t.Errorf("envelope trace id %q, header %q", got.Trace.ID, hdr.Get(traceIDHeader))
 	}
@@ -103,6 +104,7 @@ func TestTracedRequestEnvelope(t *testing.T) {
 		t.Fatalf("status %d: %s", status, raw)
 	}
 	hit := mustDecode[tracedCodingResponse](t, raw)
+	hitEnv := raw
 	if hit.Trace.ID == got.Trace.ID {
 		t.Error("second request reused the first request's trace ID")
 	}
@@ -129,6 +131,15 @@ func TestTracedRequestEnvelope(t *testing.T) {
 	plain := mustDecode[codingResponse](t, raw)
 	if plain.N != len(weights) {
 		t.Errorf("untraced response not the plain payload: %s", raw)
+	}
+
+	// "result" is the untraced body byte for byte, encoder newline aside,
+	// on the traced miss and the traced canonical hit alike.
+	want := bytes.TrimSuffix(raw, []byte("\n"))
+	for _, env := range [][]byte{missEnv, hitEnv} {
+		if got := mustDecode[struct{ Result json.RawMessage }](t, env).Result; !bytes.Equal(got, want) {
+			t.Errorf("traced result %s, want the untraced body %s", got, want)
+		}
 	}
 }
 
