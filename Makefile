@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt-check test test-race test-flaky test-e2e test-chaos test-pooldebug test-trace test-cluster check vet bench-vet bench bench-par bench-gate bench-gate-quick bench-baseline tables examples cover fuzz fuzz-smoke clean
+.PHONY: all build fmt-check test test-race test-flaky test-e2e test-chaos test-pooldebug test-trace test-cluster check vet bench-vet bench bench-par bench-gate bench-gate-quick bench-baseline tables examples cover fuzz fuzz-smoke loc clean
 
 all: build vet test
 
@@ -153,6 +153,17 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzConcaveMultiply -fuzztime=5s ./internal/monge
 	$(GO) test -fuzz=FuzzRingKey -fuzztime=5s ./internal/cluster
 	$(GO) test -fuzz=FuzzCancelUnwind -fuzztime=5s .
+
+# Go line counts per package directory, non-test and test files apart,
+# with the perfbench/ module left out. Quote these in CHANGES.md rather
+# than counting by hand.
+loc:
+	@find . -path ./perfbench -prune -o -name '*.go' -print | xargs awk ' \
+		{ d = FILENAME; sub(/\/[^\/]*$$/, "", d); sub(/^\.\/?/, "", d); if (d == "") d = "."; \
+		  seen[d] = 1; if (FILENAME ~ /_test\.go$$/) { t[d]++; tt++ } else { n[d]++; nt++ } } \
+		END { printf "%-24s %8s %8s\n", "package", "non-test", "test"; \
+		      for (d in seen) printf "%-24s %8d %8d\n", d, n[d], t[d] | "sort"; close("sort"); \
+		      printf "%-24s %8d %8d\n", "total", nt, tt }'
 
 clean:
 	rm -f cover.out test_output.txt bench_output.txt

@@ -68,6 +68,19 @@ var experiments = []struct {
 	{"E16", "Cluster — sharded gateway scaling and hedged tail latency", e16},
 }
 
+// Fixed grains per kernel family (pram.WithGrain) for the experiments
+// that pin one. The grain is the number of indices a worker takes per
+// deque pop: the concave-matrix engines' comparison-only bodies want huge
+// chunks, the dense DPs and hufpar's recurrences somewhat smaller ones,
+// and the linear-CFL recursion's expensive Boolean block products small
+// chunks that keep workers balanced.
+const (
+	grainMonge  = 2048
+	grainDP     = 1024
+	grainHufpar = 512
+	grainLinCFL = 64
+)
+
 // shortMode shrinks problem sizes and timing loops (-short): the tables
 // lose precision but the full suite fits in a CI budget.
 var shortMode bool
@@ -125,7 +138,7 @@ func e2() {
 		matrix.MulBrute(a, b, &cb)
 		monge.CutRecursive(a, b, &cr)
 		monge.CutBottomUp(a, b, &cu)
-		m := pram.New(pram.WithGrain(engine.GrainMonge()))
+		m := pram.New(pram.WithGrain(grainMonge))
 		monge.CutBottomUpCRCW(m, a, b, &cw)
 		fmt.Printf("%6d %16d %16d %16d %9.1fx %14d\n",
 			n, cb.Load(), cr.Load(), cu.Load(), float64(cb.Load())/float64(cr.Load()),
@@ -137,7 +150,7 @@ func e2() {
 
 func e3() {
 	fmt.Printf("%6s %10s %14s %16s\n", "n", "rounds", "2⌈log n⌉+1", "cost = optimal?")
-	m := pram.New(pram.WithGrain(engine.GrainHufpar()))
+	m := pram.New(pram.WithGrain(grainHufpar))
 	for _, n := range []int{16, 64, 256} {
 		w := workload.SortedAscending(workload.Zipf(n, 1.1))
 		acc := pram.New()
@@ -198,7 +211,7 @@ func e5() {
 		in, _ := obst.NewInstance(beta, alpha)
 		eps := 1 / float64(n*n)
 		opt, _ := obst.Knuth(in)
-		m := pram.New(pram.WithGrain(engine.GrainDP()))
+		m := pram.New(pram.WithGrain(grainDP))
 		res := obst.Approx(m, in, eps)
 		m.Close()
 		mcost, _ := obst.Mehlhorn(in)
@@ -269,7 +282,7 @@ func e7() {
 		{"random", workload.Random(rng, 500)},
 	}
 	for _, r := range rows {
-		res, err := shannonfano.Build(pram.New(pram.WithGrain(engine.GrainDP())), r.probs)
+		res, err := shannonfano.Build(pram.New(pram.WithGrain(grainDP)), r.probs)
 		if err != nil {
 			panic(err)
 		}
@@ -283,7 +296,7 @@ func e7() {
 func e8() {
 	fmt.Printf("%6s %8s %10s %12s %14s %10s\n", "n", "member?", "depth", "products", "word-ops", "agrees?")
 	g := grammar.Palindrome()
-	m := pram.New(pram.WithGrain(engine.GrainLinCFL()))
+	m := pram.New(pram.WithGrain(grainLinCFL))
 	rng := rand.New(rand.NewSource(8))
 	for _, n := range []int{31, 63, 127, 255} {
 		w := make([]byte, n)
@@ -583,7 +596,7 @@ func e11() {
 		word[cflN-1-i] = word[i]
 	}
 	word[cflN/2] = 'c'
-	m := pram.New(pram.WithGrain(engine.GrainLinCFL()))
+	m := pram.New(pram.WithGrain(grainLinCFL))
 	lincflBench := func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			res := lincfl.RecognizeDC(m, g, word)
@@ -923,7 +936,7 @@ func e13() {
 	word[cflN/2] = 'c'
 	newLincfl := func(armed bool) func(b *testing.B) {
 		return func(b *testing.B) {
-			m := pram.New(pram.WithGrain(engine.GrainLinCFL()))
+			m := pram.New(pram.WithGrain(grainLinCFL))
 			if armed {
 				m.SetTracer(trace.New(0))
 			}
@@ -1518,7 +1531,7 @@ func e15() {
 	// facade builds machines in production.
 	newMach := func() *pram.Machine {
 		return pram.New(pram.WithWorkers(workers),
-			pram.WithGrainTarget(engine.GrainTargetNs()),
+			pram.WithGrainTarget(tune.Active().Tuned.GrainTargetNs),
 			pram.WithIdleTimeout(time.Minute)) // no mid-measurement retires
 	}
 	kernels := []struct {

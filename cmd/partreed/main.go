@@ -42,7 +42,6 @@ import (
 	"time"
 
 	"partree"
-	"partree/internal/engine"
 	"partree/internal/pool"
 	"partree/internal/serve"
 )
@@ -119,13 +118,10 @@ func run(args []string) int {
 
 	// Size the workspace arena: an explicit -workers wins (a -workers 1
 	// deployment collapses the arena to one shard so its slab traffic
-	// pays no sharding overhead), otherwise the tuned profile's shard
-	// count applies, and with neither the arena keeps its GOMAXPROCS
-	// default.
+	// pays no sharding overhead); otherwise the arena keeps its
+	// GOMAXPROCS default.
 	if *workers > 0 {
 		pool.SetShards(*workers)
-	} else if n := engine.ArenaShards(); n > 0 {
-		pool.SetShards(n)
 	}
 	s := serve.New(serve.Config{
 		Workers:        *workers,

@@ -13,10 +13,10 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"partree/internal/engine"
 	"partree/internal/faultpoint"
 	"partree/internal/pool"
 	"partree/internal/pram"
+	"partree/internal/tune"
 )
 
 // Matrix is a dense R×C Boolean matrix, rows packed into uint64 words.
@@ -195,12 +195,12 @@ func (m *Matrix) OrBits(di, dc int, src *Matrix, si, sc, n int) {
 
 // mulKTile picks the k-tile height for the blocked kernel: the number of
 // B rows (a multiple of 64, so tiles stay word-aligned in A's rows) whose
-// packed words fit the profile's cache budget (engine.BoolmatKTileBytes,
+// packed words fit the profile's cache budget (tune.Tuned.BoolmatKTileBytes,
 // ~256 KiB by default, swept per host by calibration). B's rows are its
 // packed columns-of-words layout, built once at Set time, so a tile is a
 // contiguous, reusable byte range of b.bits.
 func mulKTile(words int) int {
-	budget := engine.BoolmatKTileBytes() // bytes of B rows resident per tile
+	budget := tune.Active().Tuned.BoolmatKTileBytes // bytes of B rows resident per tile
 	kt := budget / (words * 8)
 	kt &^= 63
 	if kt < 64 {
@@ -270,14 +270,14 @@ func Mul(a, b *Matrix) *Matrix {
 // Each row body uses the word-skipping scan; cross-row B reuse comes from
 // the runtime handing each worker contiguous row chunks. Products whose
 // dense-worst-case work sits at or below the profile's serial cutover
-// (engine.BoolmatSerialWords; disabled by default) run the cache-blocked
+// (tune.Tuned.BoolmatSerialWords; disabled by default) run the cache-blocked
 // serial kernel as one counted step instead — identical output, none of
 // the statement's dispatch cost.
 func MulPar(m *pram.Machine, a, b *Matrix) *Matrix {
 	if a.C != b.R {
 		panic("boolmat: dimension mismatch")
 	}
-	if cut := engine.BoolmatSerialWords(); cut > 0 && EstMulWords(a, b) <= int64(cut) {
+	if cut := tune.Active().Tuned.BoolmatSerialWords; cut > 0 && EstMulWords(a, b) <= int64(cut) {
 		defer m.Phase("boolmat.MulPar")()
 		faultpoint.Hit("boolmat.mulpar")
 		m.Step(1)

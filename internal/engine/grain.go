@@ -1,83 +1,11 @@
-// Package engine exposes per-kernel-family execution parameters to the
-// rest of the tree. It used to be a table of constants tuned on one
-// developer box; it is now a thin view over the process-wide active
-// tuning profile (internal/tune): each accessor reads the installed
-// profile — built-in defaults, a host calibration, or a loaded
-// partree-tune.json — at call time, so swapping profiles retunes every
-// kernel, the bench harness and the serving path together without any of
-// them knowing where the numbers come from.
+// Package engine holds the grain the serving path's request batchers run
+// with. Every tuned value lives in internal/tune's active profile, which
+// kernels read directly.
 package engine
-
-import "partree/internal/tune"
-
-// Grain views per kernel family. The grain is the number of indices a
-// PRAM worker takes per deque pop: large grains amortize scheduling for
-// cheap per-element bodies, small grains help stealing rebalance skewed
-// or expensive bodies and make cancellation checkpoints more frequent
-// (workers poll between chunks). Pass them via pram.WithGrain /
-// partree.Options.Grain.
-
-// GrainMonge suits the concave-matrix engines (monge.MulPar,
-// CutBottomUpCRCW): tiny comparison-only bodies over quadratic index
-// spaces, so scheduling overhead dominates unless chunks are huge.
-func GrainMonge() int { return tune.Active().Tuned.GrainMonge }
-
-// GrainDP suits the dense dynamic programs (obst.Approx,
-// shannonfano.Build): cheap bodies over moderately sized rows.
-func GrainDP() int { return tune.Active().Tuned.GrainDP }
-
-// GrainHufpar suits hufpar's cost recurrences (CostRakeCompress,
-// BuildConcave): per-element work is a few arithmetic ops heavier than
-// the DP kernels'.
-func GrainHufpar() int { return tune.Active().Tuned.GrainHufpar }
-
-// GrainLinCFL suits the linear-CFL separator recursion: each index
-// multiplies Boolean matrix blocks, expensive enough that small chunks
-// keep workers balanced.
-func GrainLinCFL() int { return tune.Active().Tuned.GrainLinCFL }
 
 // GrainBatch is for internal/serve's request batchers: one job per
 // chunk, so concurrent small jobs spread across workers and every job
 // boundary is a cancellation checkpoint (deadline accuracy matters more
 // than scheduling overhead there — jobs, not indices, are the unit of
 // work).
-func GrainBatch() int { return tune.Active().Tuned.GrainBatch }
-
-// GrainTargetNs is the adaptive chunk controller's per-chunk work target
-// for machines without a pinned grain (pram.WithGrainTarget).
-func GrainTargetNs() int { return tune.Active().Tuned.GrainTargetNs }
-
-// BoolmatKTileBytes is the blocked Boolean multiply's cache budget:
-// bytes of B rows kept resident per word-aligned k-tile.
-func BoolmatKTileBytes() int { return tune.Active().Tuned.BoolmatKTileBytes }
-
-// BoolmatSerialWords is boolmat.MulPar's serial-cutover threshold: when
-// the product's dense-worst-case word-OR estimate is at or below it, the
-// multiply runs serially (cache-blocked) as one counted step instead of
-// dispatching a parallel statement. 0 disables the cutover.
-func BoolmatSerialWords() int { return tune.Active().Tuned.BoolmatSerialWords }
-
-// MongeSerialEntries is the recursive cut engine's serial-cutover
-// threshold: recursion levels whose p·r entry count is at or below it
-// run the serial strided recursion as one counted step. 0 disables the
-// cutover.
-func MongeSerialEntries() int { return tune.Active().Tuned.MongeSerialEntries }
-
-// LinCFLSerialWords is the separator recursion's per-product cutover:
-// block products estimated at or below it use the serial blocked kernel,
-// skipping the PRAM statement entirely. 0 disables the cutover.
-func LinCFLSerialWords() int { return tune.Active().Tuned.LinCFLSerialWords }
-
-// SMAWKRowBlock is the rows-per-task blocking of monge.CutSMAWKPar.
-func SMAWKRowBlock() int { return tune.Active().Tuned.SMAWKRowBlock }
-
-// MachinePoolCap bounds each Options shape's free list in the façade's
-// machine pool.
-func MachinePoolCap() int { return tune.Active().Tuned.MachinePoolCap }
-
-// DefaultMaxBatch is internal/serve's default jobs-per-batch cut.
-func DefaultMaxBatch() int { return tune.Active().Tuned.MaxBatch }
-
-// ArenaShards is the tuned workspace-arena shard count for the serving
-// binary; 0 means "size by worker count" (the pre-tuning behaviour).
-func ArenaShards() int { return tune.Active().Tuned.ArenaShards }
+func GrainBatch() int { return 1 }

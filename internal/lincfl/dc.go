@@ -2,10 +2,10 @@ package lincfl
 
 import (
 	"partree/internal/boolmat"
-	"partree/internal/engine"
 	"partree/internal/faultpoint"
 	"partree/internal/grammar"
 	"partree/internal/pram"
+	"partree/internal/tune"
 )
 
 // The parallel recognizer (Theorem 8.1) works on the induced graph
@@ -234,7 +234,7 @@ func (ctx *dcCtx) mul(a, b *boolmat.Matrix) *boolmat.Matrix {
 	// — the serial cache-blocked kernel for one counted step, skipping
 	// both the statement dispatch and the per-product phase bookkeeping.
 	// The counted word-op total above is model-level and unchanged.
-	if cut := engine.LinCFLSerialWords(); cut > 0 && boolmat.EstMulWords(a, b) <= int64(cut) {
+	if cut := tune.Active().Tuned.LinCFLSerialWords; cut > 0 && boolmat.EstMulWords(a, b) <= int64(cut) {
 		out := boolmat.Mul(a, b)
 		ctx.m.Step(1)
 		return out

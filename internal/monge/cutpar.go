@@ -1,10 +1,10 @@
 package monge
 
 import (
-	"partree/internal/engine"
 	"partree/internal/faultpoint"
 	"partree/internal/matrix"
 	"partree/internal/pram"
+	"partree/internal/tune"
 )
 
 // CutRecursivePar is the PRAM version of CutRecursive: every interpolation
@@ -19,7 +19,7 @@ func CutRecursivePar(m *pram.Machine, a, b *matrix.Dense, cnt *matrix.OpCount) *
 	defer m.Phase("monge.MulPar")()
 	c := newMulCtx(a, b, cnt)
 	defer c.close()
-	return cutRecStridedPar(m, c, 1, 1, engine.MongeSerialEntries())
+	return cutRecStridedPar(m, c, 1, 1, tune.Active().Tuned.MongeSerialEntries)
 }
 
 // cutRecStridedPar is cutRecStrided with each phase issued as one parallel
@@ -85,7 +85,7 @@ func MulPar(m *pram.Machine, a, b *matrix.Dense, cnt *matrix.OpCount) (*matrix.D
 	defer m.Phase("monge.MulPar")()
 	c := newMulCtx(a, b, cnt)
 	defer c.close()
-	cut := cutRecStridedPar(m, c, 1, 1, engine.MongeSerialEntries())
+	cut := cutRecStridedPar(m, c, 1, 1, tune.Active().Tuned.MongeSerialEntries)
 	out := matrix.NewInfFromPool(cut.R, cut.C)
 	defer func() {
 		if rec := recover(); rec != nil {

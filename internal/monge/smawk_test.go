@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"partree/internal/engine"
 	"partree/internal/matrix"
 	"partree/internal/pram"
 )
@@ -97,8 +96,7 @@ func TestCutSMAWKParMatchesCutSMAWK(t *testing.T) {
 		p, q, r := 1+rng.Intn(40), 1+rng.Intn(40), 1+rng.Intn(40)
 		if trial < 4 {
 			// Force multi-block tasks: p beyond one row block.
-			block := engine.SMAWKRowBlock()
-			p = block + 1 + rng.Intn(2*block)
+			p = smawkRowBlock + 1 + rng.Intn(2*smawkRowBlock)
 		}
 		a, b := randomPair(rng, p, q, r)
 		var c1, c2 matrix.OpCount

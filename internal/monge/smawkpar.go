@@ -1,18 +1,17 @@
 package monge
 
 import (
-	"partree/internal/engine"
 	"partree/internal/matrix"
 	"partree/internal/pool"
 	"partree/internal/pram"
 	"partree/internal/semiring"
 )
 
-// The rows-per-task blocking comes from the active tuning profile
-// (engine.SMAWKRowBlock, default 128). Blocks that size keep each task's
-// SMAWK instance large enough to amortize its scratch slices while still
-// exposing r·⌈p/block⌉ independent tasks — far more than any realistic
-// worker count, so stealing can rebalance.
+// smawkRowBlock is CutSMAWKPar's rows per task. Blocks that size keep
+// each task's SMAWK instance large enough to amortize its scratch slices
+// while still exposing r·⌈p/block⌉ independent tasks — far more than any
+// realistic worker count, so stealing can rebalance.
+const smawkRowBlock = 128
 
 // CutSMAWKPar is the parallel form of CutSMAWK: the r independent
 // column-minima problems, each further split into row blocks, run as a
@@ -37,12 +36,11 @@ func CutSMAWKPar(m *pram.Machine, a, b *matrix.Dense, cnt *matrix.OpCount) *matr
 			panic(rec)
 		}
 	}()
-	block := engine.SMAWKRowBlock()
-	nb := (p + block - 1) / block
+	nb := (p + smawkRowBlock - 1) / smawkRowBlock
 	m.For(r*nb, func(e int) {
 		j := e / nb
-		lo := (e % nb) * block
-		hi := lo + block
+		lo := (e % nb) * smawkRowBlock
+		hi := lo + smawkRowBlock
 		if hi > p {
 			hi = p
 		}

@@ -77,7 +77,7 @@ type Config struct {
 
 func (c *Config) setDefaults() {
 	if c.MaxBatch == 0 {
-		c.MaxBatch = engine.DefaultMaxBatch()
+		c.MaxBatch = 64
 	}
 	if c.CacheSize == 0 {
 		c.CacheSize = 4096

@@ -39,8 +39,7 @@ func Calibrate(cfg Config) *Profile {
 		InlineNs: measureInline(reps),
 	}
 	ms.DispatchNs = measureDispatch(reps, ms.InlineNs)
-	ms.StealNs = measureSteal()
-	t := derive(ms, host)
+	t := derive(ms)
 	t.BoolmatKTileBytes = sweepKTile(cfg.Quick)
 	return &Profile{
 		Version:   CurrentVersion,
@@ -56,13 +55,7 @@ func Calibrate(cfg Config) *Profile {
 // to a sane range well inside Validate's hard bounds, so a pathological
 // measurement (a descheduled timing, a zero) can only cost performance,
 // never correctness.
-func derive(ms Measured, host Host) Tuned {
-	// A fixed-grain chunk should carry enough body work to bury the
-	// scheduler's per-chunk cost while leaving plenty of chunks for
-	// stealing to rebalance: aim at about two dispatches' worth of work
-	// per chunk.
-	spread := clampF(2*ms.DispatchNs, 2_000, 20_000)
-
+func derive(ms Measured) Tuned {
 	// A serial cutover pays off once the statement's whole body, run
 	// serially, costs less than roughly the dispatch it avoids; cutting
 	// over a little early (2×) also skips the statements the subtree
@@ -71,15 +64,6 @@ func derive(ms Measured, host Host) Tuned {
 
 	boolSerial := clampI(int(serialNs/nonzero(ms.WordNs, 0.05)), 2_048, 1<<20)
 	return Tuned{
-		GrainMonge:  clampI(int(spread/nonzero(ms.ScanNs, 0.1)), 256, 16_384),
-		GrainDP:     clampI(int(spread/nonzero(ms.LoopNs, 0.1)), 256, 8_192),
-		GrainHufpar: clampI(int(spread/nonzero(2*ms.LoopNs, 0.2)), 128, 4_096),
-		GrainLinCFL: clampI(int(spread/nonzero(ms.RowNs, 1)), 16, 256),
-		// Batch statements schedule jobs, not indices: one job per chunk
-		// keeps every job boundary a cancellation checkpoint. Not a
-		// candidate for calibration.
-		GrainBatch: 1,
-
 		GrainTargetNs: clampI(int(25*ms.DispatchNs), 50_000, 200_000),
 
 		// Filled by sweepKTile (measured directly, not derived).
@@ -91,29 +75,10 @@ func derive(ms Measured, host Host) Tuned {
 		// on top of the statement dispatch, so cut over at twice the
 		// boolmat threshold.
 		LinCFLSerialWords: clampI(2*boolSerial, 2_048, 1<<20),
-
-		SMAWKRowBlock: clampI(int(spread/nonzero(ms.ScanNs, 0.1))/16, 32, 512),
-
-		// Service-path sizing scales with the core count: more cores run
-		// more concurrent batchers (machines to pool) and drain bigger
-		// batches per For.
-		MachinePoolCap: clampI(2*host.NumCPU+2, 16, 64),
-		MaxBatch:       clampI(16*host.NumCPU, 64, 512),
-		ArenaShards:    clampI(host.NumCPU, 1, 64),
 	}
 }
 
 func clampI(v, lo, hi int) int {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
-}
-
-func clampF(v, lo, hi float64) float64 {
 	if v < lo {
 		return lo
 	}
@@ -310,38 +275,12 @@ func measureDispatch(reps int, inlineNs float64) float64 {
 	return d
 }
 
-// measureSteal reads the scheduler's own accounting on a deliberately
-// skewed statement: ns of steal-hunting per steal event. Returns 0 if
-// the probe saw no steals (single-core hosts).
-func measureSteal() float64 {
-	m := pram.New(pram.WithWorkers(2), pram.WithGrain(1))
-	defer m.Close()
-	// One slot per index: the body runs on several workers at once, so
-	// it must not write the shared sink.
-	acc := make([]float64, 256)
-	for it := 0; it < 8; it++ {
-		m.For(256, func(i int) {
-			if i%64 == 0 {
-				for k := 0; k < 2_000; k++ {
-					acc[i] += float64(k) * 1.0000001
-				}
-			}
-		})
-	}
-	sink += acc[0]
-	s := m.Stats()
-	if s.Steals == 0 {
-		return 0
-	}
-	return float64(s.StealWait.Nanoseconds()) / float64(s.Steals)
-}
-
 // sweepKTile measures the blocked Boolean multiply's cache behaviour
 // directly: a local replica of boolmat's k-tiled kernel (row-major packed
 // words, zero-skip via trailing-zero scans) multiplies a fixed
 // pseudo-random matrix by itself under each candidate budget, and the
 // fastest budget wins. Replicating ~30 lines here keeps tune free of a
-// boolmat dependency (boolmat sits above engine, which sits above tune).
+// boolmat dependency (boolmat imports tune for its tuned values).
 func sweepKTile(quick bool) int {
 	n := 768
 	reps := 3

@@ -1,17 +1,16 @@
-// Package tune holds the host-calibrated tuning profile behind every
-// runtime knob that used to be a static constant: PRAM grains and the
-// adaptive controller's chunk-cost target, the kernels' serial-cutover
-// thresholds, boolmat's cache-tile budget, SMAWK's row blocking, and the
-// machine-pool / arena-shard / batch sizing of the serving path.
+// Package tune holds the host-calibrated tuning profile: the five
+// runtime knobs a calibration measurably moves — the adaptive grain
+// controller's chunk-cost target, boolmat's cache-tile budget, and the
+// serial cutovers of the boolmat, monge and lincfl kernels.
 //
 // A Profile is either the built-in Defaults (which reproduce the
 // pre-calibration static constants bit for bit — every cutover disabled),
 // the output of Calibrate (a short deterministic micro-benchmark sweep of
 // the running host), or a JSON file written by a previous calibration and
 // reloaded with Load. One profile is installed process-wide with
-// SetActive; internal/engine exposes it to the kernels as a set of view
-// functions, so the whole stack — kernels, façade, serving path — follows
-// the active profile without threading a parameter through every call.
+// SetActive; kernels read tune.Active().Tuned directly, so the whole
+// stack — kernels, façade, serving path — follows the active profile
+// without threading a parameter through every call.
 //
 // Profiles are versioned and hashed: Hash covers the version, host shape
 // and every measured/tuned value (but not the creation time or source
@@ -45,9 +44,10 @@ type Host struct {
 	GoVersion string `json:"go_version"`
 }
 
-// Measured holds the raw micro-benchmark results the tuned values are
-// derived from, kept in the profile so a human (or a later version of the
-// deriver) can audit where a threshold came from.
+// Measured holds the raw micro-benchmark results, kept in the profile so
+// a human (or a later version of the deriver) can audit where a threshold
+// came from. LoopNs and RowNs derive no tuned value; they are the
+// per-element costs a kernel's wall-clock ceiling is computed from.
 type Measured struct {
 	// LoopNs is the cost of one cheap float-arithmetic loop iteration —
 	// the body shape of the dense DP kernels (obst, shannonfano).
@@ -68,25 +68,12 @@ type Measured struct {
 	// InlineNs is the wall cost of one inline (single-chunk) statement —
 	// the For fast path's bookkeeping floor.
 	InlineNs float64 `json:"inline_ns_per_stmt"`
-	// StealNs is the measured cost per successful chunk steal, from the
-	// scheduler's own StealWait/Steals counters on a deliberately skewed
-	// statement. 0 when the probe observed no steals.
-	StealNs float64 `json:"steal_ns_per_steal"`
 }
 
-// Tuned is the complete set of runtime knobs. Every field replaces a
-// constant that used to be hard-coded somewhere in the tree; the comment
-// on each names the consumer.
+// Tuned is the set of runtime knobs calibration moves. Load ignores
+// unknown fields, so a version-1 file that still carries fields this
+// struct no longer has loads with these five values.
 type Tuned struct {
-	// Per-family fixed grains (pram.WithGrain), read by internal/engine's
-	// Grain* views: benchtables and the service use them when pinning a
-	// machine's chunk size for a known kernel family.
-	GrainMonge  int `json:"grain_monge"`
-	GrainDP     int `json:"grain_dp"`
-	GrainHufpar int `json:"grain_hufpar"`
-	GrainLinCFL int `json:"grain_lincfl"`
-	GrainBatch  int `json:"grain_batch"`
-
 	// GrainTargetNs is the adaptive grain controller's per-chunk work
 	// target (pram.WithGrainTarget): chunks sized to carry about this
 	// many nanoseconds of measured body work.
@@ -111,26 +98,11 @@ type Tuned struct {
 	// statement and its phase bookkeeping) when the product estimate is
 	// at or below this. 0 disables the cutover.
 	LinCFLSerialWords int `json:"lincfl_serial_words"`
-
-	// SMAWKRowBlock is the rows-per-task blocking of monge.CutSMAWKPar.
-	SMAWKRowBlock int `json:"smawk_row_block"`
-
-	// MachinePoolCap bounds each Options shape's façade machine free
-	// list (partree machine pool).
-	MachinePoolCap int `json:"machine_pool_cap"`
-
-	// MaxBatch is internal/serve's default jobs-per-batch cut.
-	MaxBatch int `json:"max_batch"`
-
-	// ArenaShards sizes the workspace arena's per-P shard count
-	// (internal/pool.SetShards) in cmd/partreed. 0 keeps the serving
-	// binary's worker-count-based sizing.
-	ArenaShards int `json:"arena_shards"`
 }
 
 // Profile is a complete tuning profile: identity, provenance, raw
 // measurements and derived knobs. Treat profiles as immutable once
-// installed with SetActive — the engine views read them lock-free.
+// installed with SetActive — kernels read them lock-free.
 type Profile struct {
 	Version   int      `json:"version"`
 	CreatedAt string   `json:"created_at,omitempty"`
@@ -161,20 +133,11 @@ func Defaults() *Profile {
 		Source:  "defaults",
 		Host:    currentHost(),
 		Tuned: Tuned{
-			GrainMonge:         2048,
-			GrainDP:            1024,
-			GrainHufpar:        512,
-			GrainLinCFL:        64,
-			GrainBatch:         1,
 			GrainTargetNs:      100_000,
 			BoolmatKTileBytes:  1 << 18,
 			BoolmatSerialWords: 0,
 			MongeSerialEntries: 0,
 			LinCFLSerialWords:  0,
-			SMAWKRowBlock:      128,
-			MachinePoolCap:     16,
-			MaxBatch:           64,
-			ArenaShards:        0,
 		},
 	}
 }
@@ -187,20 +150,11 @@ var bounds = []struct {
 	get      func(*Tuned) int
 	min, max int
 }{
-	{"grain_monge", func(t *Tuned) int { return t.GrainMonge }, 1, 1 << 20},
-	{"grain_dp", func(t *Tuned) int { return t.GrainDP }, 1, 1 << 20},
-	{"grain_hufpar", func(t *Tuned) int { return t.GrainHufpar }, 1, 1 << 20},
-	{"grain_lincfl", func(t *Tuned) int { return t.GrainLinCFL }, 1, 1 << 20},
-	{"grain_batch", func(t *Tuned) int { return t.GrainBatch }, 1, 1 << 10},
 	{"grain_target_ns", func(t *Tuned) int { return t.GrainTargetNs }, 1_000, 10_000_000},
 	{"boolmat_ktile_bytes", func(t *Tuned) int { return t.BoolmatKTileBytes }, 1 << 14, 1 << 24},
 	{"boolmat_serial_words", func(t *Tuned) int { return t.BoolmatSerialWords }, 0, 1 << 24},
 	{"monge_serial_entries", func(t *Tuned) int { return t.MongeSerialEntries }, 0, 1 << 24},
 	{"lincfl_serial_words", func(t *Tuned) int { return t.LinCFLSerialWords }, 0, 1 << 24},
-	{"smawk_row_block", func(t *Tuned) int { return t.SMAWKRowBlock }, 16, 1 << 12},
-	{"machine_pool_cap", func(t *Tuned) int { return t.MachinePoolCap }, 1, 1 << 10},
-	{"max_batch", func(t *Tuned) int { return t.MaxBatch }, 1, 1 << 16},
-	{"arena_shards", func(t *Tuned) int { return t.ArenaShards }, 0, 64},
 }
 
 // ErrVersion reports a schema mismatch; errors.Is-able so callers can

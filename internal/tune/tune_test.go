@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"partree/internal/engine"
 )
 
 // TestDefaultsValidate pins the built-in profile inside its own hard
@@ -24,9 +26,8 @@ func TestDefaultsValidate(t *testing.T) {
 func TestDefaultsMatchPreTuningConstants(t *testing.T) {
 	d := Defaults().Tuned
 	want := Tuned{
-		GrainMonge: 2048, GrainDP: 1024, GrainHufpar: 512, GrainLinCFL: 64,
-		GrainBatch: 1, GrainTargetNs: 100_000, BoolmatKTileBytes: 1 << 18,
-		SMAWKRowBlock: 128, MachinePoolCap: 16, MaxBatch: 64,
+		GrainTargetNs: 100_000, BoolmatKTileBytes: 1 << 18,
+		BoolmatSerialWords: 0, MongeSerialEntries: 0, LinCFLSerialWords: 0,
 	}
 	if d != want {
 		t.Fatalf("Defaults().Tuned = %+v, want the pre-tuning constants %+v", d, want)
@@ -73,7 +74,7 @@ func TestHashIgnoresProvenance(t *testing.T) {
 		t.Fatalf("hash depends on provenance: %s vs %s", a.Hash(), b.Hash())
 	}
 	c := Defaults()
-	c.Tuned.GrainMonge++
+	c.Tuned.GrainTargetNs++
 	if a.Hash() == c.Hash() {
 		t.Fatal("hash ignores a tuned-value change")
 	}
@@ -114,12 +115,49 @@ func TestLoadRejectsCorrupt(t *testing.T) {
 		t.Fatalf("Load(wrong version) = %v, want ErrVersion", err)
 	}
 
-	bad := strings.Replace(string(raw), `"grain_monge": 2048`, `"grain_monge": -5`, 1)
-	if !strings.Contains(bad, `"grain_monge": -5`) {
-		t.Fatal("test setup: grain_monge field not found in saved profile")
+	bad := strings.Replace(string(raw), `"grain_target_ns": 100000`, `"grain_target_ns": -5`, 1)
+	if !strings.Contains(bad, `"grain_target_ns": -5`) {
+		t.Fatal("test setup: grain_target_ns field not found in saved profile")
 	}
 	if _, err := Load(write("bounds.json", bad)); err == nil {
 		t.Fatal("Load(out-of-bounds value) succeeded")
+	}
+}
+
+// TestLoadIgnoresRemovedFields: a version-1 file written when the profile
+// still carried per-family grains, pool and batch sizing and a steal
+// probe loads, and keeps the five values the profile still has.
+func TestLoadIgnoresRemovedFields(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "partree-tune.json")
+	old := `{
+  "version": 1,
+  "source": "calibrated",
+  "host": {"goos": "linux", "goarch": "amd64", "num_cpu": 2, "go_version": "go1.22.0"},
+  "measured": {"loop_ns_per_elem": 0.3, "word_ns_per_op": 0.1, "row_ns_per_row": 2.5,
+    "dispatch_ns_per_stmt": 3000, "steal_ns_per_steal": 850},
+  "tuned": {
+    "grain_monge": 4096, "grain_dp": 2048, "grain_hufpar": 1024, "grain_lincfl": 128,
+    "grain_batch": 1, "grain_target_ns": 75000, "boolmat_ktile_bytes": 524288,
+    "boolmat_serial_words": 4096, "monge_serial_entries": 2048, "lincfl_serial_words": 8192,
+    "smawk_row_block": 256, "machine_pool_cap": 16, "max_batch": 64, "arena_shards": 2
+  }
+}`
+	if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	p, err := Load(path)
+	if err != nil {
+		t.Fatalf("Load(profile with removed fields) = %v", err)
+	}
+	want := Tuned{
+		GrainTargetNs: 75_000, BoolmatKTileBytes: 1 << 19,
+		BoolmatSerialWords: 4096, MongeSerialEntries: 2048, LinCFLSerialWords: 8192,
+	}
+	if p.Tuned != want {
+		t.Fatalf("loaded tuned values %+v, want %+v", p.Tuned, want)
+	}
+	if p.Measured.DispatchNs != 3000 || p.Measured.RowNs != 2.5 {
+		t.Fatalf("loaded measured values %+v", p.Measured)
 	}
 }
 
@@ -169,8 +207,8 @@ func TestCalibrateBounds(t *testing.T) {
 			t.Fatalf("run %d: calibrated profile invalid: %v", i, err)
 		}
 		tn := p.Tuned
-		if tn.GrainBatch != 1 {
-			t.Fatalf("run %d: GrainBatch = %d, must stay 1", i, tn.GrainBatch)
+		if g := engine.GrainBatch(); g != 1 {
+			t.Fatalf("run %d: GrainBatch = %d, must stay 1", i, g)
 		}
 		if tn.BoolmatSerialWords == 0 || tn.MongeSerialEntries == 0 || tn.LinCFLSerialWords == 0 {
 			t.Fatalf("run %d: calibration left a serial cutover disabled: %+v", i, tn)

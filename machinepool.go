@@ -5,8 +5,8 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"partree/internal/engine"
 	"partree/internal/pram"
+	"partree/internal/tune"
 )
 
 // Machine reuse. Every facade entry point used to construct a fresh
@@ -35,10 +35,12 @@ type machineKey struct {
 	target  int // adaptive chunk-cost target ns; 0 when grain is pinned
 }
 
-// The per-key free-list cap comes from the active tuning profile
-// (engine.MachinePoolCap, default 16): enough to cover the service's
-// per-engine batchers plus concurrent facade callers without hoarding
-// arbitrarily many parked pools under a load spike.
+// machinePoolCap bounds each key's free list: enough to cover the
+// service's per-engine batchers plus concurrent facade callers without
+// hoarding arbitrarily many parked pools under a load spike. It scales
+// with the core count (more cores run more concurrent batchers) and is
+// 16 on hosts with up to 7 CPUs.
+var machinePoolCap = min(max(2*runtime.NumCPU()+2, 16), 64)
 
 type machinePool struct {
 	mu   sync.Mutex
@@ -96,15 +98,33 @@ func DrainMachinePool() int {
 	return len(all)
 }
 
+// key resolves the Options shape. It is the only read of the active
+// profile on the acquire path: a machine is built from its key, so a
+// profile swapped mid-acquire cannot pool a machine under a grain target
+// it was not built with.
 func (o Options) key() machineKey {
 	k := machineKey{workers: o.Workers, procs: o.Processors, grain: o.Grain}
 	if k.workers == 0 {
 		k.workers = runtime.GOMAXPROCS(0)
 	}
 	if k.grain == 0 {
-		k.target = o.tuned().Tuned.GrainTargetNs
+		k.target = tune.Active().Tuned.GrainTargetNs
 	}
 	return k
+}
+
+// machine constructs a machine of the key's shape.
+func (k machineKey) machine() *pram.Machine {
+	opts := []pram.Option{pram.WithWorkers(k.workers)}
+	if k.procs > 0 {
+		opts = append(opts, pram.WithProcessors(k.procs))
+	}
+	if k.grain > 0 {
+		opts = append(opts, pram.WithGrain(k.grain))
+	} else if k.target > 0 {
+		opts = append(opts, pram.WithGrainTarget(k.target))
+	}
+	return pram.New(opts...)
 }
 
 // acquire returns a machine for this Options shape and the release that
@@ -123,15 +143,13 @@ func (o Options) acquire() (*pram.Machine, func()) {
 	machines.mu.Unlock()
 
 	if m == nil {
-		// o.machine() resolves Workers: 0 to GOMAXPROCS exactly as key()
-		// did, so the constructed machine matches its key.
-		m = o.machine()
+		m = key.machine()
 		machines.constructed.Add(1)
 	} else {
 		machines.reused.Add(1)
-		if o.Trace != nil {
-			m.SetTracer(o.Trace)
-		}
+	}
+	if o.Trace != nil {
+		m.SetTracer(o.Trace)
 	}
 
 	released := false
@@ -167,7 +185,7 @@ func (p *machinePool) put(key machineKey, m *pram.Machine) {
 	if p.idle == nil {
 		p.idle = make(map[machineKey][]*pram.Machine)
 	}
-	if len(p.idle[key]) < engine.MachinePoolCap() {
+	if len(p.idle[key]) < machinePoolCap {
 		p.idle[key] = append(p.idle[key], m)
 		p.mu.Unlock()
 		return

@@ -54,12 +54,6 @@ type Options struct {
 	// per-worker statement slices (see NewTrace). Nil — the default —
 	// keeps tracing disarmed at one pointer compare per statement.
 	Trace *Trace
-	// Profile, when non-nil, overrides the process-wide active tuning
-	// profile for this call's machine shape (the adaptive controller's
-	// chunk-cost target). Kernel-internal thresholds (serial cutovers,
-	// tile budgets) always come from the active profile — install one
-	// with SetActiveProfile. Nil uses the active profile.
-	Profile *Profile
 }
 
 // PhaseStats is the per-phase cost and scheduler breakdown of a parallel
@@ -93,26 +87,6 @@ type Stats struct {
 // pramMachine keeps the façade's helper signatures readable without
 // importing the internal package at every use site.
 type pramMachine = pram.Machine
-
-func (o Options) machine() *pram.Machine {
-	var opts []pram.Option
-	if o.Workers > 0 {
-		opts = append(opts, pram.WithWorkers(o.Workers))
-	}
-	if o.Processors > 0 {
-		opts = append(opts, pram.WithProcessors(o.Processors))
-	}
-	if o.Grain > 0 {
-		opts = append(opts, pram.WithGrain(o.Grain))
-	} else if t := o.tuned().Tuned.GrainTargetNs; t > 0 {
-		opts = append(opts, pram.WithGrainTarget(t))
-	}
-	m := pram.New(opts...)
-	if o.Trace != nil {
-		m.SetTracer(o.Trace)
-	}
-	return m
-}
 
 func statsOf(m *pram.Machine) Stats {
 	s := m.Stats()

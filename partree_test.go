@@ -249,11 +249,11 @@ func TestConcaveFacade(t *testing.T) {
 }
 
 func TestOptionsMachine(t *testing.T) {
-	m := Options{Workers: 3, Processors: 7}.machine()
+	m := Options{Workers: 3, Processors: 7}.key().machine()
 	if m.Workers() != 3 || m.Processors() != 7 {
 		t.Error("options not applied")
 	}
-	m2 := Options{}.machine()
+	m2 := Options{}.key().machine()
 	if m2.Workers() < 1 {
 		t.Error("default workers wrong")
 	}

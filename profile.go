@@ -5,12 +5,12 @@ import (
 )
 
 // Profile is a host tuning profile: the measured machine characteristics
-// and derived runtime knobs (PRAM grains and chunk-cost target, kernel
-// serial-cutover thresholds, cache-tile budgets, machine-pool and batch
-// sizing) that the runtime consults instead of built-in constants. Obtain
-// one from DefaultProfile, CalibrateProfile or LoadProfile; install it
-// process-wide with SetActiveProfile, or attach it to a single call via
-// Options.Profile. A Profile is immutable once created.
+// and the derived runtime knobs (the adaptive grain controller's
+// chunk-cost target, boolmat's cache-tile budget and the kernels'
+// serial-cutover thresholds) that the runtime consults instead of
+// built-in constants. Obtain one from DefaultProfile, CalibrateProfile or
+// LoadProfile and install it process-wide with SetActiveProfile. A
+// Profile is immutable once created.
 type Profile struct {
 	p *tune.Profile
 }
@@ -26,8 +26,8 @@ func DefaultProfile() *Profile {
 // CalibrateProfile micro-benchmarks the running host and derives a tuned
 // profile: a short deterministic sweep measuring per-element loop cost,
 // word-OR throughput, and the resident pool's dispatch cost, from which
-// grains, serial cutoffs and block sizes are derived with conservative
-// clamps. It takes well under a second and is safe to run concurrently
+// the grain target and serial cutoffs are derived with conservative
+// clamps, and the boolmat tile budget is swept directly. It takes well under a second and is safe to run concurrently
 // with live traffic (it builds its own machines and touches no globals).
 func CalibrateProfile() *Profile {
 	return &Profile{p: tune.Calibrate(tune.Config{})}
@@ -81,12 +81,3 @@ func SetActiveProfile(p *Profile) {
 // (the built-in defaults if none was installed) — the identity /statsz
 // reports.
 func ActiveProfileHash() string { return tune.Active().Hash() }
-
-// tuned resolves which profile governs this call's machine shape: the
-// per-call override, or the process-wide active profile.
-func (o Options) tuned() *tune.Profile {
-	if o.Profile != nil {
-		return o.Profile.p
-	}
-	return tune.Active()
-}
