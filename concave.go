@@ -45,16 +45,20 @@ func ConcaveMultiply(a, b [][]float64, opts ...Options) *ConcaveMultiplyResult {
 }
 
 func concaveMultiplyOn(m *pram.Machine, a, b [][]float64) *ConcaveMultiplyResult {
-	ma, mb := matrix.FromRows(a), matrix.FromRows(b)
+	// Trim scans each row's finite span once, so the product's scans and
+	// statements stay inside the finite entries of ∞-padded inputs.
+	ma, mb := matrix.FromRows(a).Trim(), matrix.FromRows(b).Trim()
+	defer ma.Release()
+	defer mb.Release()
 	var cnt matrix.OpCount
 	prod, cut := monge.MulPar(m, ma, mb, &cnt)
 	out := make([][]float64, prod.R)
 	cuts := make([][]int, prod.R)
 	for i := 0; i < prod.R; i++ {
-		out[i] = append([]float64(nil), prod.Row(i)...)
+		out[i] = make([]float64, prod.C)
 		cuts[i] = make([]int, prod.C)
 		for j := 0; j < prod.C; j++ {
-			cuts[i][j] = cut.At(i, j)
+			out[i][j], cuts[i][j] = prod.At(i, j), cut.At(i, j)
 		}
 	}
 	prod.Release()
@@ -75,7 +79,7 @@ func MinPlusMultiply(a, b [][]float64) ([][]float64, int64) {
 	prod, _ := matrix.MulBrute(matrix.FromRows(a), matrix.FromRows(b), &cnt)
 	out := make([][]float64, prod.R)
 	for i := 0; i < prod.R; i++ {
-		out[i] = append([]float64(nil), prod.Row(i)...)
+		out[i] = append([]float64(nil), prod.Row(i)...) // MulBrute's rows are full
 	}
 	return out, cnt.Load()
 }

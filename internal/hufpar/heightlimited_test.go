@@ -110,20 +110,22 @@ func TestHeightLimitedMonotoneInBudget(t *testing.T) {
 func semInf() float64 { return 1e300 }
 
 // fullHeightLimited is HeightLimited without the fixed-point exit: all h
-// levels of A_t = (A_{t-1} ⋆ A_{t-1}) + S, every level's own cut table
-// kept. It is the oracle the exit is checked against.
+// levels of A_t = (A_{t-1} ⋆ A_{t-1}) + S on dense (n+1)² tables, every
+// level's own cut table kept, each product fed the spans Trim scans. It
+// is the oracle the exit and the band layout are checked against.
 func fullHeightLimited(m *pram.Machine, weights []float64, h int) (*tree.Node, float64) {
 	n := len(weights)
 	pre := prefixSums(weights)
-	a := matrix.NewInf(n+1, n+1)
+	a := matrix.NewFull(n+1, n+1, math.Inf(1))
 	for i := 0; i < n; i++ {
 		a.Set(i, i+1, 0)
 	}
 	cuts := make([]*matrix.IntMat, h)
 	for t := 0; t < h; t++ {
 		var prod *matrix.Dense
-		prod, cuts[t] = monge.MulPar(m, a, a, nil)
-		next := matrix.NewInf(n+1, n+1)
+		at := a.Trim()
+		prod, cuts[t] = monge.MulPar(m, at, at, nil)
+		next := matrix.NewFull(n+1, n+1, math.Inf(1))
 		m.For((n+1)*(n+1), func(e int) {
 			i, j := e/(n+1), e%(n+1)
 			switch {
@@ -135,6 +137,7 @@ func fullHeightLimited(m *pram.Machine, weights []float64, h int) (*tree.Node, f
 		})
 		a = next
 		prod.Release()
+		at.Release()
 	}
 	t := heightSubtree(weights, cuts, 0, n, h)
 	for _, c := range cuts {

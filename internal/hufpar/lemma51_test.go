@@ -7,6 +7,7 @@ import (
 	"partree/internal/matrix"
 	"partree/internal/monge"
 	"partree/internal/pram"
+	"partree/internal/semiring"
 	"partree/internal/workload"
 )
 
@@ -22,7 +23,7 @@ func TestLemma51AllMatricesConcave(t *testing.T) {
 		w := workload.SortedAscending(workload.Random(rng, n))
 		pre := prefixSums(w)
 
-		s := matrix.NewInf(n+1, n+1)
+		s := matrix.NewFull(n+1, n+1, semiring.Inf)
 		for i := 0; i <= n; i++ {
 			for j := i + 1; j <= n; j++ {
 				s.Set(i, j, pre[j]-pre[i])
@@ -32,7 +33,7 @@ func TestLemma51AllMatricesConcave(t *testing.T) {
 			t.Fatalf("trial %d: S not concave: %v", trial, v)
 		}
 
-		a := matrix.NewInf(n+1, n+1)
+		a := matrix.NewFull(n+1, n+1, semiring.Inf)
 		for i := 0; i < n; i++ {
 			a.Set(i, i+1, 0)
 		}
@@ -42,7 +43,7 @@ func TestLemma51AllMatricesConcave(t *testing.T) {
 				t.Fatalf("trial %d: A_%d not concave: %v", trial, h, v)
 			}
 			prod, _ := monge.MulPar(m, a, a, &cnt)
-			next := matrix.NewInf(n+1, n+1)
+			next := matrix.NewFull(n+1, n+1, semiring.Inf)
 			for i := 0; i <= n; i++ {
 				for j := i + 1; j <= n; j++ {
 					if j == i+1 {
@@ -58,7 +59,7 @@ func TestLemma51AllMatricesConcave(t *testing.T) {
 			}
 		}
 
-		mp := matrix.NewInf(n+1, n+1)
+		mp := matrix.NewFull(n+1, n+1, semiring.Inf)
 		mp.Set(0, 0, 0)
 		mp.Set(0, 1, 0)
 		for i := 1; i <= n; i++ {

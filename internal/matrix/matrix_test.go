@@ -213,3 +213,151 @@ func TestStringRendering(t *testing.T) {
 		t.Errorf("String() = %q", s)
 	}
 }
+
+// randomSpans draws r row spans over c columns: intervals, some empty,
+// some running past either edge (NewSpan clips them).
+func randomSpans(rng *rand.Rand, r, c int) [][2]int {
+	s := make([][2]int, r)
+	for i := range s {
+		lo := rng.Intn(c+4) - 2
+		s[i] = [2]int{lo, lo + rng.Intn(c+2) - 1}
+	}
+	return s
+}
+
+// TestSpanLayout checks the span layout against its definition on random
+// shapes up to 64×64: each row stores exactly its clipped span, the
+// stored entries are packed row after row (RowOf and Walk agree with an
+// enumeration), entries outside a span read +∞ / -1, and writing one
+// panics.
+func TestSpanLayout(t *testing.T) {
+	rng := rand.New(rand.NewSource(71))
+	for trial := 0; trial < 200; trial++ {
+		r, c := rng.Intn(65), 1+rng.Intn(64)
+		spans := randomSpans(rng, r, c)
+		span := func(i int) (int, int) { return spans[i][0], spans[i][1] }
+		d, m := NewSpan(r, c, span), NewIntSpan(r, c, span)
+		e := 0
+		for i := 0; i < r; i++ {
+			lo, hi := max(spans[i][0], 0), min(spans[i][1], c-1)
+			if glo, ghi := d.Span(i); lo <= hi && (glo != lo || ghi != hi) || lo > hi && glo <= ghi {
+				t.Fatalf("trial %d row %d: span [%d,%d], want [%d,%d]", trial, i, glo, ghi, lo, hi)
+			}
+			if len(d.Row(i)) != max(0, hi-lo+1) {
+				t.Fatalf("trial %d row %d: %d stored entries, span holds %d", trial, i, len(d.Row(i)), max(0, hi-lo+1))
+			}
+			for j := 0; j < c; j++ {
+				if j < lo || j > hi {
+					if !semiring.IsInf(d.At(i, j)) || m.At(i, j) != -1 {
+						t.Fatalf("trial %d (%d,%d): outside the span reads %v / %d", trial, i, j, d.At(i, j), m.At(i, j))
+					}
+					continue
+				}
+				d.Set(i, j, float64(e))
+				m.Set(i, j, e)
+				wi, wj := -1, -1
+				d.Walk(e, e+1, func(i, j0, _ int) { wi, wj = i, j0 })
+				if d.RowOf(e) != i || wi != i || wj != j {
+					t.Fatalf("trial %d: position %d maps to row %d (walk %d,%d), want (%d,%d)", trial, e, d.RowOf(e), wi, wj, i, j)
+				}
+				e++
+			}
+		}
+		if d.Len() != e || m.Len() != e {
+			t.Fatalf("trial %d: Len %d/%d, spans hold %d", trial, d.Len(), m.Len(), e)
+		}
+		// A random range walks its positions in order, once each.
+		lo := rng.Intn(e + 1)
+		hi := lo + rng.Intn(e-lo+1)
+		next := lo
+		d.Walk(lo, hi, func(i, j0, j1 int) {
+			for j := j0; j < j1; j, next = j+1, next+1 {
+				if d.At(i, j) != float64(next) || m.At(i, j) != next {
+					t.Fatalf("trial %d: walk of [%d,%d) reached (%d,%d) = %v at position %d", trial, lo, hi, i, j, d.At(i, j), next)
+				}
+			}
+		})
+		if next != hi {
+			t.Fatalf("trial %d: walk of [%d,%d) stopped at %d", trial, lo, hi, next)
+		}
+		if on := NewOn(&m.Spans); on.Len() != e || !sameSpans(on, d) {
+			t.Fatalf("trial %d: NewOn did not copy the layout", trial)
+		} else {
+			on.Release()
+		}
+		d.Release()
+		m.Release()
+	}
+	mustPanic(t, "Set outside a span", func() { NewSpan(2, 4, func(int) (int, int) { return 1, 2 }).Set(0, 3, 1) })
+	mustPanic(t, "IntMat Set outside a span", func() { NewIntSpan(2, 4, func(int) (int, int) { return 1, 2 }).Set(1, 0, 1) })
+}
+
+func sameSpans(a, b *Dense) bool {
+	for i := 0; i < a.R; i++ {
+		alo, ahi := a.Span(i)
+		blo, bhi := b.Span(i)
+		if alo != blo || ahi != bhi {
+			return false
+		}
+	}
+	return a.R == b.R && a.C == b.C
+}
+
+func mustPanic(t *testing.T, what string, f func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Errorf("%s: no panic", what)
+		}
+	}()
+	f()
+}
+
+// TestTrimAndShift checks the two span conversions against dense rows:
+// Trim keeps every entry and stores exactly each row's first through
+// last finite entry; Shift(k) reads E's column j-k at column j and drops
+// what leaves the matrix, sharing the slab.
+func TestTrimAndShift(t *testing.T) {
+	rng := rand.New(rand.NewSource(73))
+	for trial := 0; trial < 200; trial++ {
+		r, c := 1+rng.Intn(64), 1+rng.Intn(64)
+		d := New(r, c)
+		for i := 0; i < r; i++ {
+			for j := 0; j < c; j++ {
+				if rng.Intn(3) > 0 {
+					d.Set(i, j, semiring.Inf)
+				} else {
+					d.Set(i, j, float64(rng.Intn(100)))
+				}
+			}
+		}
+		tr := d.Trim()
+		if !tr.Equal(d, 0) {
+			t.Fatalf("trial %d: Trim changed an entry", trial)
+		}
+		for i := 0; i < r; i++ {
+			lo, hi := tr.Span(i)
+			for j := 0; j < c; j++ {
+				finite := !semiring.IsInf(d.At(i, j))
+				if finite && (j < lo || j > hi) || lo <= hi && (j == lo || j == hi) && !finite {
+					t.Fatalf("trial %d row %d: span [%d,%d] does not end on finite entries", trial, i, lo, hi)
+				}
+			}
+		}
+		k := rng.Intn(3)
+		sh := tr.Shift(k)
+		for i := 0; i < r; i++ {
+			for j := 0; j < c; j++ {
+				want := semiring.Inf
+				if j >= k {
+					want = d.At(i, j-k)
+				}
+				if got := sh.At(i, j); got != want {
+					t.Fatalf("trial %d: Shift(%d) at (%d,%d) = %v, want %v", trial, k, i, j, got, want)
+				}
+			}
+		}
+		sh.Release()
+		tr.Release()
+	}
+}

@@ -20,10 +20,43 @@ import (
 // concave inputs; cnt counts comparisons (the all-pairs rounds cost a
 // constant factor more than the scans, still O(n²) per level).
 func CutBottomUpCRCW(mach *pram.Machine, a, b *matrix.Dense, cnt *matrix.OpCount) *matrix.IntMat {
-	defer mach.Phase("monge.CutBottomUpCRCW")()
 	c := newMulCtx(a, b, cnt)
 	defer c.close()
-	p, q, r := a.R, a.C, b.C
+	return c.bottomUpCRCW(mach)
+}
+
+// MulCRCW is MulPar with the cut computed by CutBottomUpCRCW: the product
+// behind BuildConcaveCRCW. One more statement lays the cut table out on
+// the output hull and fills the product's values there.
+func MulCRCW(mach *pram.Machine, a, b *matrix.Dense, cnt *matrix.OpCount) (*matrix.Dense, *matrix.IntMat) {
+	c := newMulCtx(a, b, cnt)
+	defer c.close()
+	full := c.bottomUpCRCW(mach)
+	cut := c.newCut(1, 1)
+	defer func() {
+		if rec := recover(); rec != nil {
+			full.Release()
+			cut.Release()
+			panic(rec)
+		}
+	}()
+	mach.ForRange(cut.Len(), func(lo, hi int) {
+		cut.Walk(lo, hi, func(i, j0, j1 int) {
+			for j := j0; j < j1; j++ {
+				cut.Set(i, j, full.At(i, j))
+			}
+		})
+	})
+	full.Release()
+	full = nil
+	done := cut
+	cut = nil // valuesPar releases it on unwind from here
+	return c.valuesPar(mach, done), done
+}
+
+func (c *mulCtx) bottomUpCRCW(mach *pram.Machine) *matrix.IntMat {
+	defer mach.Phase("monge.CutBottomUpCRCW")()
+	p, q, r := c.a.R, c.a.C, c.b.C
 
 	L := xmath.CeilLog2(xmath.MaxInt(xmath.MaxInt(p, r), 2))
 	e := (L + 1) / 2
@@ -85,19 +118,7 @@ func (c *mulCtx) multiMin(mach *pram.Machine, entries []minEntry) []int {
 	states := make([]state, len(entries))
 	budget := make([]int, len(entries)) // original candidate count n_e
 	for eIdx, en := range entries {
-		lo, hi := en.lo, en.hi
-		if v := c.loA[en.i]; v > lo {
-			lo = v
-		}
-		if v := c.loB[en.j]; v > lo {
-			lo = v
-		}
-		if v := c.hiA[en.i]; v < hi {
-			hi = v
-		}
-		if v := c.hiB[en.j]; v < hi {
-			hi = v
-		}
+		lo, hi := c.clamp(en.i, en.j, en.lo, en.hi)
 		if lo > hi {
 			continue // no finite candidate: argmin stays undefined
 		}

@@ -2,6 +2,7 @@ package monge
 
 import (
 	"partree/internal/matrix"
+	"partree/internal/semiring"
 	"partree/internal/xmath"
 )
 
@@ -31,15 +32,15 @@ func CutRecursive(a, b *matrix.Dense, cnt *matrix.OpCount) *matrix.IntMat {
 // cutRecStrided computes the cut table for the view (rows of A with stride
 // rs, columns of B with stride cs). The result is indexed by view position:
 // entry (ii, jj) corresponds to row ii*rs of A and column jj*cs of B.
-// Each phase runs over the compact index space of its view (see
-// mulCtx.index); the parallel recursion issues the same phases as PRAM
+// Each phase fills the stored entries of its view's cut table (see
+// mulCtx.newCut); the parallel recursion issues the same phases as PRAM
 // statements.
 func cutRecStrided(c *mulCtx, rs, cs int) *matrix.IntMat {
 	p := stridedCount(c.a.R, rs)
 	r := stridedCount(c.b.C, cs)
 	if p == 1 || r == 1 {
-		out, n := c.newCut(rs, cs)
-		c.fullScans(out, rs, cs, 0, n)
+		out := c.newCut(rs, cs)
+		c.fullScans(out, rs, cs, 0, out.Len())
 		return out
 	}
 
@@ -47,35 +48,36 @@ func cutRecStrided(c *mulCtx, rs, cs int) *matrix.IntMat {
 	ee := cutRecStrided(c, 2*rs, 2*cs)
 
 	// Cut(A_even, B) by interpolation: even view-rows, all view-columns.
-	eb, n := c.newCut(2*rs, cs)
-	c.oddCols(eb, ee, 2*rs, cs, 0, n)
+	eb := c.newCut(2*rs, cs)
+	c.oddCols(eb, ee, 2*rs, cs, 0, eb.Len())
 	// The even-grid table is fully folded into eb; recycle it for the
 	// sibling recursion levels.
 	ee.Release()
 
 	// Cut(A, B) by interpolation: all view-rows from the even view-rows.
-	out, n := c.newCut(rs, cs)
-	c.oddRows(out, eb, rs, cs, 0, n)
+	out := c.newCut(rs, cs)
+	c.oddRows(out, eb, rs, cs, 0, out.Len())
 	eb.Release()
 	return out
 }
 
-// The three phases below fill positions [lo, hi) of the current view's
-// compact index space (mulCtx.index), whose rows have stride rs and
-// columns stride cs. Each looks up its first row once and then walks the
-// rows' hull entries in order.
+// The three phases below fill the stored entries [lo, hi) of the current
+// view's cut table (mulCtx.newCut), whose rows have stride rs and columns
+// stride cs, and charge their comparisons once per row piece.
 
 // fullScans is the base case (one view row or column): an unbracketed scan
 // per entry.
 func (c *mulCtx) fullScans(out *matrix.IntMat, rs, cs, lo, hi int) {
 	q := c.a.C
-	for ii := c.rowAt(lo, out.R); lo < hi; ii++ {
-		jj := c.first[ii] + lo - c.off[ii]
-		for end := min(hi, c.off[ii+1]); lo < end; lo, jj = lo+1, jj+1 {
-			_, arg := c.scan(ii*rs, jj*cs, 0, q-1)
+	out.Walk(lo, hi, func(ii, j0, j1 int) {
+		var cmp int64
+		for jj := j0; jj < j1; jj++ {
+			_, arg, n := c.argmin(ii*rs, jj*cs, 0, q-1)
 			out.Set(ii, jj, arg)
+			cmp += n
 		}
-	}
+		c.cnt.Add(cmp)
+	})
 }
 
 // oddCols fills eb = Cut(A_even, B) from ee = Cut(A_even, B_even): even
@@ -83,9 +85,9 @@ func (c *mulCtx) fullScans(out *matrix.IntMat, rs, cs, lo, hi int) {
 // cuts.
 func (c *mulCtx) oddCols(eb, ee *matrix.IntMat, rs, cs, lo, hi int) {
 	q := c.a.C
-	for ii := c.rowAt(lo, eb.R); lo < hi; ii++ {
-		jj := c.first[ii] + lo - c.off[ii]
-		for end := min(hi, c.off[ii+1]); lo < end; lo, jj = lo+1, jj+1 {
+	eb.Walk(lo, hi, func(ii, j0, j1 int) {
+		var cmp int64
+		for jj := j0; jj < j1; jj++ {
 			if jj%2 == 0 {
 				eb.Set(ii, jj, ee.At(ii, jj/2))
 				continue
@@ -99,26 +101,27 @@ func (c *mulCtx) oddCols(eb, ee *matrix.IntMat, rs, cs, lo, hi int) {
 					khi = k
 				}
 			}
-			_, arg := c.scan(ii*rs, jj*cs, klo, khi)
+			_, arg, n := c.argmin(ii*rs, jj*cs, klo, khi)
 			eb.Set(ii, jj, arg)
+			cmp += n
 		}
-	}
+		c.cnt.Add(cmp)
+	})
 }
 
 // oddRows fills out = Cut(A, B) from eb = Cut(A_even, B): even view rows
 // are copied, odd ones scanned between their neighbours' cuts.
 func (c *mulCtx) oddRows(out, eb *matrix.IntMat, rs, cs, lo, hi int) {
 	q := c.a.C
-	for ii := c.rowAt(lo, out.R); lo < hi; ii++ {
-		jj := c.first[ii] + lo - c.off[ii]
-		end := min(hi, c.off[ii+1])
+	out.Walk(lo, hi, func(ii, j0, j1 int) {
 		if ii%2 == 0 {
-			for ; lo < end; lo, jj = lo+1, jj+1 {
+			for jj := j0; jj < j1; jj++ {
 				out.Set(ii, jj, eb.At(ii/2, jj))
 			}
-			continue
+			return
 		}
-		for ; lo < end; lo, jj = lo+1, jj+1 {
+		var cmp int64
+		for jj := j0; jj < j1; jj++ {
 			klo, khi := 0, q-1
 			if k := eb.At((ii-1)/2, jj); k >= 0 {
 				klo = k
@@ -128,28 +131,38 @@ func (c *mulCtx) oddRows(out, eb *matrix.IntMat, rs, cs, lo, hi int) {
 					khi = k
 				}
 			}
-			_, arg := c.scan(ii*rs, jj*cs, klo, khi)
+			_, arg, n := c.argmin(ii*rs, jj*cs, klo, khi)
 			out.Set(ii, jj, arg)
+			cmp += n
 		}
-	}
+		c.cnt.Add(cmp)
+	})
 }
 
-// values fills the product entries in the hull of the full view (laid out
-// by index(1, 1)) from the cut table; out must hold +∞ elsewhere.
+// values fills the stored entries [lo, hi) of out, which is laid out on
+// the full view's cut table, from that table.
 func (c *mulCtx) values(out *matrix.Dense, cut *matrix.IntMat, lo, hi int) {
-	for i := c.rowAt(lo, cut.R); lo < hi; i++ {
-		j := c.first[i] + lo - c.off[i]
-		for end := min(hi, c.off[i+1]); lo < end; lo, j = lo+1, j+1 {
-			if k := cut.At(i, j); k >= 0 {
-				out.Set(i, j, c.a.At(i, k)+c.b.At(k, j))
+	out.Walk(lo, hi, func(i, j0, j1 int) {
+		rlo, _ := out.Span(i)
+		orow, crow := out.Row(i)[j0-rlo:j1-rlo], cut.Row(i)[j0-rlo:j1-rlo]
+		for x, k := range crow {
+			v := semiring.Inf
+			if k >= 0 {
+				v = c.a.At(i, int(k)) + c.b.At(int(k), j0+x)
 			}
+			orow[x] = v
 		}
-	}
+	})
 }
 
 // Mul computes the (min,+) product of two concave matrices with the
-// Section 4.1 algorithm, returning the product and its cut table.
+// Section 4.1 algorithm, returning the product and its cut table, both
+// laid out on the output hull and drawn from the arena.
 func Mul(a, b *matrix.Dense, cnt *matrix.OpCount) (*matrix.Dense, *matrix.IntMat) {
-	cut := CutRecursive(a, b, cnt)
-	return matrix.ValueFromCut(a, b, cut), cut
+	c := newMulCtx(a, b, cnt)
+	defer c.close()
+	cut := cutRecStrided(c, 1, 1)
+	out := matrix.NewOn(&cut.Spans)
+	c.values(out, cut, 0, out.Len())
+	return out, cut
 }

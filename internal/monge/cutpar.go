@@ -23,8 +23,9 @@ func CutRecursivePar(m *pram.Machine, a, b *matrix.Dense, cnt *matrix.OpCount) *
 }
 
 // cutRecStridedPar is cutRecStrided with each phase issued as one parallel
-// statement over its view's compact index space: one virtual processor per
-// hull entry, so a statement whose view has no hull entry records no step.
+// statement over its view's cut table: one virtual processor per stored
+// (hull) entry, so a statement whose view has no hull entry records no
+// step.
 func cutRecStridedPar(m *pram.Machine, c *mulCtx, rs, cs, serial int) (out *matrix.IntMat) {
 	// A cancellation checkpoint inside any of the statements below unwinds
 	// through this frame; the live pooled intermediates must go back to
@@ -56,37 +57,43 @@ func cutRecStridedPar(m *pram.Machine, c *mulCtx, rs, cs, serial int) (out *matr
 	}
 
 	if p == 1 || r == 1 {
-		var n int
-		out, n = c.newCut(rs, cs)
-		m.ForRange(n, func(lo, hi int) { c.fullScans(out, rs, cs, lo, hi) })
+		out = c.newCut(rs, cs)
+		m.ForRange(out.Len(), func(lo, hi int) { c.fullScans(out, rs, cs, lo, hi) })
 		return out
 	}
 
 	ee = cutRecStridedPar(m, c, 2*rs, 2*cs, serial)
 
-	eb, n := c.newCut(2*rs, cs)
-	m.ForRange(n, func(lo, hi int) { c.oddCols(eb, ee, 2*rs, cs, lo, hi) })
+	eb = c.newCut(2*rs, cs)
+	m.ForRange(eb.Len(), func(lo, hi int) { c.oddCols(eb, ee, 2*rs, cs, lo, hi) })
 	// ForRange barriers before returning, so every reader of ee is done.
 	ee.Release()
 	ee = nil
 
-	out, n = c.newCut(rs, cs)
-	m.ForRange(n, func(lo, hi int) { c.oddRows(out, eb, rs, cs, lo, hi) })
+	out = c.newCut(rs, cs)
+	m.ForRange(out.Len(), func(lo, hi int) { c.oddRows(out, eb, rs, cs, lo, hi) })
 	eb.Release()
 	eb = nil
 	return out
 }
 
 // MulPar computes the (min,+) product of two concave matrices on a PRAM,
-// returning the product and its cut table. The final value reconstruction
-// is one additional parallel statement over the hull entries (O(1) time
-// with p·r processors, as the paper notes); every other entry stays +∞.
+// returning the product and its cut table, both laid out on the output
+// hull. The final value reconstruction is one additional parallel
+// statement over the hull entries (O(1) time with p·r processors, as the
+// paper notes); every other entry is +∞ without being stored.
 func MulPar(m *pram.Machine, a, b *matrix.Dense, cnt *matrix.OpCount) (*matrix.Dense, *matrix.IntMat) {
 	defer m.Phase("monge.MulPar")()
 	c := newMulCtx(a, b, cnt)
 	defer c.close()
 	cut := cutRecStridedPar(m, c, 1, 1, tune.Active().Tuned.MongeSerialEntries)
-	out := matrix.NewInfFromPool(cut.R, cut.C)
+	return c.valuesPar(m, cut), cut
+}
+
+// valuesPar returns the product laid out on cut's spans, filled by one
+// statement. On a cancellation unwind it releases cut too.
+func (c *mulCtx) valuesPar(m *pram.Machine, cut *matrix.IntMat) *matrix.Dense {
+	out := matrix.NewOn(&cut.Spans)
 	defer func() {
 		if rec := recover(); rec != nil {
 			out.Release()
@@ -94,7 +101,6 @@ func MulPar(m *pram.Machine, a, b *matrix.Dense, cnt *matrix.OpCount) (*matrix.D
 			panic(rec)
 		}
 	}()
-	n := c.index(1, 1)
-	m.ForRange(n, func(lo, hi int) { c.values(out, cut, lo, hi) })
-	return out, cut
+	m.ForRange(out.Len(), func(lo, hi int) { c.values(out, cut, lo, hi) })
+	return out
 }

@@ -6,15 +6,18 @@ import (
 
 	"partree/internal/matrix"
 	"partree/internal/pram"
+	"partree/internal/semiring"
 )
 
 // FuzzConcaveMultiply differentially checks the concave (min,+) engines on
 // fuzz-shaped random concave inputs: the Section 4.1 recursive product and
 // the Section 4.2 bottom-up product must match the brute-force product
 // value-for-value, so recycled workspace slabs can never leak state into a
-// result unnoticed. The shape byte picks all-finite operands, A_h-style
-// bands or upper triangles; the ∞-padded shapes drive the output hulls'
-// edges, where the recursion must agree with brute force cut for cut.
+// result unnoticed. The shape byte picks full operands with planted +∞
+// rows and columns, A_h-style bands or upper triangles; the ∞-padded
+// shapes drive the output hulls' edges, where the recursion must agree
+// with brute force cut for cut, and the holes leave +∞ gaps inside the
+// spans, where the column envelopes are only a superset.
 // Fuzz with `go test -fuzz=FuzzConcaveMultiply ./internal/monge`.
 func FuzzConcaveMultiply(f *testing.F) {
 	f.Add(int64(1), uint8(4), uint8(5), uint8(6), uint8(10), uint8(3), uint8(0))
@@ -34,6 +37,8 @@ func FuzzConcaveMultiply(f *testing.F) {
 		a := Random(rng, p, q, int(span)+1, int(maxDelta))
 		b := Random(rng, q, r, int(span)+1, int(maxDelta))
 		switch shape % 3 {
+		case 0: // full operands with planted +∞ rows and columns
+			a, b = holes(rng, a), holes(rng, b)
 		case 1: // A_h ⋆ A_h: both operands finite on 1 ≤ j-i ≤ w
 			w := 1 + rng.Intn(q)
 			a, b = band(a, 1, w), band(b, 1, w)
@@ -89,5 +94,25 @@ func FuzzConcaveMultiply(f *testing.F) {
 		parCut.Release()
 		bottomCut.Release()
 		smawkParCut.Release()
+	})
+}
+
+// holes sets about a sixth of d's rows and of its columns to +∞, which
+// keeps a Monge matrix Monge (every quadrangle through a hole reads
+// ∞ ≤ ∞), and returns it with the spans Trim scans: the +∞ columns
+// become gaps inside the rows' spans.
+func holes(rng *rand.Rand, d *matrix.Dense) *matrix.Dense {
+	rows, cols := make([]bool, d.R), make([]bool, d.C)
+	for i := range rows {
+		rows[i] = rng.Intn(6) == 0
+	}
+	for j := range cols {
+		cols[j] = rng.Intn(6) == 0
+	}
+	return trimmed(d.R, d.C, func(i, j int) float64 {
+		if rows[i] || cols[j] {
+			return semiring.Inf
+		}
+		return d.At(i, j)
 	})
 }

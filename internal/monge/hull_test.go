@@ -10,17 +10,15 @@ import (
 )
 
 // supportMatrix returns an r×c matrix that is 0 where finite[i][j] holds
-// and +∞ elsewhere; only its finite support matters to the hull.
+// and +∞ elsewhere, with the spans Trim scans; only its finite support
+// matters to the hull.
 func supportMatrix(r, c int, finite func(i, j int) bool) *matrix.Dense {
-	d := matrix.NewInf(r, c)
-	for i := 0; i < r; i++ {
-		for j := 0; j < c; j++ {
-			if finite(i, j) {
-				d.Set(i, j, 0)
-			}
+	return trimmed(r, c, func(i, j int) float64 {
+		if finite(i, j) {
+			return 0
 		}
-	}
-	return d
+		return semiring.Inf
+	})
 }
 
 // randomSupport draws n finite-support sets over [0, m): intervals whose
@@ -71,8 +69,9 @@ func span(s []bool) (int, int) {
 // every column j whose candidate range [max(loA[i], loB[j]),
 // min(hiA[i], hiB[j])] is non-empty lies in the hull of row i, and when
 // B's column envelopes are nondecreasing the hull is exactly the span of
-// those columns. It then checks the compact index space of random views
-// and the -1 fill of newCut outside it.
+// those columns. It then checks that newCut lays random views out on the
+// hull: stored positions enumerate the hull entries row by row, and every
+// entry outside reads -1.
 func TestOutputHull(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	for trial := 0; trial < 300; trial++ {
@@ -110,7 +109,7 @@ func TestOutputHull(t *testing.T) {
 
 		rs, cs := 1+rng.Intn(4), 1+rng.Intn(4)
 		vp, vr := stridedCount(p, rs), stridedCount(r, cs)
-		cut, n := c.newCut(rs, cs)
+		cut := c.newCut(rs, cs)
 		e := 0
 		for ii := 0; ii < vp; ii++ {
 			for jj := 0; jj < vr; jj++ {
@@ -121,15 +120,17 @@ func TestOutputHull(t *testing.T) {
 					}
 					continue
 				}
-				if got := c.rowAt(e, vp); got != ii || c.first[ii]+e-c.off[ii] != jj {
-					t.Fatalf("trial %d view (%d,%d): position %d maps to row %d col %d, want (%d,%d)",
-						trial, rs, cs, e, got, c.first[got]+e-c.off[got], ii, jj)
+				gi, gj := -1, -1
+				cut.Walk(e, e+1, func(i, j0, _ int) { gi, gj = i, j0 })
+				if got := cut.RowOf(e); got != ii || gi != ii || gj != jj {
+					t.Fatalf("trial %d view (%d,%d): position %d maps to row %d (walk %d) col %d, want (%d,%d)",
+						trial, rs, cs, e, got, gi, gj, ii, jj)
 				}
 				e++
 			}
 		}
-		if e != n {
-			t.Fatalf("trial %d view (%d,%d): index space has %d positions, hull has %d", trial, rs, cs, n, e)
+		if n := cut.Len(); e != n {
+			t.Fatalf("trial %d view (%d,%d): cut table stores %d entries, hull has %d", trial, rs, cs, n, e)
 		}
 		cut.Release()
 		c.close()
@@ -163,4 +164,40 @@ func TestBandProductWork(t *testing.T) {
 	}
 	prod.Release()
 	cut.Release()
+}
+
+// TestColumnEnvelopes checks the two-pointer column envelopes against a
+// dense scan of B's finite entries, the pass they replace: equal when
+// B's rows are intervals whose ends are nondecreasing (the paper's band
+// and triangle shapes, empty rows included), and containing it when
+// rows have +∞ holes or ends in any order.
+func TestColumnEnvelopes(t *testing.T) {
+	rng := rand.New(rand.NewSource(59))
+	for trial := 0; trial < 400; trial++ {
+		q, r := 1+rng.Intn(64), 1+rng.Intn(64)
+		interval := trial%2 == 0
+		rows := randomSupport(rng, q, r, interval)
+		b := supportMatrix(q, r, func(k, j int) bool { return rows[k][j] })
+		a := matrix.New(1, q)
+		var cnt matrix.OpCount
+		c := newMulCtx(a, b, &cnt)
+		for j := 0; j < r; j++ {
+			lo, hi := q, -1
+			for k := 0; k < q; k++ {
+				if !semiring.IsInf(b.At(k, j)) {
+					lo, hi = min(lo, k), k
+				}
+			}
+			switch {
+			case interval && (c.loB[j] != lo || c.hiB[j] != hi) && hi >= 0:
+				t.Fatalf("trial %d column %d: envelope [%d,%d], dense scan [%d,%d]", trial, j, c.loB[j], c.hiB[j], lo, hi)
+			case interval && hi < 0 && c.loB[j] <= c.hiB[j]:
+				t.Fatalf("trial %d column %d: no finite row, envelope [%d,%d]", trial, j, c.loB[j], c.hiB[j])
+			case hi >= 0 && (c.loB[j] > lo || c.hiB[j] < hi):
+				t.Fatalf("trial %d column %d: envelope [%d,%d] misses dense scan [%d,%d]", trial, j, c.loB[j], c.hiB[j], lo, hi)
+			}
+		}
+		c.close()
+		b.Release()
+	}
 }

@@ -20,7 +20,8 @@
 //   - CutBottomUp (§4.2): the paper's n^{1/2^m} stride-refinement algorithm,
 //   - CutSMAWK: SMAWK row-minima per output column (an ablation baseline the
 //     paper's technique is related to),
-//   - Mul / MulPar: convenience wrappers returning the product itself.
+//   - Mul / MulPar / MulCRCW: the product itself, laid out with its cut
+//     table on the output hull.
 //
 // All algorithms count comparisons through a matrix.OpCount so the O(n²)
 // work claim of Theorem 4.1 is directly measurable (experiment E2).
@@ -108,13 +109,14 @@ func Random(rng *rand.Rand, r, c int, span, maxDelta int) *matrix.Dense {
 
 // RandomUpperTriangular returns a random n×n concave matrix that mimics the
 // shape of the paper's DP matrices: finite on i < j, +∞ on i ≥ j. It is
-// built by restricting a Random concave matrix to the strict upper triangle.
+// built by restricting a Random concave matrix to the strict upper
+// triangle, which is also its span layout: row i stores columns i+1 … n-1.
 // (Such bordered matrices still satisfy the quadrangle condition because ∞
 // only ever appears on the right-hand side of the inequality when i ≥ j,
 // where the condition is vacuous under ∞-absorbing arithmetic.)
 func RandomUpperTriangular(rng *rand.Rand, n int, span, maxDelta int) *matrix.Dense {
 	full := Random(rng, n, n, span, maxDelta)
-	d := matrix.NewInf(n, n)
+	d := matrix.NewSpan(n, n, func(i int) (int, int) { return i + 1, n - 1 })
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			d.Set(i, j, full.At(i, j))

@@ -271,15 +271,27 @@ func TestCutExtremeShapes(t *testing.T) {
 // band restricts d to the band lo ≤ j-i ≤ hi, +∞ elsewhere: the shape of
 // the Huffman DP's A_h (finite on 1 ≤ j-i ≤ 2^h). A band restriction of a
 // Monge matrix stays Monge, for the same reason as RandomUpperTriangular
-// (the upper triangle is the band 1 ≤ j-i < C).
+// (the upper triangle is the band 1 ≤ j-i < C). The result stores the
+// band's finite entries, found by Trim.
 func band(d *matrix.Dense, lo, hi int) *matrix.Dense {
-	out := matrix.NewInf(d.R, d.C)
-	for i := 0; i < d.R; i++ {
-		for j := max(0, i+lo); j < d.C && j-i <= hi; j++ {
-			out.Set(i, j, d.At(i, j))
+	return trimmed(d.R, d.C, func(i, j int) float64 {
+		if j-i < lo || j-i > hi {
+			return semiring.Inf
+		}
+		return d.At(i, j)
+	})
+}
+
+// trimmed builds the r×c matrix with entries f(i, j) as dense rows and
+// returns it with the spans Trim scans from them.
+func trimmed(r, c int, f func(i, j int) float64) *matrix.Dense {
+	d := matrix.New(r, c)
+	for i := 0; i < r; i++ {
+		for j := 0; j < c; j++ {
+			d.Set(i, j, f(i, j))
 		}
 	}
-	return out
+	return d.Trim()
 }
 
 func randomBand(rng *rand.Rand, r, c, lo, hi int) *matrix.Dense {
@@ -290,13 +302,12 @@ func randomBand(rng *rand.Rand, r, c, lo, hi int) *matrix.Dense {
 // +∞. obst's height-bounded DP multiplies shift(E) ⋆ E for an upper
 // triangular E with a finite diagonal.
 func shiftRight(e *matrix.Dense) *matrix.Dense {
-	d := matrix.NewInf(e.R, e.C)
-	for i := 0; i < e.R; i++ {
-		for k := 1; k < e.C; k++ {
-			d.Set(i, k, e.At(i, k-1))
+	return trimmed(e.R, e.C, func(i, k int) float64 {
+		if k == 0 {
+			return semiring.Inf
 		}
-	}
-	return d
+		return e.At(i, k-1)
+	})
 }
 
 // infShapedPair draws one operand pair of the given ∞-padded shape:

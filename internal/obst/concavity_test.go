@@ -20,13 +20,13 @@ func TestOBSTHeightMatricesConcave(t *testing.T) {
 		in := randInstance(rng, n)
 		w := in.weights()
 
-		e := matrix.NewInf(n+1, n+1)
+		e := matrix.NewFull(n+1, n+1, semiring.Inf)
 		for a := 0; a <= n; a++ {
 			e.Set(a, a, 0)
 		}
 		var cnt matrix.OpCount
 		for h := 0; h < 6; h++ {
-			shifted := matrix.NewInf(n+1, n+1)
+			shifted := matrix.NewFull(n+1, n+1, semiring.Inf)
 			for a := 0; a <= n; a++ {
 				for k := 1; k <= n; k++ {
 					shifted.Set(a, k, e.At(a, k-1))
@@ -36,7 +36,7 @@ func TestOBSTHeightMatricesConcave(t *testing.T) {
 				t.Fatalf("trial %d level %d: shifted operand not concave: %v", trial, h, v)
 			}
 			prod, _ := matrix.MulBrute(shifted, e, &cnt)
-			next := matrix.NewInf(n+1, n+1)
+			next := matrix.NewFull(n+1, n+1, semiring.Inf)
 			for a := 0; a <= n; a++ {
 				next.Set(a, a, 0)
 				for b := a + 1; b <= n; b++ {

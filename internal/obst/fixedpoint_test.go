@@ -15,18 +15,19 @@ import (
 )
 
 // fullHeightDP is the height-bounded DP without the fixed-point exit:
-// all h levels, two fresh tables per level, every level's own cut table
-// kept. It is the oracle heightDP's early exit is checked against. Its
-// fold leaves +∞ products at +∞, which is Inf + W for the finite
-// weights every instance here has.
+// all h levels on dense (n+1)² tables, two fresh tables per level, every
+// level's own cut table kept, each product fed the spans Trim scans. It
+// is the oracle heightDP's early exit and band layout are checked
+// against. Its fold leaves +∞ products at +∞, which is Inf + W for the
+// finite weights every instance here has.
 func fullHeightDP(m *pram.Machine, n int, w func(a, b int) float64, h int) (float64, levelCuts) {
-	e := matrix.NewInf(n+1, n+1)
+	e := matrix.NewFull(n+1, n+1, semiring.Inf)
 	for a := 0; a <= n; a++ {
 		e.Set(a, a, 0)
 	}
 	cuts := make(levelCuts, h)
 	for t := 0; t < h; t++ {
-		shifted := matrix.NewInf(n+1, n+1)
+		shifted := matrix.NewFull(n+1, n+1, semiring.Inf)
 		m.For((n+1)*(n+1), func(idx int) {
 			a, k := idx/(n+1), idx%(n+1)
 			if k >= 1 {
@@ -34,8 +35,11 @@ func fullHeightDP(m *pram.Machine, n int, w func(a, b int) float64, h int) (floa
 			}
 		})
 		var prod *matrix.Dense
-		prod, cuts[t] = monge.MulPar(m, shifted, e, nil)
-		next := matrix.NewInf(n+1, n+1)
+		st, et := shifted.Trim(), e.Trim()
+		prod, cuts[t] = monge.MulPar(m, st, et, nil)
+		st.Release()
+		et.Release()
+		next := matrix.NewFull(n+1, n+1, semiring.Inf)
 		m.For((n+1)*(n+1), func(idx int) {
 			a, b := idx/(n+1), idx%(n+1)
 			switch {
