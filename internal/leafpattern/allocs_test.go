@@ -1,0 +1,67 @@
+//go:build !race && !pooldebug
+
+// Allocation counts are only meaningful in release builds: the race
+// detector makes sync.Pool drop items at random.
+
+package leafpattern
+
+import (
+	"math"
+	"math/rand"
+	"runtime"
+	"sort"
+	"testing"
+
+	"partree/internal/huffman"
+	"partree/internal/pram"
+)
+
+// TestMonotoneParAllocBudget pins MonotonePar's allocations and heap bytes
+// on a lib-par-shaped instance with one worker: the sorted Huffman code
+// lengths of 32 768 log-normal weights (Kraft sum 1). The tree is one
+// slab of 2n−1 nodes, so the bytes are that slab plus O(L) level tables
+// and the big-integer scan over the L+1 levels.
+func TestMonotoneParAllocBudget(t *testing.T) {
+	// Measured 346 allocs and 2 112 790 bytes per call on linux/amd64
+	// (go1.24); the budgets leave ~5% slack for runtime and toolchain
+	// drift.
+	const budget, byteBudget = 363, 2220000
+	rng := rand.New(rand.NewSource(1))
+	w := make([]float64, 1<<15)
+	for i := range w {
+		w[i] = math.Exp(2 * rng.NormFloat64())
+	}
+	p := huffman.CodeLengths(huffman.Build(w), len(w))
+	sort.Ints(p)
+	m := pram.New(pram.WithWorkers(1))
+	defer m.Close()
+	call := func() {
+		if _, err := MonotonePar(m, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := testing.AllocsPerRun(5, call)
+	bytes := bytesPerRun(5, call)
+	t.Logf("%.0f allocs/call, %.0f bytes/call", got, bytes)
+	if got > budget {
+		t.Fatalf("MonotonePar allocated %.0f times per call, budget %d", got, budget)
+	}
+	if bytes > byteBudget {
+		t.Fatalf("MonotonePar allocated %.0f bytes per call, budget %d", bytes, byteBudget)
+	}
+}
+
+// bytesPerRun is testing.AllocsPerRun for bytes: the mean growth of
+// runtime.MemStats.TotalAlloc over runs calls of f at GOMAXPROCS 1,
+// after one warm-up call.
+func bytesPerRun(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}

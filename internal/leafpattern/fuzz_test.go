@@ -8,12 +8,14 @@ import (
 	"partree/internal/pram"
 )
 
-// FuzzLeafPattern cross-checks the three tree-from-depth-pattern
-// constructions on arbitrary patterns: the sequential Finger-Reduction
-// (Build), its PRAM version (BuildPar) and the greedy codeword-packing
-// oracle (Greedy) must agree on feasibility, and any tree produced must
-// be structurally valid, reproduce the input pattern leaf for leaf, and
-// satisfy the Kraft inequality. Fuzz with
+// FuzzLeafPattern cross-checks the tree-from-depth-pattern constructions
+// on arbitrary patterns. The sequential Finger-Reduction (Build) and the
+// greedy codeword-packing oracle (Greedy) must agree on feasibility, and
+// any tree either produces must be structurally valid, reproduce the
+// input pattern leaf for leaf with symbols 0…n-1 in order, and satisfy the
+// Kraft inequality. On bitonic patterns BitonicPar must return Bitonic's
+// tree, and on monotone ones MonotonePar must return Monotone's, with the
+// same error. Fuzz with
 // `go test -fuzz=FuzzLeafPattern ./internal/leafpattern`.
 func FuzzLeafPattern(f *testing.F) {
 	f.Add([]byte{0})                     // single root leaf
@@ -25,6 +27,7 @@ func FuzzLeafPattern(f *testing.F) {
 	f.Add([]byte{0, 0})                  // infeasible: two roots
 	f.Add([]byte{24, 23, 22, 1, 22, 24}) // deep finger pattern
 
+	m := pram.New(pram.WithWorkers(2), pram.WithGrain(4))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 || len(data) > 64 {
 			return
@@ -34,13 +37,17 @@ func FuzzLeafPattern(f *testing.F) {
 			pattern[i] = int(b % 25) // depths 0..24 keep the trie finite
 		}
 
+		if IsBitonic(pattern) {
+			checkSameTree(t, m, "BitonicPar", pattern, Bitonic, BitonicPar)
+		}
+		if IsMonotone(pattern) {
+			checkSameTree(t, m, "MonotonePar", pattern, Monotone, MonotonePar)
+		}
+
 		oracle, oErr := Greedy(pattern)
 		got, _, err := Build(pattern)
-		gotPar, _, parErr := BuildPar(pram.New(pram.WithWorkers(2), pram.WithGrain(4)), pattern)
-
-		if (oErr == nil) != (err == nil) || (oErr == nil) != (parErr == nil) {
-			t.Fatalf("feasibility disagreement on %v: greedy=%v build=%v buildpar=%v",
-				pattern, oErr, err, parErr)
+		if (oErr == nil) != (err == nil) {
+			t.Fatalf("feasibility disagreement on %v: greedy=%v build=%v", pattern, oErr, err)
 		}
 		if err != nil {
 			if !errors.Is(err, ErrNoTree) {
@@ -55,24 +62,7 @@ func FuzzLeafPattern(f *testing.F) {
 		if kraft.Compare(pattern) > 0 {
 			t.Fatalf("built a tree for %v though Kraft sum exceeds 1", pattern)
 		}
-		for name, tr := range map[string]interface {
-			Validate() error
-			LeafDepths() []int
-		}{"greedy": oracle, "build": got, "buildpar": gotPar} {
-			if err := tr.Validate(); err != nil {
-				t.Fatalf("%s tree invalid for %v: %v", name, pattern, err)
-			}
-			depths := tr.LeafDepths()
-			if len(depths) != len(pattern) {
-				t.Fatalf("%s tree has %d leaves for %d-leaf pattern %v",
-					name, len(depths), len(pattern), pattern)
-			}
-			for i := range depths {
-				if depths[i] != pattern[i] {
-					t.Fatalf("%s tree leaf %d at depth %d, pattern wants %d (pattern %v)",
-						name, i, depths[i], pattern[i], pattern)
-				}
-			}
-		}
+		checkRealizes(t, oracle, pattern, "greedy")
+		checkRealizes(t, got, pattern, "build")
 	})
 }

@@ -4,12 +4,14 @@
 //
 // It implements the Section 7 algorithm family:
 //
-//   - Monotone / MonotonePar: non-increasing or non-decreasing patterns
-//     via level counts (Theorem 7.1; the parallel variant exhibits the
-//     O(log n)-round EREW schedule),
+//   - Monotone: non-increasing or non-decreasing patterns via level
+//     counts (Theorem 7.1),
 //   - Bitonic / BitonicForest: patterns that rise then fall (Theorem 7.2;
 //     the forest form returns the minimum number of trees, as the theorem
 //     promises, which Finger-Reduction relies on),
+//   - MonotonePar / BitonicPar: the O(log n)-round EREW schedule of
+//     Theorems 7.1–7.2, one level-linking kernel that builds the Monotone
+//     / Bitonic tree, node for node, in one slab of nodes,
 //   - Build: general patterns by Finger-Reduction (Lemma 7.3, Theorem 7.3),
 //   - Greedy: an independent sequential oracle (leftmost codeword packing
 //     with big integers), used to cross-check feasibility and output.
@@ -28,7 +30,10 @@ import (
 // ErrNoTree is returned when no ordered binary tree realizes the pattern.
 var ErrNoTree = errors.New("leafpattern: no tree realizes the pattern")
 
-var errNotMonotone = errors.New("leafpattern: pattern is not monotone")
+var (
+	errNotMonotone = errors.New("leafpattern: pattern is not monotone")
+	errNotBitonic  = errors.New("leafpattern: pattern is not bitonic")
+)
 
 func validate(pattern []int) error {
 	if len(pattern) == 0 {
@@ -60,16 +65,25 @@ func IsMonotone(pattern []int) bool {
 // IsBitonic reports whether the pattern is non-decreasing then
 // non-increasing (monotone patterns are bitonic).
 func IsBitonic(pattern []int) bool {
-	i := 1
-	for i < len(pattern) && pattern[i] >= pattern[i-1] {
-		i++
+	_, ok := bitonicPeak(pattern)
+	return ok
+}
+
+// bitonicPeak returns the index of the first deepest leaf of a bitonic
+// pattern, and false if the pattern is not bitonic.
+func bitonicPeak(pattern []int) (int, bool) {
+	peak, i := 0, 1
+	for ; i < len(pattern) && pattern[i] >= pattern[i-1]; i++ {
+		if pattern[i] > pattern[i-1] {
+			peak = i
+		}
 	}
 	for ; i < len(pattern); i++ {
 		if pattern[i] > pattern[i-1] {
-			return false
+			return 0, false
 		}
 	}
-	return true
+	return peak, true
 }
 
 // leafRec pairs a depth with the identity of its leaf. Negative IDs are
@@ -155,7 +169,7 @@ func Bitonic(pattern []int) (*tree.Node, error) {
 		return nil, err
 	}
 	if !IsBitonic(pattern) {
-		return nil, errors.New("leafpattern: pattern is not bitonic")
+		return nil, errNotBitonic
 	}
 	roots := buildForest(records(pattern))
 	if len(roots) != 1 {
@@ -173,7 +187,7 @@ func BitonicForest(pattern []int) ([]*tree.Node, error) {
 		return nil, err
 	}
 	if !IsBitonic(pattern) {
-		return nil, errors.New("leafpattern: pattern is not bitonic")
+		return nil, errNotBitonic
 	}
 	return buildForest(records(pattern)), nil
 }

@@ -2,6 +2,8 @@ package leafpattern
 
 import (
 	"math/big"
+	"slices"
+	"sort"
 
 	"partree/internal/faultpoint"
 	"partree/internal/kraft"
@@ -10,27 +12,10 @@ import (
 	"partree/internal/tree"
 )
 
-// MonotonePar is the PRAM-scheduled form of Monotone (Theorem 7.1): every
-// phase is a parallel statement or an O(log n)-round primitive, so the
-// machine's counters exhibit the O(log n) time bound.
-//
-// Phases, for a non-increasing pattern (a non-decreasing one is mirrored):
-//
-//  1. level counts a_l by a parallel run-boundary scan (the pattern is
-//     sorted, so equal levels are contiguous),
-//  2. internal-node counts I_l = ⌈Σ_{j>l} a_j 2^{l-j}⌉ by one parallel
-//     suffix +-scan of the scaled terms a_j·2^{L-j} followed by a
-//     ceiling shift — the associative-scan realization of the paper's
-//     carry-propagation ("the sum of two n-bit numbers and their
-//     intermediate carries … done optimally using prefix sums"). The scan
-//     uses big integers; the paper's O(log n)-bit refinement changes the
-//     word size, not the round count measured here,
-//  3. node linking: one parallel statement in which every node (leaf or
-//     internal) computes its parent from the per-level offsets and writes
-//     itself into its child slot — exclusive reads and writes of distinct
-//     cells, the EREW discipline of the theorem.
-//
-// It returns ErrNoTree when the Kraft sum exceeds 1 (Lemma 7.1).
+// MonotonePar is the PRAM-scheduled form of Monotone (Theorem 7.1). A
+// monotone pattern is bitonic, so it runs BitonicPar's kernel and returns
+// the tree Monotone returns, node for node. It returns ErrNoTree when the
+// Kraft sum exceeds 1 (Lemma 7.1).
 func MonotonePar(m *pram.Machine, pattern []int) (*tree.Node, error) {
 	if err := validate(pattern); err != nil {
 		return nil, err
@@ -40,177 +25,127 @@ func MonotonePar(m *pram.Machine, pattern []int) (*tree.Node, error) {
 	}
 	defer m.Phase("leafpattern.MonotonePar")()
 	faultpoint.Hit("leafpattern.monotone")
-	n := len(pattern)
-
-	// Normalize to non-increasing; remember to mirror the result back.
-	decreasing := true
-	for i := 1; i < n; i++ {
-		if pattern[i] > pattern[i-1] {
-			decreasing = false
-			break
-		}
+	// The peak is the first index of the deepest leaf: 0 for a
+	// non-increasing pattern, a binary search for a non-decreasing one.
+	peak, n := 0, len(pattern)
+	if pattern[0] < pattern[n-1] {
+		peak = sort.SearchInts(pattern, pattern[n-1])
 	}
-	work := pattern
-	if !decreasing {
-		work = make([]int, n)
-		m.For(n, func(i int) { work[i] = pattern[n-1-i] })
-	}
+	return link(m, pattern, peak)
+}
 
-	// Phase 1: level counts. With the pattern sorted non-increasing, the
-	// count of level l is (last index of l) − (first index of l) + 1; each
-	// position detects whether it is a run boundary.
-	L := work[0] // max level
-	counts := make([]int, L+1)
+// BitonicPar is the PRAM-scheduled form of Bitonic (Theorem 7.2) and
+// returns the tree Bitonic returns, node for node. It returns ErrNoTree
+// when the Kraft sum exceeds 1 (Lemma 7.2).
+func BitonicPar(m *pram.Machine, pattern []int) (*tree.Node, error) {
+	if err := validate(pattern); err != nil {
+		return nil, err
+	}
+	peak, ok := bitonicPeak(pattern)
+	if !ok {
+		return nil, errNotBitonic
+	}
+	defer m.Phase("leafpattern.BitonicPar")()
+	return link(m, pattern, peak)
+}
+
+// link builds the tree of a bitonic pattern whose first deepest leaf sits
+// at index peak. With L that leaf's depth it issues 4 + ⌈log₂(L+1)⌉ +
+// ⌈log₂(L+2)⌉ statements, O(log n) when the Kraft sum is 1 (then L < n):
+//
+//  1. level runs: each side of the peak is sorted, so the leaves of one
+//     level form one contiguous run per side. The position that starts a
+//     run writes its index and the one that ends it writes its successor —
+//     one statement, each cell written once.
+//  2. internal-node counts I_l = ⌈Σ_{j>l} a_j 2^{l-j}⌉ by one suffix
+//     +-scan of the scaled terms a_j·2^{L-j} and a ceiling shift: the
+//     associative-scan form of the paper's carry propagation. The scan
+//     uses big integers; the paper's O(log n)-bit refinement changes the
+//     word size, not the round count.
+//  3. level offsets by one scan of the level sizes.
+//  4. linking: the tree is one slab of nodes, and level l occupies
+//     slab[off[l]:off[l+1]] as [rising leaves][internals][falling leaves],
+//     which is buildForest's layout. In one statement every node finds its
+//     level by binary search on off, sets its Symbol, and writes itself
+//     into its parent's child slot: node i of level l is child i%2 of
+//     slab[off[l-1]+left[l-1]+i/2]. Reads and writes go to distinct cells,
+//     the EREW discipline of the theorem.
+func link(m *pram.Machine, pattern []int, peak int) (*tree.Node, error) {
+	n, L := len(pattern), pattern[peak]
+
+	// Phase 1. Side 0 rises (indices before the peak), side 1 falls.
+	// Levels with no run on a side keep lo = hi = 0.
+	bounds := make([]int, 4*(L+1))
+	lo := [2][]int{bounds[:L+1], bounds[L+1 : 2*(L+1)]}
+	hi := [2][]int{bounds[2*(L+1) : 3*(L+1)], bounds[3*(L+1):]}
 	m.For(n, func(i int) {
-		if i == n-1 || work[i+1] != work[i] {
-			// i is the last position of its run; find the run start via the
-			// value itself: runs are contiguous, so the first position of
-			// level work[i] is (number of records with higher level).
-			counts[work[i]] = i + 1
+		l, s := pattern[i], 0
+		if i >= peak {
+			s = 1
+		}
+		if i == 0 || pattern[i-1] != l {
+			lo[s][l] = i
+		}
+		if i == n-1 || pattern[i+1] != l {
+			hi[s][l] = i + 1
 		}
 	})
-	// counts[l] currently holds cumulative "records with level ≥ l" at run
-	// ends; convert to per-level counts with one more statement.
-	starts := make([]int, L+2)
-	m.For(L+1, func(l int) {
-		starts[l] = counts[l]
-	})
-	m.For(L+1, func(l int) {
-		prev := 0
-		// The nearest deeper run end: levels between runs have count 0.
-		// Scan is avoided by reusing the cumulative property below; this
-		// loop is over levels of the same run gap and is O(1) amortized,
-		// but to keep the statement data-independent we recompute from the
-		// cumulative array built above.
-		for d := l + 1; d <= L; d++ {
-			if starts[d] != 0 {
-				prev = starts[d]
-				break
-			}
-		}
-		if starts[l] != 0 {
-			counts[l] = starts[l] - prev
-		} else {
-			counts[l] = 0
-		}
-	})
+	left := func(l int) int { return hi[0][l] - lo[0][l] }
 
-	// Kraft feasibility (Lemma 7.1) via the word-arithmetic comparison.
+	counts := make([]int, L+1)
+	terms := make([]*big.Int, L+1)
+	m.For(L+1, func(l int) {
+		counts[l] = left(l) + hi[1][l] - lo[1][l]
+		terms[L-l] = new(big.Int).Lsh(big.NewInt(int64(counts[l])), uint(L-l))
+	})
 	if kraft.CompareCounts(counts) > 0 {
 		return nil, ErrNoTree
 	}
 
-	// Phase 2: I_l = ⌈Σ_{j>l} a_j·2^{l-j}⌉ via one suffix scan of
-	// v_j = a_j·2^{L-j}: I_l = ⌈suffix_{l+1} / 2^{L-l}⌉.
-	terms := make([]*big.Int, L+1)
-	m.For(L+1, func(l int) {
-		terms[L-l] = new(big.Int).Lsh(big.NewInt(int64(counts[l])), uint(L-l))
-	})
-	// terms is reversed (deepest first) so an inclusive scan is a suffix sum.
+	// Phase 2. terms runs deepest first, so its inclusive scan holds the
+	// suffix sums: Σ_{j>l} a_j·2^{L-j} = sums[L-l-1].
 	sums := par.ScanInclusive(m, terms, func(a, b *big.Int) *big.Int {
 		return new(big.Int).Add(a, b)
 	})
 	inner := make([]int, L+1)
+	off := make([]int, L+2)
 	m.For(L+1, func(l int) {
-		if l == L {
-			inner[l] = 0
-			return
+		if l < L {
+			s, sh := sums[L-l-1], uint(L-l)
+			inner[l] = int(new(big.Int).Rsh(s, sh).Int64())
+			if s.TrailingZeroBits() < sh {
+				inner[l]++
+			}
 		}
-		// suffix over levels > l = sums[L-(l+1)], scaled by 2^{L}; divide by
-		// 2^{L-l} with ceiling.
-		s := sums[L-l-1]
-		q, r := new(big.Int).DivMod(s, new(big.Int).Lsh(big.NewInt(1), uint(L-l)), new(big.Int))
-		if r.Sign() != 0 {
-			q.Add(q, big.NewInt(1))
-		}
-		inner[l] = int(q.Int64())
+		off[l+1] = counts[l] + inner[l]
 	})
 	if counts[0]+inner[0] != 1 {
 		return nil, ErrNoTree
 	}
 
-	// Phase 3: node linking. Per level l the node list is
-	// [internals (inner[l])] [leaves (counts[l])]; node i at level l is the
-	// child of internal ⌊i/2⌋ at level l−1.
-	nodes := make([][]*tree.Node, L+1)
-	offsets := make([]int, L+2) // first leaf symbol index per level
-	// Leaf symbols: non-increasing pattern ⇒ level l's leaves start after
-	// all deeper leaves. Compute symbol offsets from cumulative counts.
-	cum := 0
-	for l := L; l >= 0; l-- { // O(L) host bookkeeping, one Step each
-		offsets[l] = cum
-		cum += counts[l]
-	}
-	m.Step(1)
-	for l := 0; l <= L; l++ {
-		nodes[l] = make([]*tree.Node, inner[l]+counts[l])
-	}
-	m.For(L+1, func(l int) {
-		for i := 0; i < inner[l]; i++ {
-			nodes[l][i] = &tree.Node{}
+	// Phase 3.
+	off = par.ScanInclusive(m, off, func(a, b int) int { return a + b })
+
+	// Phase 4.
+	slab := make([]tree.Node, off[L+1])
+	m.For(len(slab), func(v int) {
+		l, _ := slices.BinarySearch(off, v+1)
+		l--
+		i, node := v-off[l], &slab[v]
+		if k := i - left(l) - inner[l]; k >= 0 {
+			node.Symbol = lo[1][l] + k
+		} else if i < left(l) {
+			node.Symbol = lo[0][l] + i
 		}
-		for i := 0; i < counts[l]; i++ {
-			nodes[l][inner[l]+i] = tree.NewLeaf(offsets[l]+i, 0)
-		}
-	})
-	// One statement: every non-root node writes itself into its parent.
-	m.For(n+totalInner(inner), func(v int) {
-		l, i := locate(v, inner, counts)
 		if l == 0 {
 			return
 		}
-		parent := nodes[l-1][i/2]
+		parent := &slab[off[l-1]+left(l-1)+i/2]
 		if i%2 == 0 {
-			parent.Left = nodes[l][i]
+			parent.Left = node
 		} else {
-			parent.Right = nodes[l][i]
+			parent.Right = node
 		}
 	})
-	root := nodes[0][0]
-
-	if !decreasing {
-		root = mirror(root)
-		// Re-map symbols: leaf k of the mirrored tree is pattern position
-		// n-1-k of the reversed pattern.
-		for _, leaf := range root.Leaves() {
-			leaf.Symbol = n - 1 - leaf.Symbol
-		}
-	}
-	return root, nil
-}
-
-func totalInner(inner []int) int {
-	t := 0
-	for _, v := range inner {
-		t += v
-	}
-	return t
-}
-
-// locate maps a flat node index to (level, index-within-level), walking the
-// per-level sizes. (On a real PRAM this is a precomputed offset table; the
-// walk here is host-side bookkeeping.)
-func locate(v int, inner, counts []int) (int, int) {
-	for l := 0; l < len(inner); l++ {
-		size := inner[l] + counts[l]
-		if v < size {
-			return l, v
-		}
-		v -= size
-	}
-	panic("leafpattern: node index out of range")
-}
-
-// mirror swaps every node's children (and fixes the single-child-left
-// convention), turning a left-justified realization of the reversed
-// pattern into a realization of the original.
-func mirror(t *tree.Node) *tree.Node {
-	if t == nil || t.IsLeaf() {
-		return t
-	}
-	l, r := mirror(t.Left), mirror(t.Right)
-	if r == nil {
-		return &tree.Node{Left: l, Symbol: t.Symbol, Weight: t.Weight}
-	}
-	return &tree.Node{Left: r, Right: l, Symbol: t.Symbol, Weight: t.Weight}
+	return &slab[0], nil
 }
