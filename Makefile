@@ -27,7 +27,7 @@ bench-vet:
 test:
 	$(GO) test ./...
 
-# The work-stealing runtime executes every For body concurrently; run the
+# The PRAM runtime executes every For body concurrently; run the
 # whole suite under the race detector to keep statement bodies honest.
 test-race:
 	$(GO) test -race ./...
@@ -35,9 +35,13 @@ test-race:
 # Tests that once flaked under the race detector, repeated so a
 # regression of their synchronization shows: the graceful drain waits
 # for the batcher to hold every job, and the single-flight test holds
-# its flight open until every waiter has joined it.
+# its flight open until every waiter has joined it. The PRAM scheduler's
+# coverage and cancellation tests ride along: every index of every
+# statement must run exactly once, whatever the workers' chunk claims
+# and however an earlier statement was cancelled.
 test-flaky:
 	$(GO) test -race -count=30 -run '^(TestE2EGracefulDrain|TestCacheSingleflightCollapse)$$' ./internal/serve
+	$(GO) test -race -count=30 -run '^(TestForMatchesSerialLoop|TestForRangeCoversOnceUnderStealing|TestForRangeCallCountTolerance|TestForFewerElementsThanWorkers|TestWorkerCountReducedToChunks|TestSkewedStatementObserved|TestCancel.*)$$' ./internal/pram
 
 # End-to-end tests of the partreed HTTP service: differential checks
 # against the serial oracles, concurrent-client batching, load shedding
@@ -85,7 +89,7 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # Multicore scaling sweep: every parallel kernel at P ∈ {1,2,4,8} with
-# per-op steal/barrier/steal-wait probes (experiment E12, full sizes).
+# per-op barrier-wait probes (experiment E12, full sizes).
 bench-par:
 	$(GO) run ./cmd/benchtables -exp E12
 

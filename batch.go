@@ -20,10 +20,10 @@ import (
 // instance-level parallelism. These entry points batch many small jobs
 // onto ONE simulated-PRAM machine run: a single parallel statement over
 // the jobs, each job solved by the corresponding serial oracle inside the
-// statement body. The work-stealing runtime spreads the jobs across
-// workers (jobs are independent, so the For contract holds), and the
-// returned Stats charges the whole batch as one statement — the cost
-// model the partreed service's request batcher is built on.
+// statement body. The runtime spreads the jobs across workers (jobs are
+// independent, so the For contract holds), and the returned Stats
+// charges the whole batch as one statement — the cost model the partreed
+// service's request batcher is built on.
 
 // ErrEmptyJob is reported (per job, not per batch) when a job carries an
 // empty input vector.

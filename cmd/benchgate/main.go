@@ -52,12 +52,10 @@ type e11Report struct {
 }
 
 type e12Row struct {
-	P           int     `json:"p"`
-	NsOp        float64 `json:"ns_op"`
-	Speedup     float64 `json:"speedup"`
-	Steals      int64   `json:"steals"`
-	BarrierMS   float64 `json:"barrier_ms"`
-	StealWaitMS float64 `json:"steal_wait_ms"`
+	P         int     `json:"p"`
+	NsOp      float64 `json:"ns_op"`
+	Speedup   float64 `json:"speedup"`
+	BarrierMS float64 `json:"barrier_ms"`
 }
 
 type e12Kernel struct {

@@ -58,7 +58,7 @@ var experiments = []struct {
 	{"E6", "Theorems 7.1–7.3 — trees from leaf patterns", e6},
 	{"E7", "Theorem 7.4 / Claim 7.1 — Shannon–Fano vs Huffman", e7},
 	{"E8", "Theorem 8.1 — linear CFL recognition", e8},
-	{"E9", "Runtime — work-stealing scheduler: speedup, steals, overhead", e9},
+	{"E9", "Runtime — chunk-cursor scheduler: speedup, overhead", e9},
 	{"E10", "Service — request batching and result caching under load", e10},
 	{"E11", "Workspace pooling — allocation profile of the pooled hot paths", e11},
 	{"E12", "Multicore scaling — kernel speedup across worker counts", e12},
@@ -69,8 +69,8 @@ var experiments = []struct {
 }
 
 // Fixed grains per kernel family (pram.WithGrain) for the experiments
-// that pin one. The grain is the number of indices a worker takes per
-// deque pop: the concave-matrix engines' comparison-only bodies want huge
+// that pin one. The grain is the number of indices a worker claims per
+// chunk: the concave-matrix engines' comparison-only bodies want huge
 // chunks, the dense DPs and hufpar's recurrences somewhat smaller ones,
 // and the linear-CFL recursion's expensive Boolean block products small
 // chunks that keep workers balanced.
@@ -316,7 +316,7 @@ func e8() {
 	fmt.Println("claim: O(log n) recursion depth; verdicts agree with the sequential DP")
 }
 
-// e9 characterizes the work-stealing runtime itself on the repo's heaviest
+// e9 characterizes the chunk-cursor runtime itself on the repo's heaviest
 // kernel (the Theorem 5.1 Huffman build): wall time and scheduler counters
 // across a worker sweep, a per-phase cost breakdown, and one BENCH-JSON
 // line so cross-PR tooling can track speedup and overhead trends.
@@ -329,15 +329,14 @@ func e9() {
 		WallMS      float64 `json:"wall_ms"`
 		Speedup     float64 `json:"speedup"`
 		PramSpeedup float64 `json:"pram_speedup"`
-		Steals      int64   `json:"steals"`
 		BarrierMS   float64 `json:"barrier_ms"`
 		Grain       int     `json:"grain"`
 	}
 	var rows []sweepRow
 	var base float64
 	var serialSteps int64
-	fmt.Printf("%8s %10s %9s %13s %8s %12s %7s\n",
-		"workers", "wall-ms", "speedup", "pram-speedup", "steals", "barrier-ms", "grain")
+	fmt.Printf("%8s %10s %9s %13s %12s %7s\n",
+		"workers", "wall-ms", "speedup", "pram-speedup", "barrier-ms", "grain")
 	for _, wk := range []int{1, 2, 4, 8} {
 		m := pram.New(pram.WithWorkers(wk), pram.WithProcessors(wk))
 		start := time.Now()
@@ -355,30 +354,29 @@ func e9() {
 			WallMS:      wall,
 			Speedup:     base / wall,
 			PramSpeedup: float64(serialSteps) / float64(st.Steps),
-			Steals:      st.Steals,
 			BarrierMS:   st.BarrierWait.Seconds() * 1e3,
 			Grain:       st.Grain,
 		}
 		rows = append(rows, row)
-		fmt.Printf("%8d %10.2f %8.2fx %12.2fx %8d %12.3f %7d\n",
+		fmt.Printf("%8d %10.2f %8.2fx %12.2fx %12.3f %7d\n",
 			row.Workers, row.WallMS, row.Speedup, row.PramSpeedup,
-			row.Steals, row.BarrierMS, row.Grain)
+			row.BarrierMS, row.Grain)
 	}
 
 	m := pram.New(pram.WithWorkers(4))
 	hufpar.BuildConcave(m, w)
 	st := m.Stats()
 	fmt.Printf("\nper-phase breakdown (n=%d Huffman build, 4 workers):\n", n)
-	fmt.Printf("%-18s %10s %12s %8s %8s %10s %12s\n",
-		"phase", "steps", "work", "calls", "steals", "busy-ms", "barrier-ms")
+	fmt.Printf("%-18s %10s %12s %8s %10s %12s\n",
+		"phase", "steps", "work", "calls", "busy-ms", "barrier-ms")
 	for _, name := range st.PhaseNames() {
 		ps := st.Phases[name]
 		label := name
 		if label == "" {
 			label = "(unlabeled)"
 		}
-		fmt.Printf("%-18s %10d %12d %8d %8d %10.3f %12.3f\n",
-			label, ps.Steps, ps.Work, ps.Calls, ps.Steals,
+		fmt.Printf("%-18s %10d %12d %8d %10.3f %12.3f\n",
+			label, ps.Steps, ps.Work, ps.Calls,
 			ps.Busy.Seconds()*1e3, ps.BarrierWait.Seconds()*1e3)
 	}
 
@@ -394,7 +392,7 @@ func e9() {
 	}
 	fmt.Printf("\nBENCH-JSON %s\n", blob)
 	fmt.Println("claim: counted (pram) speedup is exactly w; wall-clock speedup tracks it")
-	fmt.Println("       up to the host's real core count; steals stay O(w log n) per statement")
+	fmt.Println("       up to the host's real core count")
 }
 
 // E10 — the partreed service layer: coalescing concurrent small requests
@@ -672,12 +670,10 @@ func e11() {
 // e12Row is one (kernel, P) measurement; cmd/benchgate reads the same
 // shape back out of BENCH_BASELINE.json to enforce the speedup gate.
 type e12Row struct {
-	P           int     `json:"p"`
-	NsOp        float64 `json:"ns_op"`
-	Speedup     float64 `json:"speedup"`
-	Steals      int64   `json:"steals"`
-	BarrierMS   float64 `json:"barrier_ms"`
-	StealWaitMS float64 `json:"steal_wait_ms"`
+	P         int     `json:"p"`
+	NsOp      float64 `json:"ns_op"`
+	Speedup   float64 `json:"speedup"`
+	BarrierMS float64 `json:"barrier_ms"`
 }
 
 // e12Kernel is one kernel's sweep over worker counts.
@@ -701,8 +697,7 @@ func e12Loop(minDur time.Duration, once func()) (int, time.Duration) {
 
 // E12 — multicore scaling of the parallel kernels: wall-clock speedup of
 // each kernel at P ∈ {1,2,4,8} workers relative to its own P=1 run, with
-// the scheduler's contention probes (steals, barrier wait, steal wait)
-// alongside. The workspace arena is sharded to match each P, mirroring
+// the scheduler's barrier wait alongside. The workspace arena is sharded to match each P, mirroring
 // how partreed -workers deploys. The BENCH-JSON records the host's core
 // count: speedup on a host with fewer cores than P is capped near 1.0 by
 // physics, and cmd/benchgate only enforces its minimum-speedup gate when
@@ -746,57 +741,51 @@ func e12() {
 		jobs[i] = w
 	}
 
-	// Each kernel: run one operation with P workers, fold the scheduler
-	// counters for that operation into the returned deltas.
+	// Each kernel: run one operation with P workers, fold the barrier
+	// wait for that operation into the returned total.
 	kernels := []struct {
 		name string
-		// newOp returns the per-iteration operation and a stats func to
+		// newOp returns the per-iteration operation and a barrier func to
 		// call after the timing loop (total across all iterations).
-		newOp func(p int) (op func(), stats func() (steals int64, barrier, stealWait time.Duration))
+		newOp func(p int) (op func(), barrier func() time.Duration)
 	}{
-		{"lincfl-recognize", func(p int) (func(), func() (int64, time.Duration, time.Duration)) {
+		{"lincfl-recognize", func(p int) (func(), func() time.Duration) {
 			m := pram.New(pram.WithWorkers(p))
 			return func() {
 					res := lincfl.RecognizeDC(m, g, word)
 					benchSink = res.Accepted
-				}, func() (int64, time.Duration, time.Duration) {
-					st := m.Stats()
-					return st.Steals, st.BarrierWait, st.StealWait
+				}, func() time.Duration {
+					return m.Stats().BarrierWait
 				}
 		}},
-		{"monge-cutsmawk", func(p int) (func(), func() (int64, time.Duration, time.Duration)) {
+		{"monge-cutsmawk", func(p int) (func(), func() time.Duration) {
 			m := pram.New(pram.WithWorkers(p))
 			var cnt matrix.OpCount
 			return func() {
 					monge.CutSMAWKPar(m, ma, mb, &cnt).Release()
-				}, func() (int64, time.Duration, time.Duration) {
-					st := m.Stats()
-					return st.Steals, st.BarrierWait, st.StealWait
+				}, func() time.Duration {
+					return m.Stats().BarrierWait
 				}
 		}},
-		{"boolmat-mulpar", func(p int) (func(), func() (int64, time.Duration, time.Duration)) {
+		{"boolmat-mulpar", func(p int) (func(), func() time.Duration) {
 			m := pram.New(pram.WithWorkers(p))
 			return func() {
 					boolmat.MulPar(m, ba, bb).Release()
-				}, func() (int64, time.Duration, time.Duration) {
-					st := m.Stats()
-					return st.Steals, st.BarrierWait, st.StealWait
+				}, func() time.Duration {
+					return m.Stats().BarrierWait
 				}
 		}},
-		{"partreed-batch", func(p int) (func(), func() (int64, time.Duration, time.Duration)) {
+		{"partreed-batch", func(p int) (func(), func() time.Duration) {
 			// The partreed hot path below the HTTP layer: one engine
 			// batch per call, machine owned by the batch entry point.
-			var steals int64
-			var barrier, stealWait time.Duration
+			var barrier time.Duration
 			opts := partree.Options{Workers: p}
 			return func() {
 					res, st := partree.HuffmanBatch(jobs, opts)
 					benchSink = res[0].Err == nil
-					steals += st.Steals
 					barrier += st.BarrierWait
-					stealWait += st.StealWait
-				}, func() (int64, time.Duration, time.Duration) {
-					return steals, barrier, stealWait
+				}, func() time.Duration {
+					return barrier
 				}
 		}},
 	}
@@ -804,15 +793,15 @@ func e12() {
 	cpus := runtime.NumCPU()
 	var out []e12Kernel
 	for _, k := range kernels {
-		fmt.Printf("%-18s %3s %14s %9s %9s %14s %16s\n",
-			k.name, "p", "ns/op", "speedup", "steals", "barrier-ms/op", "steal-wait-ms/op")
+		fmt.Printf("%-18s %3s %14s %9s %14s\n",
+			k.name, "p", "ns/op", "speedup", "barrier-ms/op")
 		var rows []e12Row
 		var base float64
 		for _, p := range []int{1, 2, 4, 8} {
 			prevShards := wspool.SetShards(p)
-			op, stats := k.newOp(p)
+			op, barrierOf := k.newOp(p)
 			iters, elapsed := e12Loop(minDur, op)
-			steals, barrier, stealWait := stats()
+			barrier := barrierOf()
 			wspool.SetShards(prevShards)
 			nsOp := float64(elapsed.Nanoseconds()) / float64(iters)
 			if p == 1 {
@@ -820,16 +809,14 @@ func e12() {
 			}
 			ops := iters + 1 // the counters also saw the warm-up call
 			row := e12Row{
-				P:           p,
-				NsOp:        nsOp,
-				Speedup:     base / nsOp,
-				Steals:      steals / int64(ops),
-				BarrierMS:   barrier.Seconds() * 1e3 / float64(ops),
-				StealWaitMS: stealWait.Seconds() * 1e3 / float64(ops),
+				P:         p,
+				NsOp:      nsOp,
+				Speedup:   base / nsOp,
+				BarrierMS: barrier.Seconds() * 1e3 / float64(ops),
 			}
 			rows = append(rows, row)
-			fmt.Printf("%-18s %3d %14.0f %8.2fx %9d %14.4f %16.4f\n",
-				"", row.P, row.NsOp, row.Speedup, row.Steals, row.BarrierMS, row.StealWaitMS)
+			fmt.Printf("%-18s %3d %14.0f %8.2fx %14.4f\n",
+				"", row.P, row.NsOp, row.Speedup, row.BarrierMS)
 		}
 		out = append(out, e12Kernel{Kernel: k.name, Rows: rows})
 		fmt.Println()
@@ -918,7 +905,7 @@ func e13() {
 	// Calibration: a fixed pure-CPU spin with no tracing hooks, measured
 	// the same way in the same process. The gate compares each disarmed
 	// row's ns/op normalized by this, so host-speed drift between the
-	// baseline run and the gating run — CPU steal on a shared box,
+	// baseline run and the gating run — other tenants on a shared box,
 	// frequency scaling — divides out instead of flaking a 2% band.
 	calRow := measure("calibration-spin", false, func(b *testing.B) {
 		var acc uint64
@@ -1080,12 +1067,15 @@ type e16Report struct {
 // injected into every -Nth backend request, hedging to the next ring
 // replica must cut the client-observed p99 — the duplicate races the
 // stall and wins — without a single failed request in either arm.
+// -short shrinks only the throughput arm: each tail arm keeps its 1 200
+// requests, because at 300 the p99 would be the 3rd-worst request and
+// the hedged-gain row would flake on a single slow response.
 func e16() {
 	thruReqs, latReqs, clients := 900, 1200, 16
 	obstN := 40
 	tailEvery, tailSleep := 25, 25*time.Millisecond
 	if shortMode {
-		thruReqs, latReqs, obstN = 240, 300, 24
+		thruReqs, obstN = 240, 24
 	}
 	rng := rand.New(rand.NewSource(16))
 

@@ -17,8 +17,8 @@ import (
 // the call within one checkpoint interval. On abort the error is
 // ctx.Err() — context.Canceled or context.DeadlineExceeded — every
 // pooled workspace the kernels held is returned to the arena, and no
-// goroutines are leaked (workers observe the same cancellation at steal
-// boundaries and park at the statement barrier as usual).
+// goroutines are leaked (workers observe the same cancellation before
+// each chunk claim and park at the statement barrier as usual).
 //
 // A context with no Done channel (context.Background, context.TODO)
 // installs nothing, and Run re-raises every panic except its own abort,

@@ -349,7 +349,7 @@ func sameCut(t *testing.T, what string, got, want *matrix.IntMat) {
 // TestDifferentialMulParVsBrute is the parallel path's differential
 // oracle: for seeded random Monge operands — rectangular, and every
 // ∞-padded shape the Huffman and BST DPs multiply — the serial and
-// work-stealing recursions (the latter with its serial cutover off and
+// parallel recursions (the latter with its serial cutover off and
 // forced) and MulPar must reproduce the naive O(pqr) product exactly,
 // values and cut matrix both.
 func TestDifferentialMulParVsBrute(t *testing.T) {

@@ -10,7 +10,7 @@ import (
 // smawkRowBlock is CutSMAWKPar's rows per task. Blocks that size keep
 // each task's SMAWK instance large enough to amortize its scratch slices
 // while still exposing r·⌈p/block⌉ independent tasks — far more than any
-// realistic worker count, so stealing can rebalance.
+// realistic worker count, so chunk claiming can rebalance.
 const smawkRowBlock = 128
 
 // CutSMAWKPar is the parallel form of CutSMAWK: the r independent

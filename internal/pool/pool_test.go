@@ -213,8 +213,8 @@ func TestPerShardTraffic(t *testing.T) {
 	}
 }
 
-// TestConcurrentAcquireRelease hammers the arena from the work-stealing
-// runtime the engines actually run on: every stolen chunk acquires,
+// TestConcurrentAcquireRelease hammers the arena from the PRAM runtime
+// the engines actually run on: every claimed chunk acquires,
 // scribbles, and releases slabs of varying classes. Run under -race this
 // checks the free lists and the counters for data races.
 func TestConcurrentAcquireRelease(t *testing.T) {

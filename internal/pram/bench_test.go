@@ -12,8 +12,8 @@ import (
 // simulated PRAM. The body does enough arithmetic per index to be
 // compute-bound. Alongside the honest ns/op it reports the model-level
 // counted-step speedup (steps at p=1 over steps at p=w, deterministic and
-// host-independent) plus the scheduler's steal and barrier overhead, so
-// runs on core-starved CI boxes still record the scaling trend.
+// host-independent) plus the scheduler's barrier overhead, so runs on
+// core-starved CI boxes still record the scaling trend.
 func BenchmarkForSpeedup(b *testing.B) {
 	const n = 1 << 18
 	xs := make([]float64, n)
@@ -34,7 +34,6 @@ func BenchmarkForSpeedup(b *testing.B) {
 			st := m.Stats()
 			ops := float64(st.Calls)
 			b.ReportMetric(float64(n)*ops/float64(st.Steps), "pram-speedup")
-			b.ReportMetric(float64(st.Steals)/ops, "steals/op")
 			b.ReportMetric(float64(st.BarrierWait.Nanoseconds())/ops, "barrier-ns/op")
 		})
 	}

@@ -8,7 +8,7 @@ import "context"
 // orchestrating goroutine polls it at statement barriers — on entry to
 // every For/ForRange and again when the worker barrier releases — and the
 // serial fast path polls between grain-sized chunks. Worker goroutines
-// additionally poll at their pop/steal boundaries and simply stop taking
+// additionally poll before each chunk claim and simply stop taking
 // work; only the orchestrator unwinds, by panicking with an *abortPanic
 // that Run converts back into the context's error. Kernels holding pooled
 // workspaces across statements install recover-release-repanic defers so

@@ -125,6 +125,42 @@ func TestCancelMidStatementParallel(t *testing.T) {
 	waitForGoroutines(t, before)
 }
 
+// TestCancelThenNarrowerStatementCoversOnce cancels a wide parallel
+// statement mid-way, then runs a narrower parallel statement on the same
+// machine: it must execute every one of its indices exactly once. The
+// cancelled statement leaves its chunk cursor past zero and part of its
+// range unclaimed; neither may leak into the next statement.
+func TestCancelThenNarrowerStatementCoversOnce(t *testing.T) {
+	m := New(WithWorkers(4), WithGrain(4))
+	for rep := 0; rep < 20; rep++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		m.SetContext(ctx)
+		var executed atomic.Int64
+		err := m.Run(func() {
+			m.For(1<<16, func(i int) {
+				if executed.Add(1) == 100 {
+					cancel()
+				}
+			})
+		})
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("rep %d: wide statement Run = %v, want context.Canceled", rep, err)
+		}
+		m.SetContext(nil)
+		const n = 10 // ⌈10/4⌉ = 3 chunks → 3 of the 4 workers
+		var hits [n]atomic.Int32
+		if err := m.Run(func() { m.For(n, func(i int) { hits[i].Add(1) }) }); err != nil {
+			t.Fatalf("rep %d: narrow statement Run = %v", rep, err)
+		}
+		for i := range hits {
+			if c := hits[i].Load(); c != 1 {
+				t.Fatalf("rep %d: index %d executed %d times after a cancelled statement, want 1", rep, i, c)
+			}
+		}
+	}
+}
+
 // TestCancelForRange checks the chunked (ForRange) path unwinds too.
 func TestCancelForRange(t *testing.T) {
 	m := New(WithWorkers(4), WithGrain(8))

@@ -5,11 +5,11 @@
 // The paper's cost model counts parallel time steps on a machine with p
 // processors; a parallel statement over n virtual processors costs ⌈n/p⌉
 // steps (Brent's scheduling principle). A Machine reproduces exactly that
-// accounting while running the statement bodies on a work-stealing runtime
-// (per-worker deques, chunk stealing, adaptive grain — see sched.go), so the
-// counted bounds can be validated independently of the host's core count and
-// the host still gets genuine speedup even when the iterations' costs are
-// skewed.
+// accounting while running the statement bodies on resident workers that
+// claim grain-sized chunks from one shared cursor per statement (adaptive
+// grain — see sched.go), so the counted bounds can be validated
+// independently of the host's core count and the host still gets genuine
+// speedup even when the iterations' costs are skewed.
 //
 // The single execution primitive is Machine.For: one synchronous parallel
 // statement. Within a single For call the iterations must be independent —
@@ -19,7 +19,7 @@
 // iterations in any order and any interleaving.
 //
 // Beyond the counted Counters, every Machine keeps a Stats snapshot per
-// labeled Phase: counted steps and work, plus measured steal counts, span
+// labeled Phase: counted steps and work, plus measured busy time, span
 // estimate and barrier wait, so the paper's step counts are observable
 // metrics alongside the scheduler's constant factors.
 package pram
@@ -104,8 +104,8 @@ type Machine struct {
 
 	running atomic.Bool // guards against nested/concurrent For
 
-	// pool hosts the resident worker goroutines and the reused deque/stat
-	// slices (see wpool.go). Built lazily by the first parallel statement;
+	// pool hosts the resident worker goroutines, the chunk cursor and the
+	// reused stat slice (see wpool.go). Built lazily by the first parallel statement;
 	// nil until then and on machines that never go parallel.
 	pool        *wpool
 	idleTimeout time.Duration // park time before a resident worker retires
@@ -155,7 +155,7 @@ func WithWorkers(w int) Option {
 	}
 }
 
-// WithGrain pins the number of iterations a worker takes per deque pop and
+// WithGrain pins the number of iterations a worker claims per chunk and
 // disables the adaptive controller. Statements with n ≤ grain run inline on
 // the calling goroutine. Without this option the machine sizes chunks
 // adaptively from the measured per-element cost.
@@ -169,8 +169,8 @@ func WithGrain(g int) Option {
 }
 
 // WithGrainTarget sets the adaptive chunk controller's per-chunk work
-// target in nanoseconds: chunks are sized so each deque pop carries about
-// ns of measured body work. The default is 100µs; host calibration
+// target in nanoseconds: chunks are sized so each claimed chunk carries
+// about ns of measured body work. The default is 100µs; host calibration
 // (internal/tune) derives a tighter value from the measured dispatch
 // cost. No effect under WithGrain, which disables the controller.
 func WithGrainTarget(ns int) Option {
@@ -408,7 +408,7 @@ func (m *Machine) forChunked(n int, body func(lo, hi int)) {
 		m.pool = newWPool(m.workers, m.idleTimeout)
 	}
 	st, ws := m.pool.run(n, w, g, body, done, start, exact)
-	// Workers bail at pop/steal boundaries once the context is done,
+	// Workers bail before their next claim once the context is done,
 	// abandoning unexecuted chunks; the statement is then incomplete, so
 	// the abort must happen before anyone reads its outputs.
 	m.checkpoint()

@@ -23,8 +23,9 @@ var spinSink atomic.Int64
 
 // TestAdaptiveGrainConverges drives the controller with uniform workloads
 // at two very different per-element costs and checks the chosen grain
-// moves the right way: expensive bodies get small chunks (stealing can
-// rebalance), near-free bodies get large chunks (overhead amortized).
+// moves the right way: expensive bodies get small chunks (the other
+// workers can rebalance), near-free bodies get large chunks (overhead
+// amortized).
 func TestAdaptiveGrainConverges(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing-dependent")
@@ -182,10 +183,10 @@ func TestBrentStepsWithPhases(t *testing.T) {
 	}
 }
 
-// TestForMatchesSerialLoop runs the work-stealing For against the serial
-// loop for every combination of GOMAXPROCS ∈ {1,2,8}, workers ∈ {1,2,4,8}
-// and a grain small enough to force heavy stealing, checking each index
-// is executed exactly once with the right value.
+// TestForMatchesSerialLoop runs the chunked For against the serial loop
+// for every combination of GOMAXPROCS ∈ {1,2,8}, workers ∈ {1,2,4,8} and
+// grains down to one index per claim (maximum cursor contention), checking
+// each index is executed exactly once with the right value.
 func TestForMatchesSerialLoop(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	const n = 10_000
@@ -220,7 +221,8 @@ func TestForMatchesSerialLoop(t *testing.T) {
 }
 
 // TestForRangeCoversOnceUnderStealing checks ForRange's chunked contract:
-// the issued sub-ranges tile [0, n) exactly, whatever the schedule.
+// the issued sub-ranges tile [0, n) exactly, however the workers' claims
+// interleave.
 func TestForRangeCoversOnceUnderStealing(t *testing.T) {
 	const n = 4096
 	m := New(WithWorkers(8), WithGrain(2))
@@ -245,21 +247,18 @@ func TestForRangeCoversOnceUnderStealing(t *testing.T) {
 	}
 }
 
-// TestStealsObserved forces an imbalanced statement — one worker's range
-// starts with a long sleep — so whichever worker finishes first must
-// steal, and checks the Stats counters see it.
-func TestStealsObserved(t *testing.T) {
+// TestSkewedStatementObserved forces an imbalanced statement — one index
+// sleeps — and checks the measured Stats counters stay plausible and
+// book the slow chunk.
+func TestSkewedStatementObserved(t *testing.T) {
 	m := New(WithWorkers(2), WithGrain(1))
 	const n = 64
 	m.For(n, func(i int) {
-		if i == n/2 { // first index of worker 1's initial range
+		if i == n/2 {
 			time.Sleep(5 * time.Millisecond)
 		}
 	})
 	st := m.Stats()
-	if st.Steals == 0 {
-		t.Error("expected at least one steal on a skewed statement")
-	}
 	if st.Span <= 0 || st.Span > 10*time.Second {
 		t.Errorf("implausible span %v", st.Span)
 	}
@@ -269,42 +268,17 @@ func TestStealsObserved(t *testing.T) {
 	if st.Busy < 5*time.Millisecond {
 		t.Errorf("busy %v should include the sleeping chunk", st.Busy)
 	}
-	if st.StealWait < 0 {
-		t.Errorf("negative steal wait %v", st.StealWait)
-	}
-}
-
-// TestStealWaitObserved forces workers to hunt for work — one worker's
-// range carries all the cost, so the others spend the statement stealing
-// — and checks the contention probe registers the hunt.
-func TestStealWaitObserved(t *testing.T) {
-	m := New(WithWorkers(4), WithGrain(1))
-	const n = 256
-	m.For(n, func(i int) {
-		if i < n/4 { // worker 0's initial range: all the real work
-			time.Sleep(100 * time.Microsecond)
-		}
-	})
-	st := m.Stats()
-	if st.Steals == 0 {
-		t.Fatal("expected steals on a skewed statement")
-	}
-	if st.StealWait <= 0 {
-		t.Errorf("steal wait %v; a statement with %d steals must accumulate hunt time", st.StealWait, st.Steals)
-	}
-	if st.StealWait > 10*time.Second {
-		t.Errorf("implausible steal wait %v", st.StealWait)
-	}
 }
 
 // TestSchedStructsPadded pins the cache-line padding of the per-worker
 // scheduler structures: they live in contiguous slices, so their sizes
 // must be multiples of 128 (two lines — adjacent-line prefetch pulls
-// pairs) or every chunk pop and stat update false-shares with the
-// neighbouring worker.
+// pairs) or every stat update false-shares with the neighbouring worker.
+// The chunk cursor is allocated on its own and padded the same way, so
+// every claim's atomic add leaves the statement parameters' lines alone.
 func TestSchedStructsPadded(t *testing.T) {
-	if s := unsafe.Sizeof(wdeque{}); s%128 != 0 {
-		t.Errorf("wdeque size %d is not a multiple of 128", s)
+	if s := unsafe.Sizeof(cursor{}); s%128 != 0 {
+		t.Errorf("cursor size %d is not a multiple of 128", s)
 	}
 	if s := unsafe.Sizeof(workerStats{}); s%128 != 0 {
 		t.Errorf("workerStats size %d is not a multiple of 128", s)

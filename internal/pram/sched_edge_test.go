@@ -8,9 +8,9 @@ import (
 	"partree/internal/trace"
 )
 
-// Edge-case coverage for the scheduler's partitioning and stealing:
-// statements smaller than the worker pool, grains larger than the
-// statement, lone-index steals, and the ForRange call-count contract.
+// Edge-case coverage for the scheduler's chunk claiming: statements
+// smaller than the worker pool, grains larger than the statement, and
+// the ForRange call-count contract.
 
 // countWorkerSpans runs one traced statement and returns how many
 // CatWorker slices it emitted — the observable worker count.
@@ -75,22 +75,39 @@ func TestWorkerCountReducedToChunks(t *testing.T) {
 	}
 }
 
-// TestStealLoneIndex: stealing from a deque holding a single remaining
-// index must hand the thief that index (n/2 rounds to zero) and leave
-// the victim empty — the n==1 case that guards against a steal that
-// takes nothing and spins.
-func TestStealLoneIndex(t *testing.T) {
-	var d wdeque
-	d.install(5, 6)
-	lo, hi, ok := d.steal()
-	if !ok || lo != 5 || hi != 6 {
-		t.Fatalf("steal of lone index = (%d, %d, %v), want (5, 6, true)", lo, hi, ok)
+// TestEvenChunk: the chunk size a statement runs with never exceeds the
+// grain, splits uniform work into as few rounds of w chunks as the grain
+// allows, and leaves less than one index of slack per chunk — so a
+// statement of one or two grains on two workers splits in half instead
+// of into a full grain and a sliver.
+func TestEvenChunk(t *testing.T) {
+	for _, c := range []struct{ n, w, g, want int }{
+		{1100, 2, 1000, 550},
+		{1500, 2, 1000, 750},
+		{3500, 2, 1000, 875},
+		{64, 2, 1, 1},
+		{40, 3, 16, 14},
+	} {
+		if got := evenChunk(c.n, c.w, c.g); got != c.want {
+			t.Errorf("evenChunk(%d, %d, %d) = %d, want %d", c.n, c.w, c.g, got, c.want)
+		}
 	}
-	if _, _, ok := d.steal(); ok {
-		t.Error("second steal succeeded on an emptied deque")
-	}
-	if _, _, ok := d.pop(1); ok {
-		t.Error("pop succeeded on an emptied deque")
+	for n := 1; n <= 300; n++ {
+		for g := 1; g <= 40; g++ {
+			for w := 1; w <= 8 && w <= (n+g-1)/g; w++ {
+				c := evenChunk(n, w, g)
+				rounds := (n + g*w - 1) / (g * w)
+				if c < 1 || c > g {
+					t.Fatalf("evenChunk(%d, %d, %d) = %d, want within [1, %d]", n, w, g, c, g)
+				}
+				if chunks := (n + c - 1) / c; chunks > rounds*w {
+					t.Fatalf("evenChunk(%d, %d, %d) = %d: %d chunks, more than %d rounds of %d", n, w, g, c, chunks, rounds, w)
+				}
+				if slack := rounds*w*c - n; slack >= rounds*w {
+					t.Fatalf("evenChunk(%d, %d, %d) = %d leaves %d indices of slack over %d chunks", n, w, g, c, slack, rounds*w)
+				}
+			}
+		}
 	}
 }
 

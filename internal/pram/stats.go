@@ -10,7 +10,7 @@ import (
 // the parallel statements issued under one phase label.
 //
 // Steps, Work and Calls are the counted PRAM quantities (model-level:
-// independent of the host), while Steals, Span, Busy and BarrierWait are
+// independent of the host), while Span, Busy and BarrierWait are
 // measured on the executing hardware (scheduler-level: they quantify the
 // constant factors the model hides).
 type PhaseStats struct {
@@ -21,40 +21,30 @@ type PhaseStats struct {
 	Work int64
 	// Calls is the number of parallel statements issued.
 	Calls int64
-	// Steals counts chunk-steal events between worker deques.
-	Steals int64
 	// Span estimates the critical path: the sum over statements of the
 	// slowest worker's wall time. Span/Busy ≈ 1/w means perfect balance.
 	Span time.Duration
-	// Busy is the total time all workers spent executing statement bodies.
+	// Busy is the total time all workers spent executing statement
+	// bodies. Without a tracer it is each worker's whole wall time in the
+	// statement (see worker in sched.go).
 	Busy time.Duration
 	// BarrierWait is the total time workers spent idle at statement
-	// barriers waiting for the slowest worker — residual imbalance the
-	// stealing could not hide.
+	// barriers waiting for the slowest worker — residual imbalance that
+	// chunk-by-chunk claiming could not hide.
 	BarrierWait time.Duration
-	// StealWait is the total time workers spent hunting for work —
-	// scanning victim deques after their own ran dry, successful or not.
-	// It is the runtime's contention probe: Busy-relative growth of
-	// StealWait as workers are added means the statement is too fine-
-	// grained (or too skewed) for the added cores to help.
-	StealWait time.Duration
 }
 
 func (p *PhaseStats) add(o stmtStats) {
-	p.Steals += o.steals
 	p.Span += o.span
 	p.Busy += o.busy
 	p.BarrierWait += o.barrierWait
-	p.StealWait += o.stealWait
 }
 
 // stmtStats is the measurement of a single executed statement.
 type stmtStats struct {
-	steals      int64
 	span        time.Duration
 	busy        time.Duration
 	barrierWait time.Duration
-	stealWait   time.Duration
 }
 
 // Stats is a snapshot of a Machine's accumulated accounting: the totals,
@@ -140,12 +130,13 @@ func (m *Machine) record(steps, work, calls int64, st stmtStats) {
 
 // Adaptive grain control. The controller keeps an exponentially weighted
 // moving average of the measured per-element cost (total worker busy time
-// divided by iteration count) and sizes chunks so each pop from a deque
-// carries about the machine's grain target of work (grainTargetNs by
-// default, overridable per host via WithGrainTarget) — large enough to amortize the
-// deque mutex and the two clock reads per chunk, small enough that
-// stealing can still rebalance a skewed statement. WithGrain pins the
-// grain and disables the controller.
+// divided by iteration count) and sizes chunks so each claim from the
+// statement's cursor carries about the machine's grain target of work
+// (grainTargetNs by default, overridable per host via WithGrainTarget) —
+// large enough to amortize the cursor's atomic add and the two clock
+// reads per chunk, small enough that the other workers can still
+// rebalance a skewed statement. WithGrain pins the grain and disables
+// the controller.
 //
 // The EWMA lives in an atomic (float64 bits) so the orchestrator's For
 // fast path reads the grain without touching statsMu — statements issued
@@ -154,7 +145,7 @@ func (m *Machine) record(steps, work, calls int64, st stmtStats) {
 const (
 	grainDefault  = 1024    // used until the first measurement lands
 	grainMin      = 32      // never hand out slivers
-	grainMax      = 1 << 16 // never let one pop starve the thieves
+	grainMax      = 1 << 16 // never let one claim starve the other workers
 	grainTargetNs = 100_000 // default target: ≈100µs of work per chunk
 	grainEWMA     = 0.3     // weight of the newest sample
 	minSampleNs   = 0.1     // clock-resolution floor per element

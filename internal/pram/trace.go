@@ -8,7 +8,7 @@ import (
 
 // Tracing hooks. A Machine optionally carries a *trace.Trace; when it
 // does, every Phase window closes into one phase span (counted
-// steps/work/calls and measured steal/barrier/steal-wait deltas booked
+// steps/work/calls and measured busy/barrier deltas booked
 // under that label while it was open) and every parallel statement emits
 // one slice per executing worker, so the recorded timeline carries
 // exactly the numbers Stats() aggregates. Disarmed — the default — the
@@ -73,22 +73,18 @@ func (m *Machine) closePhaseSpan(ended string, depth int) {
 		Steps:       cur.Steps - o.at.Steps,
 		Work:        cur.Work - o.at.Work,
 		Calls:       cur.Calls - o.at.Calls,
-		Steals:      cur.Steals - o.at.Steals,
 		Span:        cur.Span - o.at.Span,
 		Busy:        cur.Busy - o.at.Busy,
 		BarrierWait: cur.BarrierWait - o.at.BarrierWait,
-		StealWait:   cur.StealWait - o.at.StealWait,
 	}
 	for i := range m.openSpans {
 		if m.openSpans[i].label == ended {
 			m.openSpans[i].at.Steps += delta.Steps
 			m.openSpans[i].at.Work += delta.Work
 			m.openSpans[i].at.Calls += delta.Calls
-			m.openSpans[i].at.Steals += delta.Steals
 			m.openSpans[i].at.Span += delta.Span
 			m.openSpans[i].at.Busy += delta.Busy
 			m.openSpans[i].at.BarrierWait += delta.BarrierWait
-			m.openSpans[i].at.StealWait += delta.StealWait
 		}
 	}
 	p := m.procs
@@ -106,17 +102,15 @@ func (m *Machine) closePhaseSpan(ended string, depth int) {
 		Steps:       delta.Steps,
 		Work:        delta.Work,
 		Calls:       delta.Calls,
-		Steals:      delta.Steals,
 		Busy:        delta.Busy,
 		BarrierWait: delta.BarrierWait,
-		StealWait:   delta.StealWait,
 		SpanEst:     delta.Span,
 	})
 }
 
 // emitWorkerSpans records one slice per executing worker for the
 // statement that started at start: the worker's lifetime within the
-// statement (Dur), its body time (Busy), and its steal activity. Only
+// statement (Dur), its body time (Busy), and its element count. Only
 // called when the tracer is armed; runs on the orchestrating goroutine
 // after the statement barrier, so the workerStats reads are settled.
 func (m *Machine) emitWorkerSpans(start time.Time, ws []workerStats) {
@@ -130,15 +124,13 @@ func (m *Machine) emitWorkerSpans(start time.Time, ws []workerStats) {
 	base := start.Sub(tr.Epoch())
 	for i := range ws {
 		tr.Add(trace.Span{
-			Name:      label,
-			Cat:       trace.CatWorker,
-			TID:       i + 1,
-			Start:     base,
-			Dur:       ws[i].finish,
-			Work:      int64(ws[i].elems),
-			Steals:    ws[i].steals,
-			Busy:      ws[i].busy,
-			StealWait: ws[i].stealWait,
+			Name:  label,
+			Cat:   trace.CatWorker,
+			TID:   i + 1,
+			Start: base,
+			Dur:   ws[i].finish,
+			Work:  int64(ws[i].elems),
+			Busy:  ws[i].busy,
 		})
 	}
 }

@@ -18,11 +18,9 @@ func sumPhaseSpans(tr *trace.Trace) map[string]PhaseStats {
 		ps.Steps += s.Steps
 		ps.Work += s.Work
 		ps.Calls += s.Calls
-		ps.Steals += s.Steals
 		ps.Span += s.SpanEst
 		ps.Busy += s.Busy
 		ps.BarrierWait += s.BarrierWait
-		ps.StealWait += s.StealWait
 		out[s.Name] = ps
 	}
 	return out
@@ -77,8 +75,7 @@ func TestPhaseSpansMatchStats(t *testing.T) {
 			t.Errorf("%s: spans sum to steps=%d work=%d calls=%d; Stats has steps=%d work=%d calls=%d",
 				label, g.Steps, g.Work, g.Calls, w.Steps, w.Work, w.Calls)
 		}
-		if g.Steals != w.Steals || g.Span != w.Span || g.Busy != w.Busy ||
-			g.BarrierWait != w.BarrierWait || g.StealWait != w.StealWait {
+		if g.Span != w.Span || g.Busy != w.Busy || g.BarrierWait != w.BarrierWait {
 			t.Errorf("%s: measured deltas diverge from Stats: spans %+v, stats %+v", label, g, w)
 		}
 	}

@@ -9,8 +9,8 @@ import (
 // Resident worker pool: the default dispatcher behind Machine.For.
 //
 // A Machine lazily builds one wpool on its first parallel statement. The
-// pool owns the padded deque and stat slices (allocated once, reused by
-// every statement) and up to workers-1 resident goroutines, so
+// pool owns the chunk cursor and the padded stat slice (allocated once,
+// reused by every statement) and up to workers-1 resident goroutines, so
 // steady-state dispatch allocates nothing and spawns nothing: the
 // orchestrator publishes the statement's parameters, wakes each parked
 // worker with a one-token channel send, runs as worker 0 itself, and
@@ -35,11 +35,11 @@ import (
 // operations on the dispatch path and an idle pool drains to zero
 // goroutines within two timeout periods.
 //
-// Memory visibility: the statement parameters (body, grain, width, done,
-// start, exact) are plain fields written by the orchestrator before the
-// wake send and read by the worker after the wake receive; the channel
-// send/receive pair (or the go statement, for a fresh spawn) is the
-// happens-before edge. The barrier's wg.Done/Wait edge makes the
+// Memory visibility: the statement parameters (n, body, grain, done,
+// start, exact) are plain fields written by the orchestrator, like the
+// cursor rewind, before the wake send and read by the worker after the
+// wake receive; the channel send/receive pair (or the go statement, for
+// a fresh spawn) is the happens-before edge. The barrier's wg.Done/Wait edge makes the
 // workers' stat writes visible to the orchestrator's aggregation.
 //
 // Statements never run concurrently on one Machine (Machine.running
@@ -60,7 +60,7 @@ const (
 
 // wslot is one resident worker's parking state. Slots sit in one
 // contiguous slice and the state word is CASed by both orchestrator and
-// worker, so each slot is padded out to two cache lines like the deques.
+// worker, so each slot is padded out to two cache lines like the stats.
 type wslot struct {
 	state atomic.Int32
 	wake  chan struct{} // buffered 1: the orchestrator's statement token
@@ -75,14 +75,14 @@ type wpool struct {
 
 	// Per-statement parameters, published by the orchestrator before the
 	// wakes (see the memory-visibility note above).
-	wStmt int // this statement's worker count (≤ workers)
+	n     int
 	g     int
 	exact bool
 	body  func(lo, hi int)
 	done  <-chan struct{}
 	start time.Time
 
-	dq    []wdeque
+	cur   *cursor
 	ws    []workerStats
 	slots []wslot
 
@@ -95,7 +95,7 @@ func newWPool(workers int, idle time.Duration) *wpool {
 	p := &wpool{
 		workers: workers,
 		idle:    idle,
-		dq:      make([]wdeque, workers),
+		cur:     new(cursor),
 		ws:      make([]workerStats, workers),
 		slots:   make([]wslot, workers-1),
 		quit:    make(chan struct{}),
@@ -114,25 +114,20 @@ func newWPool(workers int, idle time.Duration) *wpool {
 // it is closed (the orchestrator detects the resulting incomplete
 // statement at the barrier and unwinds — see Machine.checkpoint).
 func (p *wpool) run(n, w, g int, body func(lo, hi int), done <-chan struct{}, start time.Time, exact bool) (stmtStats, []workerStats) {
-	partition(p.dq[:w], n, w)
-	// Deques beyond this statement's width must read empty to thieves: a
-	// narrower statement after a cancelled wider one would otherwise
-	// expose the aborted statement's leftover ranges. (Indices < w are
-	// overwritten by partition; these are the stale tail.)
-	for i := w; i < p.workers; i++ {
-		p.dq[i].lo, p.dq[i].hi = 0, 0
-	}
+	// Rewinding the cursor is the whole partition step, and it also
+	// discards whatever a cancelled earlier statement left unclaimed.
+	p.cur.next.Store(0)
 	for i := 0; i < w; i++ {
 		p.ws[i] = workerStats{}
 	}
-	p.wStmt, p.g, p.exact = w, g, exact
+	p.n, p.g, p.exact = n, evenChunk(n, w, g), exact
 	p.body, p.done, p.start = body, done, start
 
 	p.wg.Add(w - 1)
 	for s := 0; s < w-1; s++ {
 		p.wakeSlot(s)
 	}
-	worker(0, p.dq[:w], g, body, &p.ws[0], start, done, exact)
+	p.worker(0)
 	p.wg.Wait()
 
 	return aggregate(p.ws[:w]), p.ws[:w]
@@ -166,7 +161,7 @@ func (p *wpool) resident(s int) {
 	defer timer.Stop()
 	active := true // did a statement run since the timer last fired?
 	for {
-		worker(id, p.dq[:p.wStmt], p.g, p.body, &p.ws[id], p.start, p.done, p.exact)
+		p.worker(id)
 		sl.state.Store(slotParked) // must precede Done: after the barrier the orchestrator may wake us again
 		p.wg.Done()
 		active = true

@@ -365,10 +365,6 @@ func renderMetrics(w io.Writer, v metricsView) {
 	for _, e := range prams {
 		p.sample("partree_pram_work_total", fmt.Sprintf(`engine=%q`, e), float64(snap.PRAM[e].Work))
 	}
-	p.header("partree_pram_steals_total", "Work-stealing events per engine.", "counter")
-	for _, e := range prams {
-		p.sample("partree_pram_steals_total", fmt.Sprintf(`engine=%q`, e), float64(snap.PRAM[e].Steals))
-	}
 	p.header("partree_pram_span_seconds_total", "Measured critical-path estimate per engine.", "counter")
 	for _, e := range prams {
 		p.sample("partree_pram_span_seconds_total", fmt.Sprintf(`engine=%q`, e), snap.PRAM[e].SpanMS/1e3)
@@ -376,10 +372,6 @@ func renderMetrics(w io.Writer, v metricsView) {
 	p.header("partree_pram_barrier_wait_seconds_total", "Worker idle time at statement barriers per engine.", "counter")
 	for _, e := range prams {
 		p.sample("partree_pram_barrier_wait_seconds_total", fmt.Sprintf(`engine=%q`, e), snap.PRAM[e].BarrierMS/1e3)
-	}
-	p.header("partree_pram_steal_wait_seconds_total", "Worker time spent hunting for work per engine.", "counter")
-	for _, e := range prams {
-		p.sample("partree_pram_steal_wait_seconds_total", fmt.Sprintf(`engine=%q`, e), snap.PRAM[e].StealWaitMS/1e3)
 	}
 
 	p.header("partree_pool_shards", "Workspace arena shard count.", "gauge")

@@ -49,7 +49,7 @@ func goldenView() metricsView {
 				"obst":    {Batches: 4, Jobs: 4, AvgBatch: 1, MaxBatch: 1, LingerCuts: 4, MaxBatchConf: 64, LingerUS: 200},
 			},
 			PRAM: map[string]engineStatsJSON{
-				"huffman": {Steps: 1234, Work: 56789, Steals: 12, SpanMS: 40, BarrierMS: 5, StealWaitMS: 2.5},
+				"huffman": {Steps: 1234, Work: 56789, SpanMS: 40, BarrierMS: 5},
 				"obst":    {Steps: 50, Work: 800, SpanMS: 9},
 			},
 			Pool: PoolCounters{

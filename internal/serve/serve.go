@@ -175,9 +175,9 @@ func (c *endpointCounters) snapshot() RequestCounters {
 
 // accumulatedStats folds the partree.Stats of successive batch runs.
 type accumulatedStats struct {
-	steps, work, steals      int64
-	span, barrier, stealWait time.Duration
-	phases                   map[string]partree.PhaseStats
+	steps, work   int64
+	span, barrier time.Duration
+	phases        map[string]partree.PhaseStats
 }
 
 // New builds a Server and starts its per-engine batch collectors.
@@ -258,20 +258,16 @@ func (s *Server) addStats(engine string, st partree.Stats) {
 	acc := s.engineStats[engine]
 	acc.steps += st.Steps
 	acc.work += st.Work
-	acc.steals += st.Steals
 	acc.span += st.Span
 	acc.barrier += st.BarrierWait
-	acc.stealWait += st.StealWait
 	for name, ps := range st.Phases {
 		merged := acc.phases[name]
 		merged.Steps += ps.Steps
 		merged.Work += ps.Work
 		merged.Calls += ps.Calls
-		merged.Steals += ps.Steals
 		merged.Span += ps.Span
 		merged.Busy += ps.Busy
 		merged.BarrierWait += ps.BarrierWait
-		merged.StealWait += ps.StealWait
 		acc.phases[name] = merged
 	}
 }
@@ -472,24 +468,20 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 // phaseJSON mirrors partree.PhaseStats with JSON-friendly durations.
 type phaseJSON struct {
-	Steps       int64   `json:"steps"`
-	Work        int64   `json:"work"`
-	Calls       int64   `json:"calls"`
-	Steals      int64   `json:"steals"`
-	SpanMS      float64 `json:"span_ms"`
-	BusyMS      float64 `json:"busy_ms"`
-	BarrierMS   float64 `json:"barrier_ms"`
-	StealWaitMS float64 `json:"steal_wait_ms"`
+	Steps     int64   `json:"steps"`
+	Work      int64   `json:"work"`
+	Calls     int64   `json:"calls"`
+	SpanMS    float64 `json:"span_ms"`
+	BusyMS    float64 `json:"busy_ms"`
+	BarrierMS float64 `json:"barrier_ms"`
 }
 
 type engineStatsJSON struct {
-	Steps       int64                `json:"steps"`
-	Work        int64                `json:"work"`
-	Steals      int64                `json:"steals"`
-	SpanMS      float64              `json:"span_ms"`
-	BarrierMS   float64              `json:"barrier_ms"`
-	StealWaitMS float64              `json:"steal_wait_ms"`
-	Phases      map[string]phaseJSON `json:"phases,omitempty"`
+	Steps     int64                `json:"steps"`
+	Work      int64                `json:"work"`
+	SpanMS    float64              `json:"span_ms"`
+	BarrierMS float64              `json:"barrier_ms"`
+	Phases    map[string]phaseJSON `json:"phases,omitempty"`
 }
 
 // PoolShardCounters is one arena shard's traffic in the /statsz payload.
@@ -617,25 +609,21 @@ func (s *Server) Snapshot() StatsSnapshot {
 	s.statsMu.Lock()
 	for name, acc := range s.engineStats {
 		es := engineStatsJSON{
-			Steps:       acc.steps,
-			Work:        acc.work,
-			Steals:      acc.steals,
-			SpanMS:      acc.span.Seconds() * 1e3,
-			BarrierMS:   acc.barrier.Seconds() * 1e3,
-			StealWaitMS: acc.stealWait.Seconds() * 1e3,
+			Steps:     acc.steps,
+			Work:      acc.work,
+			SpanMS:    acc.span.Seconds() * 1e3,
+			BarrierMS: acc.barrier.Seconds() * 1e3,
 		}
 		if len(acc.phases) > 0 {
 			es.Phases = make(map[string]phaseJSON, len(acc.phases))
 			for pn, ps := range acc.phases {
 				es.Phases[pn] = phaseJSON{
-					Steps:       ps.Steps,
-					Work:        ps.Work,
-					Calls:       ps.Calls,
-					Steals:      ps.Steals,
-					SpanMS:      ps.Span.Seconds() * 1e3,
-					BusyMS:      ps.Busy.Seconds() * 1e3,
-					BarrierMS:   ps.BarrierWait.Seconds() * 1e3,
-					StealWaitMS: ps.StealWait.Seconds() * 1e3,
+					Steps:     ps.Steps,
+					Work:      ps.Work,
+					Calls:     ps.Calls,
+					SpanMS:    ps.Span.Seconds() * 1e3,
+					BusyMS:    ps.Busy.Seconds() * 1e3,
+					BarrierMS: ps.BarrierWait.Seconds() * 1e3,
 				}
 			}
 		}

@@ -23,16 +23,14 @@ type traceSpanJSON struct {
 	StartUS float64 `json:"start_us"`
 	DurUS   float64 `json:"dur_us"`
 
-	P           int     `json:"p,omitempty"`
-	W           int     `json:"w,omitempty"`
-	Steps       int64   `json:"steps,omitempty"`
-	Work        int64   `json:"work,omitempty"`
-	Calls       int64   `json:"calls,omitempty"`
-	Steals      int64   `json:"steals,omitempty"`
-	BusyUS      float64 `json:"busy_us,omitempty"`
-	BarrierUS   float64 `json:"barrier_us,omitempty"`
-	StealWaitUS float64 `json:"steal_wait_us,omitempty"`
-	SpanEstUS   float64 `json:"span_est_us,omitempty"`
+	P         int     `json:"p,omitempty"`
+	W         int     `json:"w,omitempty"`
+	Steps     int64   `json:"steps,omitempty"`
+	Work      int64   `json:"work,omitempty"`
+	Calls     int64   `json:"calls,omitempty"`
+	BusyUS    float64 `json:"busy_us,omitempty"`
+	BarrierUS float64 `json:"barrier_us,omitempty"`
+	SpanEstUS float64 `json:"span_est_us,omitempty"`
 
 	Jobs int    `json:"jobs,omitempty"`
 	Cut  string `json:"cut,omitempty"`
@@ -60,23 +58,21 @@ func traceEnvelopeOf(tr *trace.Trace) *traceEnvelope {
 	}
 	for i, s := range spans {
 		env.Spans[i] = traceSpanJSON{
-			Name:        s.Name,
-			Cat:         s.Cat,
-			TID:         s.TID,
-			StartUS:     usOf(s.Start),
-			DurUS:       usOf(s.Dur),
-			P:           s.P,
-			W:           s.W,
-			Steps:       s.Steps,
-			Work:        s.Work,
-			Calls:       s.Calls,
-			Steals:      s.Steals,
-			BusyUS:      usOf(s.Busy),
-			BarrierUS:   usOf(s.BarrierWait),
-			StealWaitUS: usOf(s.StealWait),
-			SpanEstUS:   usOf(s.SpanEst),
-			Jobs:        s.Jobs,
-			Cut:         s.Cut,
+			Name:      s.Name,
+			Cat:       s.Cat,
+			TID:       s.TID,
+			StartUS:   usOf(s.Start),
+			DurUS:     usOf(s.Dur),
+			P:         s.P,
+			W:         s.W,
+			Steps:     s.Steps,
+			Work:      s.Work,
+			Calls:     s.Calls,
+			BusyUS:    usOf(s.Busy),
+			BarrierUS: usOf(s.BarrierWait),
+			SpanEstUS: usOf(s.SpanEst),
+			Jobs:      s.Jobs,
+			Cut:       s.Cut,
 		}
 	}
 	return env

@@ -14,7 +14,7 @@
 //
 // Spans carry the paper's phase-structured cost model: the pram runtime
 // closes each phase span with the counted Steps/Work/Calls and the
-// measured Steals/Busy/BarrierWait/StealWait deltas booked under that
+// measured Busy/BarrierWait deltas booked under that
 // phase label, so a trace is the timeline view of exactly the numbers
 // Stats() reports — the two can never disagree (a differential test
 // holds that line).
@@ -35,10 +35,10 @@ import (
 // and which payload fields are meaningful.
 const (
 	// CatPhase is a pram phase window (tid 0): label, counted
-	// steps/work/calls and measured steal/barrier/steal-wait deltas.
+	// steps/work/calls and measured busy/barrier deltas.
 	CatPhase = "phase"
 	// CatWorker is one worker's slice of one parallel statement
-	// (tid 1..w): busy time, steals, elements executed.
+	// (tid 1..w): busy time and elements executed.
 	CatWorker = "worker"
 	// CatBatch is one partreed batch execution: job count and cut reason.
 	CatBatch = "batch"
@@ -71,10 +71,8 @@ type Span struct {
 	Work  int64
 	Calls int64
 	// Measured scheduler deltas.
-	Steals      int64
 	Busy        time.Duration
 	BarrierWait time.Duration
-	StealWait   time.Duration
 	// SpanEst is the critical-path estimate accumulated over the window
 	// (PhaseStats.Span), distinct from the wall-clock Dur.
 	SpanEst time.Duration
@@ -235,15 +233,11 @@ func (s *Span) args() map[string]any {
 	put("steps", s.Steps)
 	put("work", s.Work)
 	put("calls", s.Calls)
-	put("steals", s.Steals)
 	if s.Busy != 0 {
 		a["busy_us"] = us(s.Busy)
 	}
 	if s.BarrierWait != 0 {
 		a["barrier_us"] = us(s.BarrierWait)
-	}
-	if s.StealWait != 0 {
-		a["steal_wait_us"] = us(s.StealWait)
 	}
 	if s.SpanEst != 0 {
 		a["span_us"] = us(s.SpanEst)
@@ -307,13 +301,12 @@ func (t *Trace) WriteJSON(w io.Writer) error {
 // phase's own Busy counter, so they are not double-listed).
 func (t *Trace) Summary(w io.Writer) {
 	type agg struct {
-		cat    string
-		count  int64
-		wall   time.Duration
-		steps  int64
-		work   int64
-		steals int64
-		busy   time.Duration
+		cat   string
+		count int64
+		wall  time.Duration
+		steps int64
+		work  int64
+		busy  time.Duration
 	}
 	byName := make(map[string]*agg)
 	var names []string
@@ -331,18 +324,17 @@ func (t *Trace) Summary(w io.Writer) {
 		a.wall += s.Dur
 		a.steps += s.Steps
 		a.work += s.Work
-		a.steals += s.Steals
 		a.busy += s.Busy
 	}
 	sort.Strings(names)
-	fmt.Fprintf(w, "%-28s %-8s %6s %12s %10s %12s %8s %12s\n",
-		"span", "cat", "count", "wall", "steps", "work", "steals", "busy")
+	fmt.Fprintf(w, "%-28s %-8s %6s %12s %10s %12s %12s\n",
+		"span", "cat", "count", "wall", "steps", "work", "busy")
 	for _, key := range names {
 		a := byName[key]
 		name := key[:len(key)-len(a.cat)-1]
-		fmt.Fprintf(w, "%-28s %-8s %6d %12s %10d %12d %8d %12s\n",
+		fmt.Fprintf(w, "%-28s %-8s %6d %12s %10d %12d %12s\n",
 			name, a.cat, a.count, a.wall.Round(time.Microsecond),
-			a.steps, a.work, a.steals, a.busy.Round(time.Microsecond))
+			a.steps, a.work, a.busy.Round(time.Microsecond))
 	}
 	if d := t.Dropped(); d > 0 {
 		fmt.Fprintf(w, "(%d spans dropped by the ring bound)\n", d)

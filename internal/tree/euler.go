@@ -10,46 +10,33 @@ import (
 // the tree (each edge contributes a down-step and an up-step), rank the
 // tour by pointer jumping (par.ListRank, O(log n) rounds), and read each
 // node's depth off the prefix of +1/−1 steps before its first visit.
-// It returns depths in the order of a preorder enumeration id assigned to
-// each node, together with that enumeration, so callers can relate nodes
-// to depths without pointer maps.
+// It returns the depths indexed by preorder id: the root is id 0, and
+// each node's left subtree is numbered before its right subtree.
 //
 // The host-side tour construction is O(n); the ranking — the part a
 // sequential traversal cannot parallelize — runs on the machine.
-func DepthsParallel(m *pram.Machine, t *Node) (map[*Node]int, []int) {
+func DepthsParallel(m *pram.Machine, t *Node) []int {
 	if t == nil {
-		return map[*Node]int{}, nil
+		return nil
 	}
 	defer m.Phase("tree.DepthsParallel")()
-	// Assign preorder ids and collect the Euler tour as a linked list of
-	// signed steps: +1 entering a node (except the root), -1 leaving.
-	id := make(map[*Node]int)
-	var order []*Node
-	var assign func(v *Node)
-	assign = func(v *Node) {
-		if v == nil {
-			return
-		}
-		id[v] = len(order)
-		order = append(order, v)
-		assign(v.Left)
-		assign(v.Right)
-	}
-	assign(t)
-	n := len(order)
-
+	// Collect the Euler tour as a linked list of signed steps, numbering
+	// nodes in preorder as the tour enters them: +1 entering a node
+	// (except the root) carries its id, -1 leaving carries none.
 	type step struct {
 		delta int
-		node  *Node // node entered on a +1 step, nil on -1
+		id    int // preorder id of the node entered on a +1 step, -1 on a -1 step
 	}
 	var tour []step
+	n := 1 // the root is id 0
 	var walk func(v *Node)
 	walk = func(v *Node) {
 		for _, c := range []*Node{v.Left, v.Right} {
 			if c != nil {
-				tour = append(tour, step{delta: +1, node: c})
+				tour = append(tour, step{delta: +1, id: n})
+				n++
 				walk(c)
-				tour = append(tour, step{delta: -1})
+				tour = append(tour, step{delta: -1, id: -1})
 			}
 		}
 	}
@@ -81,16 +68,11 @@ func DepthsParallel(m *pram.Machine, t *Node) (map[*Node]int, []int) {
 		}
 	}
 
-	depths := make([]int, n)
-	depthOf := make(map[*Node]int, n)
-	depthOf[t] = 0
+	depths := make([]int, n) // the root's depth is 0
 	m.For(len(tour), func(i int) {
-		if tour[i].node != nil {
-			depths[id[tour[i].node]] = prefix[i]
+		if tour[i].id >= 0 {
+			depths[tour[i].id] = prefix[i]
 		}
 	})
-	for v, i := range id {
-		depthOf[v] = depths[i]
-	}
-	return depthOf, depths
+	return depths
 }

@@ -44,8 +44,8 @@ type Options struct {
 	// accounting (each parallel statement over n items costs ⌈n/p⌉ steps).
 	// 0 means unbounded (every statement costs one step).
 	Processors int
-	// Grain pins the number of iterations a worker takes per deque pop
-	// and disables the adaptive chunk controller. 0 means adaptive. Small
+	// Grain pins the number of iterations a worker claims per chunk and
+	// disables the adaptive chunk controller. 0 means adaptive. Small
 	// grains make cancellation (the Context entry points) more responsive
 	// and spread small batches across workers at the cost of more
 	// scheduling overhead.
@@ -57,7 +57,7 @@ type Options struct {
 }
 
 // PhaseStats is the per-phase cost and scheduler breakdown of a parallel
-// call: counted Steps/Work/Calls plus measured Steals, Span, Busy and
+// call: counted Steps/Work/Calls plus measured Span, Busy and
 // BarrierWait (see the pram package for exact semantics).
 type PhaseStats = pram.PhaseStats
 
@@ -67,8 +67,9 @@ type Stats struct {
 	Steps int64
 	// Work is the total number of virtual processor operations.
 	Work int64
-	// Steals counts work-stealing events in the runtime — how often the
-	// scheduler rebalanced skewed statements across workers.
+	// Steals is always zero. The runtime hands out chunks from one
+	// shared cursor per statement and never steals; the field stays so
+	// existing readers keep compiling.
 	Steals int64
 	// Span is the measured critical-path estimate: the sum over parallel
 	// statements of the slowest worker's wall time.
@@ -76,8 +77,7 @@ type Stats struct {
 	// BarrierWait is the total time workers idled at statement barriers
 	// waiting for the slowest worker.
 	BarrierWait time.Duration
-	// StealWait is the total time workers spent hunting for work across
-	// victim deques — the runtime's contention probe (see pram.PhaseStats).
+	// StealWait is always zero, for the same reason as Steals.
 	StealWait time.Duration
 	// Phases breaks the cost down by algorithm phase (e.g. "monge.MulPar",
 	// "hufpar.spine"). Nil when the call issued no parallel statements.
@@ -93,10 +93,8 @@ func statsOf(m *pram.Machine) Stats {
 	out := Stats{
 		Steps:       s.Steps,
 		Work:        s.Work,
-		Steals:      s.Steals,
 		Span:        s.Span,
 		BarrierWait: s.BarrierWait,
-		StealWait:   s.StealWait,
 	}
 	if len(s.Phases) > 0 {
 		out.Phases = s.Phases

@@ -319,8 +319,11 @@ func TestStatsPhasesAndScheduler(t *testing.T) {
 			t.Errorf("expected phase %q; have %v", name, phaseNames(st.Phases))
 		}
 	}
-	if st.Span < 0 || st.BarrierWait < 0 || st.Steals < 0 {
+	if st.Span < 0 || st.BarrierWait < 0 {
 		t.Errorf("negative scheduler stats: %+v", st)
+	}
+	if st.Steals != 0 || st.StealWait != 0 {
+		t.Errorf("Steals = %d, StealWait = %v; both are documented as always zero", st.Steals, st.StealWait)
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 
 // Tracing. Every parallel entry point can capture a per-call trace: one
 // span per algorithm phase (counted steps/work plus the scheduler's
-// steal/barrier/steal-wait deltas, exactly the numbers Stats reports)
+// busy/barrier deltas, exactly the numbers Stats reports)
 // and one slice per worker per parallel statement. Arm it either with
 // Options.Trace or — for the *Context entry points — by attaching the
 // recorder to the context with TraceContext. Disarmed (the default) the
