@@ -326,7 +326,8 @@ func BenchmarkE7ShannonFano(b *testing.B) {
 }
 
 // E8 — Theorem 8.1: linear CFL recognition by separator D&C + Boolean MM.
-// Reports recursion depth, product count, and word operations.
+// Reports the region table's level count, product count, and word
+// operations.
 func BenchmarkE8LinCFL(b *testing.B) {
 	sizes := []int{63, 127, 255}
 	if testing.Short() {

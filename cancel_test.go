@@ -203,7 +203,7 @@ func TestFaultInjectionRecognizeLinear(t *testing.T) {
 		nth   int
 	}{
 		{"lincfl.tri", 4},
-		{"boolmat.mulpar", 3},
+		{"lincfl.rect", 3},
 	} {
 		t.Run(tc.point, func(t *testing.T) {
 			base := runtime.NumGoroutine()
@@ -220,7 +220,7 @@ func TestFaultInjectionRecognizeLinear(t *testing.T) {
 }
 
 // TestFaultInjectionDeriveLinear aborts inside the derivation pass, whose
-// per-region reach caches deliberately outlive the recursion — the abort
+// region table keeps every level's matrices for the walk — the abort
 // path must hand all of them back to the arena.
 func TestFaultInjectionDeriveLinear(t *testing.T) {
 	g := PalindromeGrammar()

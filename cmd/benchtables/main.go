@@ -294,7 +294,7 @@ func e7() {
 }
 
 func e8() {
-	fmt.Printf("%6s %8s %10s %12s %14s %10s\n", "n", "member?", "depth", "products", "word-ops", "agrees?")
+	fmt.Printf("%6s %8s %7s %7s %12s %14s %10s\n", "n", "member?", "levels", "steps", "products", "word-ops", "agrees?")
 	g := grammar.Palindrome()
 	m := pram.New(pram.WithGrain(grainLinCFL))
 	rng := rand.New(rand.NewSource(8))
@@ -309,19 +309,23 @@ func e8() {
 		if !member {
 			w[0] = 'c' // break the palindrome
 		}
+		m.Reset()
 		res := lincfl.RecognizeDC(m, g, w)
-		fmt.Printf("%6d %8v %10d %12d %14d %10v\n", n, member, res.Depth,
+		fmt.Printf("%6d %8v %7d %7d %12d %14d %10v\n", n, member, res.Depth, m.Counters().Steps,
 			res.Products, res.WordOps, res.Accepted == lincfl.Sequential(g, w))
 	}
-	fmt.Println("claim: O(log n) recursion depth; verdicts agree with the sequential DP")
+	fmt.Println("claim: O(log n) levels and counted steps at unbounded p; verdicts agree with the sequential DP")
 }
 
 // e9 characterizes the chunk-cursor runtime itself on the repo's heaviest
 // kernel (the Theorem 5.1 Huffman build): wall time and scheduler counters
 // across a worker sweep, a per-phase cost breakdown, and one BENCH-JSON
-// line so cross-PR tooling can track speedup and overhead trends.
+// line so tooling can track speedup and overhead trends across commits.
+// Each row's machine builds once to warm its resident pool and adaptive grain;
+// the wall column is the median of the warm builds after it, and the
+// counters are the last warm build's.
 func e9() {
-	const n = 512
+	const n, builds = 512, 5
 	w := workload.SortedAscending(workload.Zipf(n, 1.1))
 
 	type sweepRow struct {
@@ -339,9 +343,17 @@ func e9() {
 		"workers", "wall-ms", "speedup", "pram-speedup", "barrier-ms", "grain")
 	for _, wk := range []int{1, 2, 4, 8} {
 		m := pram.New(pram.WithWorkers(wk), pram.WithProcessors(wk))
-		start := time.Now()
 		hufpar.BuildConcave(m, w)
-		wall := time.Since(start).Seconds() * 1e3
+		walls := make([]float64, builds)
+		for b := range walls {
+			m.Reset()
+			start := time.Now()
+			hufpar.BuildConcave(m, w)
+			walls[b] = time.Since(start).Seconds() * 1e3
+		}
+		m.Close()
+		sort.Float64s(walls)
+		wall := walls[builds/2]
 		if wk == 1 {
 			base = wall
 		}
@@ -384,6 +396,7 @@ func e9() {
 		"experiment": "E9",
 		"kernel":     "hufpar.BuildConcave",
 		"n":          n,
+		"builds":     builds,
 		"gomaxprocs": runtime.GOMAXPROCS(0),
 		"sweep":      rows,
 	})
@@ -1459,10 +1472,11 @@ type e15Report struct {
 	Kernels     []e15Kernel `json:"kernels"`
 }
 
-// E15 — host-calibrated auto-tuning. Every kernel runs twice over
-// identical inputs: once under the static defaults (the exact constants
-// the tree was built with before internal/tune existed) and once under a
-// profile calibrated on this host at the start of the experiment. The
+// E15 — host-calibrated auto-tuning. Every kernel runs in two arms over
+// identical inputs, alternating rep by rep: under the static defaults
+// (the exact constants the tree was built with before internal/tune
+// existed) and under a profile calibrated on this host at the start of
+// the experiment. The
 // tracked sizes sit in the service regime — small problems where
 // per-statement dispatch, not arithmetic, dominates — because that is
 // where the profile's serial cutovers and grain choices pay. The claim
@@ -1562,39 +1576,47 @@ func e15() {
 	}
 
 	prof := tune.Calibrate(tune.Config{Quick: shortMode})
-	fmt.Printf("calibrated profile %s: grain target %dns, cutovers boolmat=%dw monge=%de lincfl=%dw\n\n",
+	fmt.Printf("calibrated profile %s: grain target %dns, cutovers boolmat=%dw monge=%de\n\n",
 		prof.Hash(), prof.Tuned.GrainTargetNs, prof.Tuned.BoolmatSerialWords,
-		prof.Tuned.MongeSerialEntries, prof.Tuned.LinCFLSerialWords)
+		prof.Tuned.MongeSerialEntries)
 
-	// One arm: install the profile (nil = built-in defaults), build the
-	// kernel's machine under it, take the best of reps. The machine pool
-	// keys on the active grain target, so arms cannot share machines.
-	measure := func(p *tune.Profile, newOp func() (func(), func())) (float64, float64) {
-		tune.SetActive(p)
+	// Both arms of a kernel: each builds its machine under its own profile
+	// (nil = built-in defaults); the machine pool keys on the active grain
+	// target, so arms cannot share machines. The arms then alternate rep
+	// by rep, swapping which goes first, so host drift lands on both;
+	// each keeps its best rep and its rep-to-rep spread.
+	measure := func(newOp func() (func(), func())) (ns, noise [2]float64) {
+		profs := [2]*tune.Profile{nil, prof}
+		var ops [2]func()
+		for a, p := range profs {
+			tune.SetActive(p)
+			op, done := newOp()
+			defer done()
+			op() // warm: resident pool up, caches touched
+			ops[a] = op
+		}
 		defer tune.SetActive(nil)
-		op, done := newOp()
-		defer done()
-		op() // warm: resident pool up, caches touched
-		bench := func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				op()
+		var worst [2]float64
+		for r := 0; r < 2*reps; r++ {
+			a := r%2 ^ r/2%2 // 0, 1, 1, 0, 0, 1, …
+			tune.SetActive(profs[a])
+			op := ops[a]
+			got := float64(testing.Benchmark(func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					op()
+				}
+			}).NsPerOp())
+			if ns[a] == 0 || got < ns[a] {
+				ns[a] = got
+			}
+			worst[a] = max(worst[a], got)
+		}
+		for a := range ns {
+			if ns[a] > 0 {
+				noise[a] = (worst[a] - ns[a]) / ns[a]
 			}
 		}
-		var best, worst float64
-		for r := 0; r < reps; r++ {
-			ns := float64(testing.Benchmark(bench).NsPerOp())
-			if r == 0 || ns < best {
-				best = ns
-			}
-			if ns > worst {
-				worst = ns
-			}
-		}
-		noise := 0.0
-		if best > 0 {
-			noise = (worst - best) / best
-		}
-		return best, noise
+		return ns, noise
 	}
 
 	rep := e15Report{
@@ -1605,12 +1627,8 @@ func e15() {
 	}
 	fmt.Printf("%-16s %14s %14s %9s %8s\n", "kernel", "default ns/op", "tuned ns/op", "speedup", "noise")
 	for _, k := range kernels {
-		defNs, defNoise := measure(nil, k.newOp)
-		tunNs, tunNoise := measure(prof, k.newOp)
-		noise := defNoise
-		if tunNoise > noise {
-			noise = tunNoise
-		}
+		ns, noises := measure(k.newOp)
+		defNs, tunNs, noise := ns[0], ns[1], max(noises[0], noises[1])
 		rep.Kernels = append(rep.Kernels, e15Kernel{
 			Kernel: k.name, DefaultNs: defNs, TunedNs: tunNs, NoiseFrac: noise,
 		})

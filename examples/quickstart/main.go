@@ -73,6 +73,6 @@ func main() {
 	g := partree.PalindromeGrammar()
 	word := []byte("abbcbba")
 	lr := partree.RecognizeLinearParallel(g, word)
-	fmt.Printf("%q ∈ palindromes: %v (D&C depth %d, %d boolean products)\n",
+	fmt.Printf("%q ∈ palindromes: %v (%d D&C levels, %d boolean products)\n",
 		word, lr.Accepted, lr.Depth, lr.Products)
 }

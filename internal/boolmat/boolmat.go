@@ -39,6 +39,17 @@ func New(r, c int) *Matrix {
 	return &Matrix{R: r, C: c, words: w, bits: make([]uint64, r*w)}
 }
 
+// Words is the number of words an R×C matrix packs into.
+func Words(r, c int) int { return r * ((c + 63) / 64) }
+
+// On returns the R×C matrix stored in the first Words(r, c) words of
+// bits: a view into a slab its caller owns (lincfl keeps every region
+// matrix of its table in one slab). Release only drops the view.
+func On(r, c int, bits []uint64) Matrix {
+	w := (c + 63) / 64
+	return Matrix{R: r, C: c, words: w, bits: bits[: r*w : r*w]}
+}
+
 // headerPool recycles the Matrix structs themselves: the separator
 // recursion creates and releases so many matrices that the 48-byte
 // headers dominate the allocation profile once the word slabs are
@@ -83,8 +94,7 @@ func (m *Matrix) Release() {
 	}
 }
 
-// Identity returns the n×n identity (pool-backed: the separator
-// recursion churns through one per leaf region).
+// Identity returns the n×n identity (pool-backed).
 func Identity(n int) *Matrix {
 	m := NewFromPool(n, n)
 	for i := 0; i < n; i++ {

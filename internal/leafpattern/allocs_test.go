@@ -20,12 +20,12 @@ import (
 // on a lib-par-shaped instance with one worker: the sorted Huffman code
 // lengths of 32 768 log-normal weights (Kraft sum 1). The tree is one
 // slab of 2n−1 nodes, so the bytes are that slab plus O(L) level tables
-// and the big-integer scan over the L+1 levels.
+// and the word-sized scan over the L+1 levels.
 func TestMonotoneParAllocBudget(t *testing.T) {
-	// Measured 346 allocs and 2 112 790 bytes per call on linux/amd64
+	// Measured 31 allocs and 2 103 000 bytes per call on linux/amd64
 	// (go1.24); the budgets leave ~5% slack for runtime and toolchain
 	// drift.
-	const budget, byteBudget = 363, 2220000
+	const budget, byteBudget = 33, 2220000
 	rng := rand.New(rand.NewSource(1))
 	w := make([]float64, 1<<15)
 	for i := range w {
@@ -35,6 +35,41 @@ func TestMonotoneParAllocBudget(t *testing.T) {
 	sort.Ints(p)
 	m := pram.New(pram.WithWorkers(1))
 	defer m.Close()
+	call := func() {
+		if _, err := MonotonePar(m, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := testing.AllocsPerRun(5, call)
+	bytes := bytesPerRun(5, call)
+	t.Logf("%.0f allocs/call, %.0f bytes/call", got, bytes)
+	if got > budget {
+		t.Fatalf("MonotonePar allocated %.0f times per call, budget %d", got, budget)
+	}
+	if bytes > byteBudget {
+		t.Fatalf("MonotonePar allocated %.0f bytes per call, budget %d", bytes, byteBudget)
+	}
+}
+
+// TestMonotoneParCaterpillarAllocBudget pins MonotonePar on the deepest
+// Kraft-1 pattern, the caterpillar 1, 2, …, n−1, n−1 at n = 32 768, where
+// L = n − 1 levels make the internal-node scan as long as the pattern.
+// Its elements are three words each, so the bytes stay linear in n:
+// scanning L-bit big integers took 1.17 GB here. The tree must still be
+// Monotone's, node for node.
+func TestMonotoneParCaterpillarAllocBudget(t *testing.T) {
+	// Measured 52 allocs and 6 842 600 bytes per call on linux/amd64
+	// (go1.24); the budgets leave ~5% slack for runtime and toolchain
+	// drift.
+	const budget, byteBudget = 55, 7190000
+	const n = 1 << 15
+	p := make([]int, n)
+	for i := range p {
+		p[i] = min(i+1, n-1)
+	}
+	m := pram.New(pram.WithWorkers(1))
+	defer m.Close()
+	checkSameTree(t, m, "MonotonePar", p, Monotone, MonotonePar)
 	call := func() {
 		if _, err := MonotonePar(m, p); err != nil {
 			t.Fatal(err)

@@ -1,7 +1,7 @@
 package leafpattern
 
 import (
-	"math/big"
+	"math/bits"
 	"slices"
 	"sort"
 
@@ -57,11 +57,10 @@ func BitonicPar(m *pram.Machine, pattern []int) (*tree.Node, error) {
 //     level form one contiguous run per side. The position that starts a
 //     run writes its index and the one that ends it writes its successor —
 //     one statement, each cell written once.
-//  2. internal-node counts I_l = ⌈Σ_{j>l} a_j 2^{l-j}⌉ by one suffix
-//     +-scan of the scaled terms a_j·2^{L-j} and a ceiling shift: the
-//     associative-scan form of the paper's carry propagation. The scan
-//     uses big integers; the paper's O(log n)-bit refinement changes the
-//     word size, not the round count.
+//  2. internal-node counts I_l = ⌈Σ_{j>l} a_j 2^{l-j}⌉ by one scan of
+//     the level maps x ↦ ⌈(x + a_j)/2⌉, since I_l = ⌈(a_{l+1} + I_{l+1})/2⌉:
+//     the associative-scan form of the paper's carry propagation, in
+//     O(log n)-bit words (see halving).
 //  3. level offsets by one scan of the level sizes.
 //  4. linking: the tree is one slab of nodes, and level l occupies
 //     slab[off[l]:off[l+1]] as [rising leaves][internals][falling leaves],
@@ -93,29 +92,25 @@ func link(m *pram.Machine, pattern []int, peak int) (*tree.Node, error) {
 	left := func(l int) int { return hi[0][l] - lo[0][l] }
 
 	counts := make([]int, L+1)
-	terms := make([]*big.Int, L+1)
+	maps := make([]halving, L+1)
 	m.For(L+1, func(l int) {
 		counts[l] = left(l) + hi[1][l] - lo[1][l]
-		terms[L-l] = new(big.Int).Lsh(big.NewInt(int64(counts[l])), uint(L-l))
+		maps[L-l] = halving{q: counts[l] / 2, r: counts[l] % 2, k: 1}
 	})
 	if kraft.CompareCounts(counts) > 0 {
 		return nil, ErrNoTree
 	}
 
-	// Phase 2. terms runs deepest first, so its inclusive scan holds the
-	// suffix sums: Σ_{j>l} a_j·2^{L-j} = sums[L-l-1].
-	sums := par.ScanInclusive(m, terms, func(a, b *big.Int) *big.Int {
-		return new(big.Int).Add(a, b)
-	})
+	// Phase 2. maps runs deepest first, so its inclusive scan holds the
+	// compositions I_l = (f_{l+1} ∘ … ∘ f_L)(0) at sums[L-l-1].
+	K := bits.Len(uint(n))
+	sums := par.ScanInclusive(m, maps, func(f, g halving) halving { return f.then(g, K) })
 	inner := make([]int, L+1)
 	off := make([]int, L+2)
 	m.For(L+1, func(l int) {
 		if l < L {
-			s, sh := sums[L-l-1], uint(L-l)
-			inner[l] = int(new(big.Int).Rsh(s, sh).Int64())
-			if s.TrailingZeroBits() < sh {
-				inner[l]++
-			}
+			h := sums[L-l-1]
+			inner[l] = h.q + min(h.r, 1) // its value at x = 0
 		}
 		off[l+1] = counts[l] + inner[l]
 	})
@@ -148,4 +143,30 @@ func link(m *pram.Machine, pattern []int, peak int) (*tree.Node, error) {
 		}
 	})
 	return &slab[0], nil
+}
+
+// halving is the map x ↦ q + ⌈(x + r)/2^k⌉, 0 ≤ r < 2^k, on the
+// internal-node counts 0 ≤ x ≤ n of a pattern of n leaves. Level j's map
+// ⌈(x + a_j)/2⌉ takes [0, n] into itself (a_j ≤ n), so every composition
+// of them does too, and only its values on [0, n] matter: once k passes
+// K, with 2^K > n, the map keeps its values there with k = K and r
+// clamped. Every field then stays below 2^(2K), in one word while
+// n < 2^31, far beyond any slab of 2n − 1 nodes that fits in memory.
+type halving struct{ q, r, k int }
+
+// then returns g ∘ f, f applied first:
+// g(f(x)) = g.q + ⌈(x + f.r + (f.q + g.r)·2^f.k) / 2^(f.k+g.k)⌉.
+func (f halving) then(g halving, K int) halving {
+	c := f.q + g.r
+	h := halving{q: g.q + c>>g.k, r: f.r + (c&(1<<g.k-1))<<f.k, k: f.k + g.k}
+	if h.k > K {
+		// ⌈(x + r)/2^k⌉ on [0, n] is 0 at x + r = 0, 1 up to x = 2^k − r
+		// and 2 past it; keep r's sign and that threshold, or any
+		// threshold at least n when it lies beyond 2^K − 1 ≥ n.
+		if h.r > 0 {
+			h.r = max(1, h.r-1<<h.k+1<<K)
+		}
+		h.k = K
+	}
+	return h
 }

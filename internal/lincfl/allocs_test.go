@@ -15,13 +15,16 @@ import (
 
 // TestRecognizeDCAllocBudget pins the separator recursion's allocations
 // on the n=127 palindrome with one worker: boundary moves between regions
-// allocate nothing beyond their target matrix (pooled), so what remains
-// is about one allocation per reachability product. Products by
-// materialized injection matrices allocated ~30k per call here.
+// allocate nothing beyond their target matrix (pooled), products run on
+// the serial kernel without a statement of their own, and the region
+// table is one slice of entries plus one slab holding every region
+// matrix. What remains is per-call and per-level bookkeeping. Products
+// by materialized injection matrices allocated ~30k per call here, and
+// one MulPar statement per product about 8k.
 func TestRecognizeDCAllocBudget(t *testing.T) {
-	// Measured 8015 allocs/call on linux/amd64 (go1.24); the budget
-	// leaves ~5% slack for runtime and toolchain drift.
-	const budget = 8400
+	// Measured 42–43 allocs/call on linux/amd64 (go1.24); the budget
+	// leaves a few for runtime and toolchain drift.
+	const budget = 48
 	g := grammar.Palindrome()
 	w := palindromeWord(127)
 	m := pram.New(pram.WithWorkers(1))

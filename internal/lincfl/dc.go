@@ -1,11 +1,12 @@
 package lincfl
 
 import (
+	"sync/atomic"
+
 	"partree/internal/boolmat"
 	"partree/internal/faultpoint"
 	"partree/internal/grammar"
 	"partree/internal/pram"
-	"partree/internal/tune"
 )
 
 // The parallel recognizer (Theorem 8.1) works on the induced graph
@@ -30,6 +31,13 @@ import (
 // processor recurrence P(n) = max(4·P(n/2), M(n)) = O(M(n)). Moving state
 // from one region's boundary to the next is data movement, not
 // multiplication (route.go).
+//
+// The regions are a fixed function of n, so they are enumerated once,
+// top-down, into a table of levels, and combined bottom-up: one PRAM
+// statement per level combines all of its regions side by side, as the
+// recurrence bills sibling regions. The recognizer reads the root's
+// matrix; the deriver walks its accepting path down the same table
+// (pathwalk.go).
 
 // DCResult carries the recognition verdict together with the measurements
 // the experiment harness reports.
@@ -41,8 +49,9 @@ type DCResult struct {
 	Products int
 	// WordOps is the number of 64-bit word operations across products.
 	WordOps int64
-	// Depth is the recursion depth (the parallel critical path is
-	// O(Depth · log n) products deep, each O(log n) CRCW time).
+	// Depth is the number of levels of the region table, one PRAM
+	// statement each (the parallel critical path is Depth combines deep,
+	// each O(log n) CRCW time).
 	Depth int
 }
 
@@ -52,17 +61,71 @@ type dcCtx struct {
 	k     int // number of nonterminals
 	m     *pram.Machine
 	cnt   *boolmat.OpCounter
-	prods int
-	depth int
+	prods atomic.Int64
 
 	// K×K rule blocks per terminal t; terminals without rules share one
 	// all-false block.
 	left  [256]*boolmat.Matrix // [A][B] = A → tB
 	right [256]*boolmat.Matrix // [A][B] = A → Bt
+
+	// The region table: regs[0] is the root triangle T(0, n−1), and
+	// level d is regs[lv[d]:lv[d+1]]. Below the root, 1×1 cells get no
+	// entry: they all read the identity id. Every entry's matrix lives in
+	// slab, from word off.
+	regs []region
+	lv   []int
+	slab []uint64
+	id   *boolmat.Matrix
 }
 
-// newDCCtx builds the recognizer context for g on w, with the rule
-// blocks the boundary crossings route through.
+// region is one entry of the table: the triangle T(a, b) (tri, with c, d
+// = a, b) or the rectangle rows a..b × cols c..d.
+type region struct {
+	a, b, c, d int32
+	tri        bool
+	child      int32 // index in regs of the first child that has an entry
+	off        int   // first word of its matrix in slab
+}
+
+func triRegion(lo, hi int32) region      { return region{a: lo, b: hi, c: lo, d: hi, tri: true} }
+func rectRegion(a, b, c, d int32) region { return region{a: a, b: b, c: c, d: d} }
+func (r *region) cell() bool             { return r.a == r.b && r.c == r.d }
+func (r *region) holds(c [2]int) bool {
+	return int(r.a) <= c[0] && c[0] <= int(r.b) && int(r.c) <= c[1] && c[1] <= int(r.d)
+}
+
+// bounds returns the region's entry and exit boundaries.
+func (r *region) bounds() (in, out boundary) {
+	a, b, c, d := int(r.a), int(r.b), int(r.c), int(r.d)
+	if r.tri {
+		return triIn(a, b), triOut(a, b)
+	}
+	return rectIn(a, b, c, d), rectOut(a, b, c, d)
+}
+
+// split returns the region's children in combine order: a triangle's two
+// halves and the square between them; a one-row or one-column
+// rectangle's two halves; else a rectangle's NW, NE, SW and SE quadrants.
+func (r *region) split() (ks [4]region, n int) {
+	a, b, c, d := r.a, r.b, r.c, r.d
+	m1, m2 := (a+b)/2, (c+d)/2
+	switch {
+	case r.tri:
+		return [4]region{triRegion(a, m1), triRegion(m1+1, b), rectRegion(a, m1, m1+1, b)}, 3
+	case a == b:
+		return [4]region{rectRegion(a, b, c, m2), rectRegion(a, b, m2+1, d)}, 2
+	case c == d:
+		return [4]region{rectRegion(a, m1, c, d), rectRegion(m1+1, b, c, d)}, 2
+	}
+	return [4]region{rectRegion(a, m1, c, m2), rectRegion(a, m1, m2+1, d),
+		rectRegion(m1+1, b, c, m2), rectRegion(m1+1, b, m2+1, d)}, 4
+}
+
+// newDCCtx builds the recognizer context for g on w: the rule blocks the
+// boundary crossings route through, and the region table, enumerated
+// once top-down from T(0, n−1). Each level's children are appended in
+// their parents' order, so a region's children with entries sit
+// contiguously from its child index.
 func newDCCtx(m *pram.Machine, g *grammar.Linear, w []byte) *dcCtx {
 	ctx := &dcCtx{g: g, w: w, k: g.NumNT, m: m, cnt: &boolmat.OpCounter{}}
 	empty := boolmat.New(ctx.k, ctx.k)
@@ -81,14 +144,143 @@ func newDCCtx(m *pram.Machine, g *grammar.Linear, w []byte) *dcCtx {
 	for _, r := range g.Right {
 		block(&ctx.right[r.T]).Set(r.A, r.B, true)
 	}
+	ctx.id = boolmat.New(ctx.k, ctx.k)
+	for a := 0; a < ctx.k; a++ {
+		ctx.id.Set(a, a, true)
+	}
+
+	// About n²/6 entries: a quadtree over the n²/2 cells has a third as
+	// many inner nodes. A one-symbol word's root is a cell, with no level.
+	n := len(w)
+	ctx.regs = append(make([]region, 0, n*n/6+2*n), triRegion(0, int32(n-1)))
+	ctx.lv = []int{0}
+	words := 0
+	for lo := 0; lo < len(ctx.regs) && !ctx.regs[0].cell(); lo = ctx.lv[len(ctx.lv)-1] {
+		hi := len(ctx.regs)
+		for i := lo; i < hi; i++ {
+			r := &ctx.regs[i]
+			in, out := r.bounds()
+			r.off, r.child = words, int32(len(ctx.regs))
+			words += boolmat.Words(in.size()*ctx.k, out.size()*ctx.k)
+			ks, n := r.split()
+			for _, k := range ks[:n] {
+				if !k.cell() {
+					ctx.regs = append(ctx.regs, k)
+				}
+			}
+		}
+		ctx.lv = append(ctx.lv, hi)
+	}
+	ctx.slab = make([]uint64, words)
 	return ctx
 }
+
+// view returns region r's matrix: its words of the slab, or the shared
+// identity for a cell.
+func (ctx *dcCtx) view(r *region) boolmat.Matrix {
+	if r.cell() {
+		return *ctx.id
+	}
+	in, out := r.bounds()
+	return boolmat.On(in.size()*ctx.k, out.size()*ctx.k, ctx.slab[r.off:])
+}
+
+// kids returns region r's children in combine order: their table
+// entries, or the bare cell for a 1×1 child.
+func (ctx *dcCtx) kids(r *region) (ks [4]region, n int) {
+	ks, n = r.split()
+	next := r.child
+	for j := range ks[:n] {
+		if !ks[j].cell() {
+			ks[j] = ctx.regs[next]
+			next++
+		}
+	}
+	return ks, n
+}
+
+// build combines the table bottom-up, one PRAM statement per level whose
+// virtual processors are the level's regions. Each region's combine
+// writes its matrix into its words of the slab, runs its products on
+// the serial blocked kernel (a statement body cannot nest another
+// statement) and returns its counted charge; the level charges its
+// longest region as steps and all of them as work. The slab is one
+// garbage-collected allocation per call, so a cancellation that aborts a
+// level statement at its barrier leaves nothing to release: every
+// started combine has finished and returned its intermediates.
+func (ctx *dcCtx) build() {
+	for d := len(ctx.lv) - 2; d >= 0; d-- {
+		regs := ctx.regs[ctx.lv[d]:ctx.lv[d+1]]
+		var steps, work atomic.Int64
+		ctx.m.For(len(regs), func(i int) {
+			c := ctx.combine(&regs[i])
+			work.Add(c.work)
+			for s := steps.Load(); c.steps > s && !steps.CompareAndSwap(s, c.steps); s = steps.Load() {
+			}
+		})
+		ctx.m.Charge(steps.Load(), work.Load())
+	}
+}
+
+// combine builds region r's matrix from its children's.
+func (ctx *dcCtx) combine(r *region) cost {
+	ks, n := ctx.kids(r)
+	var ms [4]boolmat.Matrix
+	for j := range ks[:n] {
+		ms[j] = ctx.view(&ks[j])
+	}
+	res := ctx.view(r)
+	a, b, c, d := int(r.a), int(r.b), int(r.c), int(r.d)
+	switch {
+	case r.tri:
+		faultpoint.Hit("lincfl.tri")
+		return ctx.combineTri(a, b, &ms[0], &ms[1], &ms[2], &res)
+	case a == b:
+		faultpoint.Hit("lincfl.rect")
+		return ctx.combineRectRow(a, b, c, d, &ms[0], &ms[1], &res)
+	case c == d:
+		faultpoint.Hit("lincfl.rect")
+		return ctx.combineRectCol(a, b, c, d, &ms[0], &ms[1], &res)
+	}
+	faultpoint.Hit("lincfl.rect")
+	return ctx.combineRectQuad(a, b, c, d, &ms[0], &ms[1], &ms[2], &ms[3], &res)
+}
+
+// cost is a combine's counted charge: steps along its dependent chain —
+// its moves, then ⌈rows/p⌉ per product, what one MulPar statement per
+// product charged — and work over all its virtual processors.
+type cost struct{ steps, work int64 }
 
 // release returns every matrix to the workspace arena.
 func release(ms ...*boolmat.Matrix) {
 	for _, m := range ms {
 		m.Release()
 	}
+}
+
+// rowSteps is the step charge of a product with a's rows.
+func (ctx *dcCtx) rowSteps(a *boolmat.Matrix) int64 {
+	p := ctx.m.Processors()
+	return int64((a.R + p - 1) / p)
+}
+
+// accept looks for a diagonal vertex (d, d, A) with a terminal rule
+// A → w_d that the start vertex (0, n−1, Start) reaches through the
+// root's matrix.
+func (ctx *dcCtx) accept(reach *boolmat.Matrix) (start, target vertex, ok bool) {
+	n := len(ctx.w)
+	// The start cell is the top-right corner: in-index n−1 of the root
+	// triangle's first row (0 when n == 1).
+	start = vertex{cell: [2]int{0, n - 1}, nt: ctx.g.Start}
+	si, _ := triIn(0, n-1).lookup(start.cell)
+	for d := 0; d < n; d++ {
+		for _, r := range ctx.g.Term {
+			if r.T == ctx.w[d] && reach.Get(si*ctx.k+start.nt, d*ctx.k+r.A) {
+				return start, vertex{cell: [2]int{d, d}, nt: r.A}, true
+			}
+		}
+	}
+	return start, target, false
 }
 
 // RecognizeDC reports whether w ∈ L(G) using the separator
@@ -100,25 +292,12 @@ func RecognizeDC(m *pram.Machine, g *grammar.Linear, w []byte) *DCResult {
 	}
 	defer m.Phase("lincfl.RecognizeDC")()
 	ctx := newDCCtx(m, g, w)
-
-	n := len(w)
-	reach := ctx.tri(0, n-1, 1)
-	// Start vertex: cell (0, n-1) — the top-right corner, which is
-	// in-index (n-1) of the triangle's first row (or 0 when n == 1).
-	in := triIn(0, n-1)
-	si, _ := in.lookup([2]int{0, n - 1})
-	startIdx := si*ctx.k + g.Start
-	for d := 0; d < n; d++ {
-		for _, r := range ctx.g.Term {
-			if r.T == w[d] && reach.Get(startIdx, d*ctx.k+r.A) {
-				res.Accepted = true
-			}
-		}
-	}
-	res.Products = ctx.prods
+	ctx.build()
+	root := ctx.view(&ctx.regs[0])
+	_, _, res.Accepted = ctx.accept(&root)
+	res.Products = int(ctx.prods.Load())
 	res.WordOps = ctx.cnt.Load()
-	res.Depth = ctx.depth
-	reach.Release()
+	res.Depth = len(ctx.lv) - 1
 	return res
 }
 
@@ -226,60 +405,16 @@ func rectIn(a, b, c, d int) boundary { return boundary{kind: bRectIn, a: a, b: b
 // rectOut: left column, then bottom row (excluding the shared corner).
 func rectOut(a, b, c, d int) boundary { return boundary{kind: bRectOut, a: a, b: b, c: c, d: d} }
 
+// mul is one reachability product, on the serial blocked kernel.
 func (ctx *dcCtx) mul(a, b *boolmat.Matrix) *boolmat.Matrix {
-	ctx.prods++
+	ctx.prods.Add(1)
 	ctx.cnt.Add(int64(a.R) * int64(a.C) * int64((b.C+63)/64))
-	// Small block products (most of the separator recursion's, by count)
-	// drop out of the PRAM machinery entirely below the profile's cutover
-	// — the serial cache-blocked kernel for one counted step, skipping
-	// both the statement dispatch and the per-product phase bookkeeping.
-	// The counted word-op total above is model-level and unchanged.
-	if cut := tune.Active().Tuned.LinCFLSerialWords; cut > 0 && boolmat.EstMulWords(a, b) <= int64(cut) {
-		out := boolmat.Mul(a, b)
-		ctx.m.Step(1)
-		return out
-	}
-	return boolmat.MulPar(ctx.m, a, b)
+	return boolmat.Mul(a, b)
 }
 
-func (ctx *dcCtx) noteDepth(d int) {
-	if d > ctx.depth {
-		ctx.depth = d
-	}
-}
-
-// tri computes the triangle reachability IN×OUT.
-func (ctx *dcCtx) tri(lo, hi, depth int) *boolmat.Matrix {
-	ctx.noteDepth(depth)
-	faultpoint.Hit("lincfl.tri")
-	if lo == hi {
-		return boolmat.Identity(ctx.k)
-	}
-	mid := (lo + hi) / 2
-	// A cancellation abort below (inside any product's For) unwinds this
-	// frame; the already-built children must be released on the way up —
-	// the combine helpers release their own intermediates.
-	var rl, rr, rq *boolmat.Matrix
-	defer func() {
-		if rec := recover(); rec != nil {
-			release(rl, rr, rq)
-			panic(rec)
-		}
-	}()
-	rl = ctx.tri(lo, mid, depth+1)
-	rr = ctx.tri(mid+1, hi, depth+1)
-	rq = ctx.rect(lo, mid, mid+1, hi, depth+1)
-	res := ctx.combineTri(lo, hi, rl, rr, rq)
-	// The children are fully folded into res; recycle their slabs for the
-	// sibling recursions. (The caching extractor keeps its children alive
-	// instead — see derive_dc.go.)
-	release(rl, rr, rq)
-	return res
-}
-
-// combineTri assembles a triangle's boundary reachability from its three
-// pieces' matrices — shared with the caching recursion in derive_dc.go.
-func (ctx *dcCtx) combineTri(lo, hi int, rl, rr, rq *boolmat.Matrix) (res *boolmat.Matrix) {
+// combineTri assembles a triangle's boundary reachability into res (all
+// false) from its three pieces' matrices.
+func (ctx *dcCtx) combineTri(lo, hi int, rl, rr, rq, res *boolmat.Matrix) cost {
 	k := ctx.k
 	mid := (lo + hi) / 2
 	inT := triIn(lo, hi)
@@ -289,13 +424,13 @@ func (ctx *dcCtx) combineTri(lo, hi int, rl, rr, rq *boolmat.Matrix) (res *boolm
 	inQ, outQ := rectIn(lo, mid, mid+1, hi), rectOut(lo, mid, mid+1, hi)
 
 	// Every intermediate is declared up front and nil'd as it is released
-	// on the normal path, so a cancellation abort inside the product can
-	// return exactly the still-live ones to the arena (Release is
-	// nil-safe) before the unwind continues.
+	// on the normal path, so a panic inside the combine returns exactly
+	// the still-live ones to the arena (Release is nil-safe) before the
+	// unwind continues. res belongs to the table.
 	var lFull, rFull, x, qFull *boolmat.Matrix
 	defer func() {
 		if rec := recover(); rec != nil {
-			release(lFull, rFull, x, qFull, res)
+			release(lFull, rFull, x, qFull)
 			panic(rec)
 		}
 	}()
@@ -312,62 +447,18 @@ func (ctx *dcCtx) combineTri(lo, hi int, rl, rr, rq *boolmat.Matrix) (res *boolm
 	x = nil
 
 	// IN(T) is partitioned among IN(L), IN(R) and IN(Q).
-	res = boolmat.NewFromPool(inT.size()*k, outT.size()*k)
 	ctx.route(res, inT, inL, same, nil, lFull)
 	ctx.route(res, inT, inR, same, nil, rFull)
 	ctx.route(res, inT, inQ, same, nil, qFull)
-	ctx.m.Step(7) // two placements, five routings
 	release(lFull, rFull, qFull)
-	return res
+	// Two placements and five routings around one product.
+	return cost{steps: 7 + ctx.rowSteps(rq), work: 7 + int64(rq.R)}
 }
 
-// rect computes the rectangle reachability IN×OUT for rows a..b, cols c..d.
-func (ctx *dcCtx) rect(a, b, c, d, depth int) *boolmat.Matrix {
-	ctx.noteDepth(depth)
-	if a == b && c == d {
-		return boolmat.Identity(ctx.k)
-	}
-	var r1, r2, r3, r4 *boolmat.Matrix
-	defer func() {
-		if rec := recover(); rec != nil {
-			release(r1, r2, r3, r4)
-			panic(rec)
-		}
-	}()
-	if a == b {
-		// Single row: split columns.
-		m2 := (c + d) / 2
-		r1 = ctx.rect(a, b, c, m2, depth+1)
-		r2 = ctx.rect(a, b, m2+1, d, depth+1)
-		res := ctx.combineRectRow(a, b, c, d, r1, r2)
-		release(r1, r2)
-		return res
-	}
-	if c == d {
-		// Single column: split rows.
-		m1 := (a + b) / 2
-		r1 = ctx.rect(a, m1, c, d, depth+1)
-		r2 = ctx.rect(m1+1, b, c, d, depth+1)
-		res := ctx.combineRectCol(a, b, c, d, r1, r2)
-		release(r1, r2)
-		return res
-	}
-	// Full quadrant split.
-	m1 := (a + b) / 2
-	m2 := (c + d) / 2
-	r1 = ctx.rect(a, m1, c, m2, depth+1)
-	r2 = ctx.rect(a, m1, m2+1, d, depth+1)
-	r3 = ctx.rect(m1+1, b, c, m2, depth+1)
-	r4 = ctx.rect(m1+1, b, m2+1, d, depth+1)
-	res := ctx.combineRectQuad(a, b, c, d, r1, r2, r3, r4)
-	release(r1, r2, r3, r4)
-	return res
-}
-
-// combineRectRow assembles a single-row rectangle from its west/east
-// halves. Like combineTri, it releases every intermediate it creates but
-// leaves the child matrices to the caller (the extractor caches them).
-func (ctx *dcCtx) combineRectRow(a, b, c, d int, rw, re *boolmat.Matrix) (res *boolmat.Matrix) {
+// combineRectRow assembles a single-row rectangle into res from its
+// west/east halves. Like combineTri, it releases every intermediate it
+// creates but leaves the child matrices to the table.
+func (ctx *dcCtx) combineRectRow(a, b, c, d int, rw, re, res *boolmat.Matrix) cost {
 	k := ctx.k
 	inQ := rectIn(a, b, c, d)
 	outQ := rectOut(a, b, c, d)
@@ -377,7 +468,7 @@ func (ctx *dcCtx) combineRectRow(a, b, c, d int, rw, re *boolmat.Matrix) (res *b
 	var wFull, x, eFull *boolmat.Matrix
 	defer func() {
 		if rec := recover(); rec != nil {
-			release(wFull, x, eFull, res)
+			release(wFull, x, eFull)
 			panic(rec)
 		}
 	}()
@@ -389,17 +480,16 @@ func (ctx *dcCtx) combineRectRow(a, b, c, d int, rw, re *boolmat.Matrix) (res *b
 	eFull = ctx.mul(re, x)
 	x.Release()
 	x = nil
-	res = boolmat.NewFromPool(inQ.size()*k, outQ.size()*k)
 	ctx.route(res, inQ, inW, same, nil, wFull)
 	ctx.route(res, inQ, inE, same, nil, eFull)
-	ctx.m.Step(5) // one placement, one identity, three routings
 	release(wFull, eFull)
-	return res
+	// One placement, one identity and three routings around one product.
+	return cost{steps: 5 + ctx.rowSteps(re), work: 5 + int64(re.R)}
 }
 
-// combineRectCol assembles a single-column rectangle from its north/south
-// halves.
-func (ctx *dcCtx) combineRectCol(a, b, c, d int, rn, rs *boolmat.Matrix) (res *boolmat.Matrix) {
+// combineRectCol assembles a single-column rectangle into res from its
+// north/south halves.
+func (ctx *dcCtx) combineRectCol(a, b, c, d int, rn, rs, res *boolmat.Matrix) cost {
 	k := ctx.k
 	inQ := rectIn(a, b, c, d)
 	outQ := rectOut(a, b, c, d)
@@ -409,7 +499,7 @@ func (ctx *dcCtx) combineRectCol(a, b, c, d int, rn, rs *boolmat.Matrix) (res *b
 	var sFull, x, nFull *boolmat.Matrix
 	defer func() {
 		if rec := recover(); rec != nil {
-			release(sFull, x, nFull, res)
+			release(sFull, x, nFull)
 			panic(rec)
 		}
 	}()
@@ -421,18 +511,17 @@ func (ctx *dcCtx) combineRectCol(a, b, c, d int, rn, rs *boolmat.Matrix) (res *b
 	nFull = ctx.mul(rn, x)
 	x.Release()
 	x = nil
-	res = boolmat.NewFromPool(inQ.size()*k, outQ.size()*k)
 	ctx.route(res, inQ, inN, same, nil, nFull)
 	ctx.route(res, inQ, inS, same, nil, sFull)
-	ctx.m.Step(5) // one placement, one identity, three routings
 	release(sFull, nFull)
-	return res
+	// One placement, one identity and three routings around one product.
+	return cost{steps: 5 + ctx.rowSteps(rn), work: 5 + int64(rn.R)}
 }
 
-// combineRectQuad assembles a rectangle from its four quadrants: SW
-// first, then NW and SE (which exit through SW), then NE (which exits
-// through NW and SE) — three products.
-func (ctx *dcCtx) combineRectQuad(a, b, c, d int, rnw, rne, rsw, rse *boolmat.Matrix) (res *boolmat.Matrix) {
+// combineRectQuad assembles a rectangle into res from its four
+// quadrants: SW first, then NW and SE (which exit through SW), then NE
+// (which exits through NW and SE) — three products.
+func (ctx *dcCtx) combineRectQuad(a, b, c, d int, rnw, rne, rsw, rse, res *boolmat.Matrix) cost {
 	k := ctx.k
 	inQ := rectIn(a, b, c, d)
 	outQ := rectOut(a, b, c, d)
@@ -450,7 +539,7 @@ func (ctx *dcCtx) combineRectQuad(a, b, c, d int, rnw, rne, rsw, rse *boolmat.Ma
 	var swFull, x, nwFull, seFull, neFull *boolmat.Matrix
 	defer func() {
 		if rec := recover(); rec != nil {
-			release(swFull, x, nwFull, seFull, neFull, res)
+			release(swFull, x, nwFull, seFull, neFull)
 			panic(rec)
 		}
 	}()
@@ -477,11 +566,14 @@ func (ctx *dcCtx) combineRectQuad(a, b, c, d int, rnw, rne, rsw, rse *boolmat.Ma
 	x = nil
 
 	// IN(Q) is partitioned among IN(NW), IN(NE) and IN(SE).
-	res = boolmat.NewFromPool(inQ.size()*k, outQ.size()*k)
 	ctx.route(res, inQ, inNW, same, nil, nwFull)
 	ctx.route(res, inQ, inNE, same, nil, neFull)
 	ctx.route(res, inQ, inSE, same, nil, seFull)
-	ctx.m.Step(10) // one placement, two identities, seven routings
 	release(swFull, nwFull, seFull, neFull)
-	return res
+	// One placement, two identities and seven routings; the NW and SE
+	// products are independent, and NE's waits for both.
+	return cost{
+		steps: 10 + max(ctx.rowSteps(rnw), ctx.rowSteps(rse)) + ctx.rowSteps(rne),
+		work:  10 + int64(rnw.R+rse.R+rne.R),
+	}
 }

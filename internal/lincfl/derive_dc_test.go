@@ -145,3 +145,22 @@ func TestDeriveDCLongPalindrome(t *testing.T) {
 	}
 	validateSteps(t, g, w, steps)
 }
+
+// TestDeriveDCAddsNoProduct: the derivation walk reads the table the
+// recognizer builds and computes no product of its own, so DeriveDC
+// performs exactly RecognizeDC's products on members and non-members.
+func TestDeriveDCAddsNoProduct(t *testing.T) {
+	m := mach()
+	g := grammar.Palindrome()
+	for _, w := range [][]byte{palindromeWord(127), palindromeWord(64), []byte("abcab"), []byte("c")} {
+		ctx := newDCCtx(m, g, w)
+		_, ok := ctx.derive()
+		want := RecognizeDC(m, g, w)
+		if ok != want.Accepted {
+			t.Fatalf("%q: derive ok %v, RecognizeDC %v", w, ok, want.Accepted)
+		}
+		if got := int(ctx.prods.Load()); got != want.Products {
+			t.Fatalf("%q: DeriveDC performed %d products, RecognizeDC %d", w, got, want.Products)
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package lincfl
 
 import (
+	"math/bits"
 	"math/rand"
 	"strings"
 	"testing"
@@ -162,9 +163,9 @@ func TestDCEdgeCases(t *testing.T) {
 	}
 }
 
-// Theorem 8.1 shape: recursion depth is O(log n), and the dominant work is
-// the top-level Boolean products: word operations grow far slower than the
-// n³ of a naive path closure.
+// Theorem 8.1 shape: the region table is O(log n) levels deep, and the
+// dominant work is the top-level Boolean products: word operations grow
+// far slower than the n³ of a naive path closure.
 func TestDCDepthLogarithmic(t *testing.T) {
 	g := grammar.Palindrome()
 	m := mach()
@@ -188,6 +189,30 @@ func TestDCDepthLogarithmic(t *testing.T) {
 		}
 		if res.Depth > 2*limit+4 {
 			t.Errorf("n=%d: depth %d exceeds 2·log+4 = %d", n, res.Depth, 2*limit+4)
+		}
+	}
+}
+
+// TestDCStepBound checks Theorem 8.1's O(log² n) time on counted steps.
+// With processors to spare, every product costs one step, and each level
+// statement costs one step plus its longest combine: at most 12, a
+// quadrant split's ten moves and its two dependent products. Over about
+// 2·log₂ n levels that is well inside c·⌈log₂ n⌉²; the measured ratio
+// peaks at 3.0 at n = 16, so c = 4.
+func TestDCStepBound(t *testing.T) {
+	const c = 4
+	g := grammar.Palindrome()
+	for e := 4; e <= 9; e++ {
+		for _, n := range []int{1 << e, 1<<e + 1} {
+			m := pram.New(pram.WithProcessors(1 << 20))
+			if RecognizeDC(m, g, palindromeWord(n)).Accepted != (n%2 == 1) {
+				t.Fatalf("n=%d: wrong verdict", n)
+			}
+			lg := int64(bits.Len(uint(n - 1))) // ⌈log₂ n⌉
+			if steps := m.Counters().Steps; steps > c*lg*lg {
+				t.Errorf("n=%d: %d counted steps, bound %d·⌈log₂ n⌉² = %d", n, steps, c, c*lg*lg)
+			}
+			m.Close()
 		}
 	}
 }

@@ -1,176 +1,140 @@
 package lincfl
 
-// Path extraction over the cached region reachability matrices. The walk
-// refines the accepting pair (source vertex, diagonal target) down the
-// region tree, picking an explicit waypoint on every separator interface
-// it crosses. For rectangles the walk uses simple alternating binary
-// splits — t.rect caches whatever sub-rectangles the queries need, so the
-// cost per level is one boundary scan plus the cached lookups.
+// Path extraction over the region table. The walk refines the accepting
+// pair (source vertex, diagonal target) down the table by child index.
+// A split region's children form a small DAG, since paths only move down
+// or left: a triangle's square exits into its left or right half, a
+// one-row rectangle's east half into its west half, a one-column
+// rectangle's north half into its south half, and a quadrant split runs
+// NE → {NW, SE} → SW. A path that leaves a child never re-enters it, so
+// the walk stays inside the child holding the source when that child
+// also holds the target, and otherwise picks an explicit waypoint on the
+// line it crosses into the next child, reading only the children's own
+// matrices.
 
-func (t *traceCtx) triReaches(lo, hi int, s, tv vertex) bool {
-	in, out := triIn(lo, hi), triOut(lo, hi)
+// exit is one edge of a split region's child DAG: paths leave child
+// from across the line cm into child to.
+type exit struct {
+	to int
+	cm cellMap
+}
+
+// exits returns the edges out of child x of region r (children indexed
+// in combine order, as split returns them).
+func (r *region) exits(x int) []exit {
+	m1, m2 := int(r.a+r.b)/2, int(r.c+r.d)/2
+	switch {
+	case r.tri:
+		if x == 2 { // the square, into L or R
+			return []exit{{0, crossLeft(m1 + 1)}, {1, crossDown(m1)}}
+		}
+	case r.a == r.b:
+		if x == 1 { // east into west
+			return []exit{{0, crossLeft(m2 + 1)}}
+		}
+	case r.c == r.d:
+		if x == 0 { // north into south
+			return []exit{{1, crossDown(m1)}}
+		}
+	default:
+		switch x {
+		case 0: // NW into SW
+			return []exit{{2, crossDown(m1)}}
+		case 1: // NE into NW or SE
+			return []exit{{0, crossLeft(m2 + 1)}, {3, crossDown(m1)}}
+		case 3: // SE into SW
+			return []exit{{2, crossLeft(m2 + 1)}}
+		}
+	}
+	return nil
+}
+
+// get reports whether region x's matrix reaches tv ∈ OUT(x) from
+// s ∈ IN(x).
+func (ctx *dcCtx) get(x *region, s, tv vertex) bool {
+	in, out := x.bounds()
 	si, ok := in.lookup(s.cell)
 	if !ok {
 		return false
 	}
 	ti, ok := out.lookup(tv.cell)
-	if !ok {
-		return false
-	}
-	return t.tri(lo, hi, 1).Get(si*t.k+s.nt, ti*t.k+tv.nt)
+	m := ctx.view(x)
+	return ok && m.Get(si*ctx.k+s.nt, ti*ctx.k+tv.nt)
 }
 
-func (t *traceCtx) rectReaches(a, b, c, d int, s, tv vertex) bool {
-	in, out := rectIn(a, b, c, d), rectOut(a, b, c, d)
-	si, ok := in.lookup(s.cell)
-	if !ok {
-		return false
+// cross looks for a waypoint where a path from s ∈ IN(x) leaves region
+// x across the line cm: a vertex u on that line which x reaches from s,
+// and a rule carrying u's nonterminal over the line to a landed vertex
+// that next accepts.
+func (ctx *dcCtx) cross(x *region, s vertex, cm cellMap, next func(vertex) bool) (u, land vertex, ok bool) {
+	lo, hi, block := int(x.a), int(x.b), ctx.right[ctx.w[cm.line]]
+	if cm.kind == cmDown {
+		lo, hi, block = int(x.c), int(x.d), ctx.left[ctx.w[cm.line]]
 	}
-	ti, ok := out.lookup(tv.cell)
-	if !ok {
-		return false
+	for p := lo; p <= hi; p++ {
+		cell := [2]int{p, cm.line}
+		if cm.kind == cmDown {
+			cell = [2]int{cm.line, p}
+		}
+		to, _ := cm.apply(cell)
+		for a := 0; a < ctx.k; a++ {
+			u = vertex{cell: cell, nt: a}
+			if !ctx.get(x, s, u) {
+				continue
+			}
+			for b := 0; b < ctx.k; b++ {
+				if land = (vertex{cell: to, nt: b}); block.Get(a, b) && next(land) {
+					return u, land, true
+				}
+			}
+		}
 	}
-	return t.rect(a, b, c, d, 1).Get(si*t.k+s.nt, ti*t.k+tv.nt)
+	return u, land, false
 }
 
-// pathTri returns the vertex path from s ∈ IN(T(lo,hi)) to the diagonal
-// vertex tv. The pair must be reachable (callers check first).
-func (t *traceCtx) pathTri(lo, hi int, s, tv vertex) []vertex {
-	if lo == hi {
-		if s.cell != tv.cell || s.nt != tv.nt {
-			panic("lincfl: path extraction reached an inconsistent base cell")
+// path returns the vertex path from s ∈ IN(r) to tv ∈ OUT(r). The pair
+// must be reachable (callers check first).
+func (ctx *dcCtx) path(r region, s, tv vertex) []vertex {
+	if r.cell() {
+		if s != tv {
+			panic("lincfl: path extraction reached an inconsistent cell")
 		}
 		return []vertex{s}
 	}
-	mid := (lo + hi) / 2
-	d := tv.cell[0]
-
-	switch {
-	case s.cell[1] <= mid: // s inside L
-		return t.pathTri(lo, mid, s, tv)
-	case s.cell[0] >= mid+1: // s inside R
-		return t.pathTri(mid+1, hi, s, tv)
+	ks, n := ctx.kids(&r)
+	x := 0
+	for x < n && !ks[x].holds(s.cell) {
+		x++
 	}
-	// s inside the square Q.
-	if d <= mid {
-		// Exit Q through its left column into L.
-		block := t.right[t.w[mid+1]]
-		for i := lo; i <= mid; i++ {
-			for a := 0; a < t.k; a++ {
-				m := vertex{cell: [2]int{i, mid + 1}, nt: a}
-				if !t.rectReaches(lo, mid, mid+1, hi, s, m) {
-					continue
-				}
-				for bnt := 0; bnt < t.k; bnt++ {
-					if !block.Get(a, bnt) {
-						continue
-					}
-					land := vertex{cell: [2]int{i, mid}, nt: bnt}
-					if t.triReaches(lo, mid, land, tv) {
-						p := t.pathRect(lo, mid, mid+1, hi, s, m)
-						return append(p, t.pathTri(lo, mid, land, tv)...)
-					}
-				}
-			}
-		}
-		panic("lincfl: no waypoint into L despite reachability")
-	}
-	// Exit Q through its bottom row into R.
-	block := t.left[t.w[mid]]
-	for j := mid + 1; j <= hi; j++ {
-		for a := 0; a < t.k; a++ {
-			m := vertex{cell: [2]int{mid, j}, nt: a}
-			if !t.rectReaches(lo, mid, mid+1, hi, s, m) {
-				continue
-			}
-			for bnt := 0; bnt < t.k; bnt++ {
-				if !block.Get(a, bnt) {
-					continue
-				}
-				land := vertex{cell: [2]int{mid + 1, j}, nt: bnt}
-				if t.triReaches(mid+1, hi, land, tv) {
-					p := t.pathRect(lo, mid, mid+1, hi, s, m)
-					return append(p, t.pathTri(mid+1, hi, land, tv)...)
-				}
-			}
-		}
-	}
-	panic("lincfl: no waypoint into R despite reachability")
+	return ctx.walk(&r, ks[:n], x, s, tv)
 }
 
-// pathRect returns the vertex path from s ∈ IN(rect) to tv ∈ OUT(rect),
-// splitting columns first, then rows.
-func (t *traceCtx) pathRect(a, b, c, d int, s, tv vertex) []vertex {
-	if a == b && c == d {
-		if s.cell != tv.cell || s.nt != tv.nt {
-			panic("lincfl: rectangle base cell mismatch")
-		}
-		return []vertex{s}
+// walk returns the path from s, on the entry boundary of child x of r,
+// to tv: inside x when x holds tv, else through x's first exit from
+// which tv is reachable.
+func (ctx *dcCtx) walk(r *region, ks []region, x int, s, tv vertex) []vertex {
+	if ks[x].holds(tv.cell) {
+		return ctx.path(ks[x], s, tv)
 	}
-	if c < d {
-		m2 := (c + d) / 2
-		sWest := s.cell[1] <= m2
-		tWest := tv.cell[1] <= m2
-		switch {
-		case sWest && tWest:
-			return t.pathRect(a, b, c, m2, s, tv)
-		case sWest && !tWest:
-			panic("lincfl: path cannot move right")
-		case !sWest && !tWest:
-			return t.pathRect(a, b, m2+1, d, s, tv)
-		}
-		// East → West through the column interface.
-		block := t.right[t.w[m2+1]]
-		for i := a; i <= b; i++ {
-			for ant := 0; ant < t.k; ant++ {
-				m := vertex{cell: [2]int{i, m2 + 1}, nt: ant}
-				if !t.rectReaches(a, b, m2+1, d, s, m) {
-					continue
-				}
-				for bnt := 0; bnt < t.k; bnt++ {
-					if !block.Get(ant, bnt) {
-						continue
-					}
-					land := vertex{cell: [2]int{i, m2}, nt: bnt}
-					if t.rectReaches(a, b, c, m2, land, tv) {
-						p := t.pathRect(a, b, m2+1, d, s, m)
-						return append(p, t.pathRect(a, b, c, m2, land, tv)...)
-					}
-				}
-			}
-		}
-		panic("lincfl: no column waypoint despite reachability")
-	}
-	// Single column of cells: split rows.
-	m1 := (a + b) / 2
-	sNorth := s.cell[0] <= m1
-	tNorth := tv.cell[0] <= m1
-	switch {
-	case sNorth && tNorth:
-		return t.pathRect(a, m1, c, d, s, tv)
-	case !sNorth && tNorth:
-		panic("lincfl: path cannot move up")
-	case !sNorth && !tNorth:
-		return t.pathRect(m1+1, b, c, d, s, tv)
-	}
-	block := t.left[t.w[m1]]
-	for j := c; j <= d; j++ {
-		for ant := 0; ant < t.k; ant++ {
-			m := vertex{cell: [2]int{m1, j}, nt: ant}
-			if !t.rectReaches(a, m1, c, d, s, m) {
-				continue
-			}
-			for bnt := 0; bnt < t.k; bnt++ {
-				if !block.Get(ant, bnt) {
-					continue
-				}
-				land := vertex{cell: [2]int{m1 + 1, j}, nt: bnt}
-				if t.rectReaches(m1+1, b, c, d, land, tv) {
-					p := t.pathRect(a, m1, c, d, s, m)
-					return append(p, t.pathRect(m1+1, b, c, d, land, tv)...)
-				}
-			}
+	for _, e := range r.exits(x) {
+		u, land, ok := ctx.cross(&ks[x], s, e.cm, func(v vertex) bool { return ctx.reaches(r, ks, e.to, v, tv) })
+		if ok {
+			return append(ctx.path(ks[x], s, u), ctx.walk(r, ks, e.to, land, tv)...)
 		}
 	}
-	panic("lincfl: no row waypoint despite reachability")
+	panic("lincfl: no waypoint despite reachability")
+}
+
+// reaches reports whether v, on the entry boundary of child y of r,
+// reaches tv through y and the children after it.
+func (ctx *dcCtx) reaches(r *region, ks []region, y int, v, tv vertex) bool {
+	if ks[y].holds(tv.cell) {
+		return ctx.get(&ks[y], v, tv)
+	}
+	for _, e := range r.exits(y) {
+		if _, _, ok := ctx.cross(&ks[y], v, e.cm, func(w vertex) bool { return ctx.reaches(r, ks, e.to, w, tv) }); ok {
+			return true
+		}
+	}
+	return false
 }

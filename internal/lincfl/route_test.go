@@ -149,37 +149,33 @@ func TestRoutingMatchesInjectProducts(t *testing.T) {
 	}
 }
 
-// TestRegionMatricesMatchBruteForce checks every region matrix the
-// separator recursion builds against a search of the induced graph
-// restricted to that region, for random grammars with up to 5
-// nonterminals.
+// TestRegionMatricesMatchBruteForce checks every region matrix of the
+// table against a search of the induced graph restricted to that region,
+// for random grammars with up to 5 nonterminals.
 func TestRegionMatricesMatchBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(1523))
 	m := mach()
+	regions := 0
 	for trial := 0; trial < 30; trial++ {
 		g := grammar.Random(rng, 1+rng.Intn(5), []byte("ab"), 1+rng.Intn(3))
 		w := make([]byte, 1+rng.Intn(13))
 		for i := range w {
 			w[i] = "ab"[rng.Intn(2)]
 		}
-		ctx := newTraceCtx(m, g, w)
-		ctx.tri(0, len(w)-1, 1)
-		for key, got := range ctx.triCache {
-			lo, hi := key[0], key[1]
-			inside := func(c [2]int) bool { return lo <= c[0] && c[0] <= c[1] && c[1] <= hi }
-			want := regionReach(g, w, triIn(lo, hi), triOut(lo, hi), inside)
-			if !got.Equal(want) {
-				t.Fatalf("grammar %v word %q triangle %v:\ngot\n%vwant\n%v", g, w, key, got, want)
+		ctx := newDCCtx(m, g, w)
+		ctx.build()
+		for i := range ctx.regs {
+			r := &ctx.regs[i]
+			in, out := r.bounds()
+			want := regionReach(g, w, in, out, r.holds)
+			if got := ctx.view(r); !got.Equal(want) {
+				t.Fatalf("grammar %v word %q region %v:\ngot\n%vwant\n%v", g, w, []int32{r.a, r.b, r.c, r.d}, &got, want)
 			}
+			regions++
 		}
-		for key, got := range ctx.rectCache {
-			a, b, c, d := key[0], key[1], key[2], key[3]
-			inside := func(x [2]int) bool { return a <= x[0] && x[0] <= b && c <= x[1] && x[1] <= d }
-			want := regionReach(g, w, rectIn(a, b, c, d), rectOut(a, b, c, d), inside)
-			if !got.Equal(want) {
-				t.Fatalf("grammar %v word %q rectangle %v:\ngot\n%vwant\n%v", g, w, key, got, want)
-			}
-		}
+	}
+	if regions == 0 {
+		t.Fatal("no region checked; the generator is vacuous")
 	}
 }
 

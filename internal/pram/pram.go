@@ -274,11 +274,16 @@ func (m *Machine) Reset() {
 // Step records cost time sequential steps (and the same amount of work)
 // without executing anything. Algorithms use it to account for scalar
 // bookkeeping the paper charges to the machine.
-func (m *Machine) Step(cost int) {
-	if cost <= 0 {
+func (m *Machine) Step(cost int) { m.Charge(int64(cost), int64(cost)) }
+
+// Charge records steps counted steps and work counted work without
+// executing anything: the bill of a statement whose virtual processors
+// did unequal work, the longest one's steps and all of their work.
+func (m *Machine) Charge(steps, work int64) {
+	if steps <= 0 && work <= 0 {
 		return
 	}
-	m.record(int64(cost), int64(cost), 0, stmtStats{})
+	m.record(steps, work, 0, stmtStats{})
 }
 
 // For executes body(i) for every i in [0, n) as one synchronous parallel

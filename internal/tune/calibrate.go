@@ -61,20 +61,14 @@ func derive(ms Measured) Tuned {
 	// over a little early (2×) also skips the statements the subtree
 	// below would have issued.
 	serialNs := 2 * ms.DispatchNs
-
-	boolSerial := clampI(int(serialNs/nonzero(ms.WordNs, 0.05)), 2_048, 1<<20)
 	return Tuned{
 		GrainTargetNs: clampI(int(25*ms.DispatchNs), 50_000, 200_000),
 
 		// Filled by sweepKTile (measured directly, not derived).
 		BoolmatKTileBytes: 1 << 18,
 
-		BoolmatSerialWords: boolSerial,
+		BoolmatSerialWords: clampI(int(serialNs/nonzero(ms.WordNs, 0.05)), 2_048, 1<<20),
 		MongeSerialEntries: clampI(int(serialNs/nonzero(ms.ScanNs, 0.1)), 1_024, 65_536),
-		// lincfl products additionally pay per-product phase bookkeeping
-		// on top of the statement dispatch, so cut over at twice the
-		// boolmat threshold.
-		LinCFLSerialWords: clampI(2*boolSerial, 2_048, 1<<20),
 	}
 }
 

@@ -59,7 +59,7 @@ type Measured struct {
 	// boolmat kernels.
 	WordNs float64 `json:"word_ns_per_op"`
 	// RowNs is the cost of OR-ing one packed 32-word matrix row — the
-	// per-index unit of boolmat.MulPar as lincfl drives it.
+	// per-index unit of boolmat.MulPar.
 	RowNs float64 `json:"row_ns_per_row"`
 	// DispatchNs is the wall cost of one parallel statement on the
 	// resident worker pool (partition + wake + barrier), beyond the
@@ -72,7 +72,7 @@ type Measured struct {
 
 // Tuned is the set of runtime knobs calibration moves. Load ignores
 // unknown fields, so a version-1 file that still carries fields this
-// struct no longer has loads with these five values.
+// struct no longer has loads with these four values.
 type Tuned struct {
 	// GrainTargetNs is the adaptive grain controller's per-chunk work
 	// target (pram.WithGrainTarget): chunks sized to carry about this
@@ -92,12 +92,6 @@ type Tuned struct {
 	// serial strided recursion when a level's p·r entry count is at or
 	// below this. 0 disables the cutover.
 	MongeSerialEntries int `json:"monge_serial_entries"`
-
-	// LinCFLSerialWords: lincfl's separator recursion multiplies block
-	// matrices with the serial blocked kernel (skipping the PRAM
-	// statement and its phase bookkeeping) when the product estimate is
-	// at or below this. 0 disables the cutover.
-	LinCFLSerialWords int `json:"lincfl_serial_words"`
 }
 
 // Profile is a complete tuning profile: identity, provenance, raw
@@ -137,7 +131,6 @@ func Defaults() *Profile {
 			BoolmatKTileBytes:  1 << 18,
 			BoolmatSerialWords: 0,
 			MongeSerialEntries: 0,
-			LinCFLSerialWords:  0,
 		},
 	}
 }
@@ -154,7 +147,6 @@ var bounds = []struct {
 	{"boolmat_ktile_bytes", func(t *Tuned) int { return t.BoolmatKTileBytes }, 1 << 14, 1 << 24},
 	{"boolmat_serial_words", func(t *Tuned) int { return t.BoolmatSerialWords }, 0, 1 << 24},
 	{"monge_serial_entries", func(t *Tuned) int { return t.MongeSerialEntries }, 0, 1 << 24},
-	{"lincfl_serial_words", func(t *Tuned) int { return t.LinCFLSerialWords }, 0, 1 << 24},
 }
 
 // ErrVersion reports a schema mismatch; errors.Is-able so callers can

@@ -27,12 +27,12 @@ func TestDefaultsMatchPreTuningConstants(t *testing.T) {
 	d := Defaults().Tuned
 	want := Tuned{
 		GrainTargetNs: 100_000, BoolmatKTileBytes: 1 << 18,
-		BoolmatSerialWords: 0, MongeSerialEntries: 0, LinCFLSerialWords: 0,
+		BoolmatSerialWords: 0, MongeSerialEntries: 0,
 	}
 	if d != want {
 		t.Fatalf("Defaults().Tuned = %+v, want the pre-tuning constants %+v", d, want)
 	}
-	if d.BoolmatSerialWords != 0 || d.MongeSerialEntries != 0 || d.LinCFLSerialWords != 0 {
+	if d.BoolmatSerialWords != 0 || d.MongeSerialEntries != 0 {
 		t.Fatalf("default profile must keep every serial cutover disabled, got %+v", d)
 	}
 }
@@ -125,8 +125,9 @@ func TestLoadRejectsCorrupt(t *testing.T) {
 }
 
 // TestLoadIgnoresRemovedFields: a version-1 file written when the profile
-// still carried per-family grains, pool and batch sizing and a steal
-// probe loads, and keeps the five values the profile still has.
+// still carried per-family grains, pool and batch sizing, a steal probe
+// and the lincfl serial cutover loads, and keeps the four values the
+// profile still has.
 func TestLoadIgnoresRemovedFields(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "partree-tune.json")
 	old := `{
@@ -151,7 +152,7 @@ func TestLoadIgnoresRemovedFields(t *testing.T) {
 	}
 	want := Tuned{
 		GrainTargetNs: 75_000, BoolmatKTileBytes: 1 << 19,
-		BoolmatSerialWords: 4096, MongeSerialEntries: 2048, LinCFLSerialWords: 8192,
+		BoolmatSerialWords: 4096, MongeSerialEntries: 2048,
 	}
 	if p.Tuned != want {
 		t.Fatalf("loaded tuned values %+v, want %+v", p.Tuned, want)
@@ -210,7 +211,7 @@ func TestCalibrateBounds(t *testing.T) {
 		if g := engine.GrainBatch(); g != 1 {
 			t.Fatalf("run %d: GrainBatch = %d, must stay 1", i, g)
 		}
-		if tn.BoolmatSerialWords == 0 || tn.MongeSerialEntries == 0 || tn.LinCFLSerialWords == 0 {
+		if tn.BoolmatSerialWords == 0 || tn.MongeSerialEntries == 0 {
 			t.Fatalf("run %d: calibration left a serial cutover disabled: %+v", i, tn)
 		}
 		if p.Source != "calibrated" {

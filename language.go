@@ -41,7 +41,8 @@ type LinearRecognitionResult struct {
 	// Theorem 8.1's processor bound is parameterized by.
 	Products int
 	WordOps  int64
-	// Depth is the divide-and-conquer recursion depth (O(log n)).
+	// Depth is the number of levels of the divide-and-conquer region
+	// table, one parallel statement each (O(log n)).
 	Depth int
 	Stats Stats
 }
