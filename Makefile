@@ -95,33 +95,31 @@ bench-par:
 
 # Perf-regression gate: measure E11 (pooled allocs/op), E12 (parallel
 # speedup sweep), E13 (tracing disarmed vs armed), E14 (resident-pool
-# dispatch), E15 (calibrated tuning profile vs static defaults) and E16
-# (cluster scaling and hedged tail latency), then check them against
-# cmd/benchgate's one table of budgets. E11 and E14 are budgeted against
-# the pre-arena and spawn-per-statement arms recorded in
-# BENCH_BASELINE.json: ≤30% of the recorded unpooled allocs/op and ≤60%
-# of the recorded spawn dispatch cost. The other rows hold the baseline
+# dispatch) and E16 (cluster scaling and hedged tail latency), then
+# check them against cmd/benchgate's one table of budgets. E11 and E14
+# are budgeted against the pre-arena and spawn-per-statement arms
+# recorded in BENCH_BASELINE.json: ≤30% of the recorded unpooled
+# allocs/op and ≤60% of the recorded spawn dispatch cost. The other rows hold the baseline
 # bands, the ≥2x P=4 monge/boolmat speedup and ≥1.8x 4-backend cluster
 # scaling (both skipped with a notice on hosts with fewer than 4 cores,
 # where the ratio is physically capped), the ≤2% disarmed-tracing band,
 # zero steady-state goroutine spawns / machine constructions / failed
-# requests, the tuning invariant (never slower beyond band+noise, ≥10%
-# faster on at least two kernels) and a ≥10% hedged-p99 improvement.
+# requests and a ≥10% hedged-p99 improvement.
 bench-gate:
-	$(GO) run ./cmd/benchtables -exp E11,E12,E13,E14,E15,E16 | $(GO) run ./cmd/benchgate -baseline BENCH_BASELINE.json
+	$(GO) run ./cmd/benchtables -exp E11,E12,E13,E14,E16 | $(GO) run ./cmd/benchgate -baseline BENCH_BASELINE.json
 
-# Short-iteration gate used by `make check`: smaller E12/E15 inputs,
-# single-rep E13/E14 timing and quick calibration sweeps. The E12 and E16
-# reports record the short run, and benchgate switches every row to its
-# short-mode bound so CI timing noise cannot flake the build.
+# Short-iteration gate used by `make check`: smaller E12 inputs and
+# single-rep E13/E14 timing. The E12 and E16 reports record the short
+# run, and benchgate switches every row to its short-mode bound so CI
+# timing noise cannot flake the build.
 bench-gate-quick:
-	$(GO) run ./cmd/benchtables -exp E11,E12,E13,E14,E15,E16 -short | $(GO) run ./cmd/benchgate -baseline BENCH_BASELINE.json
+	$(GO) run ./cmd/benchtables -exp E11,E12,E13,E14,E16 -short | $(GO) run ./cmd/benchgate -baseline BENCH_BASELINE.json
 
 # Refresh the committed benchmark baseline (schema 2: E11 + E12 + E13 +
-# E14 + E15 + E16) from the current tree. The recorded E11 unpooled rows
+# E14 + E16) from the current tree. The recorded E11 unpooled rows
 # and E14 dispatch_spawn_ns are carried forward from the existing file.
 bench-baseline:
-	$(GO) run ./cmd/benchtables -exp E11,E12,E13,E14,E15,E16 | $(GO) run ./cmd/benchgate -baseline BENCH_BASELINE.json -write
+	$(GO) run ./cmd/benchtables -exp E11,E12,E13,E14,E16 | $(GO) run ./cmd/benchgate -baseline BENCH_BASELINE.json -write
 
 examples:
 	$(GO) run ./examples/quickstart

@@ -1,6 +1,6 @@
-// Command benchgate is the perf-regression gate. It reads the E11–E16
-// BENCH-JSON lines from stdin — pipe `benchtables -exp
-// E11,E12,E13,E14,E15,E16` into it — and checks them against one table
+// Command benchgate is the perf-regression gate. It reads the E11–E14
+// and E16 BENCH-JSON lines from stdin — pipe `benchtables -exp
+// E11,E12,E13,E14,E16` into it — and checks them against one table
 // of budgets (rules, below) and the committed baseline file. Every row
 // prints one ok, FAIL or SKIP line; any FAIL exits 1.
 //
@@ -109,23 +109,6 @@ type e14Report struct {
 	BatchNsOp         float64 `json:"batch_ns_op"`
 }
 
-// e15Kernel / e15Report mirror benchtables' E15 payload (the "report"
-// object of its BENCH-JSON envelope).
-type e15Kernel struct {
-	Kernel    string  `json:"kernel"`
-	DefaultNs float64 `json:"default_ns"`
-	TunedNs   float64 `json:"tuned_ns"`
-	NoiseFrac float64 `json:"noise_frac"`
-}
-
-type e15Report struct {
-	GoMaxProcs  int         `json:"gomaxprocs"`
-	Reps        int         `json:"reps"`
-	Workers     int         `json:"workers"`
-	ProfileHash string      `json:"profile_hash"`
-	Kernels     []e15Kernel `json:"kernels"`
-}
-
 // e16Row / e16Report mirror benchtables' E16 payload (the "report"
 // object of its BENCH-JSON envelope).
 type e16Row struct {
@@ -153,18 +136,18 @@ type e16Report struct {
 	HedgesFired   int64   `json:"hedges_fired"`
 }
 
-// reports is one run's E11–E16 reports, or the baseline's copy of them.
+// reports is one run's E11–E14 and E16 reports, or the baseline's copy
+// of them.
 type reports struct {
 	E11 *e11Report `json:"e11"`
 	E12 *e12Report `json:"e12"`
 	E13 *e13Report `json:"e13"`
 	E14 *e14Report `json:"e14"`
-	E15 *e15Report `json:"e15"`
 	E16 *e16Report `json:"e16"`
 }
 
 func (r *reports) complete() bool {
-	return r.E11 != nil && r.E12 != nil && r.E13 != nil && r.E14 != nil && r.E15 != nil && r.E16 != nil
+	return r.E11 != nil && r.E12 != nil && r.E13 != nil && r.E14 != nil && r.E16 != nil
 }
 
 // baseline is the committed BENCH_BASELINE.json, schema 2.
@@ -244,10 +227,6 @@ var rules = []rule{
 	{exp: "E14", metric: "machines constructed per 10k batches",
 		sel: value("dispatch", func(r *reports) float64 { return float64(r.E14.ConstructedPer10k) }),
 		cmp: atMost, full: 0, short: 0, limit: fixed},
-	{exp: "E15", metric: "calibrated/default ns/op", sel: e15Ratios,
-		cmp: atMost, full: 0.05, short: 0.25, limit: noisyBand},
-	{exp: "E15", metric: "kernels calibrated >=10% faster", sel: e15Wins,
-		cmp: atLeast, full: 2, short: 2, limit: fixed},
 	{exp: "E16", metric: "4-backend/1-backend throughput", sel: e16Scaling,
 		cmp: atLeast, full: 1.8, short: 1.55, limit: fixed,
 		armed: coresAtLeast(4, func(r *reports) int { return r.E16.CPUs })},
@@ -425,32 +404,6 @@ func e14DispatchBudget(cur, base *reports) ([]sample, error) {
 	return []sample{{label: "dispatch", got: cur.E14.DispatchResidentNs / cc, ref: base.E14.DispatchSpawnNs / bc}}, nil
 }
 
-// e15Ratios compares both arms of every tracked kernel, measured in one
-// process on one host; the band widens by the rep noise the run measured.
-func e15Ratios(cur, _ *reports) ([]sample, error) {
-	if len(cur.E15.Kernels) == 0 {
-		return nil, errors.New("E15 report has no kernels")
-	}
-	var out []sample
-	for _, k := range cur.E15.Kernels {
-		if k.DefaultNs <= 0 {
-			return nil, fmt.Errorf("%s: default ns/op is %.0f", k.Kernel, k.DefaultNs)
-		}
-		out = append(out, sample{label: k.Kernel, got: k.TunedNs / k.DefaultNs, ref: 1, noise: k.NoiseFrac})
-	}
-	return out, nil
-}
-
-func e15Wins(cur, _ *reports) ([]sample, error) {
-	wins := 0
-	for _, k := range cur.E15.Kernels {
-		if k.DefaultNs > 0 && k.TunedNs/k.DefaultNs <= 0.90 {
-			wins++
-		}
-	}
-	return []sample{{label: "profile " + cur.E15.ProfileHash, got: float64(wins)}}, nil
-}
-
 func e16Scaling(cur, _ *reports) ([]sample, error) {
 	rps := make(map[int]float64, len(cur.E16.Throughput))
 	for _, r := range cur.E16.Throughput {
@@ -540,11 +493,12 @@ func evaluate(cur, base *reports) ([]result, error) {
 	return out, nil
 }
 
-// readReports scans the E11–E16 BENCH-JSON lines out of benchtables'
-// output; E14–E16 wrap their payload in a "report" object.
+// readReports scans the E11–E14 and E16 BENCH-JSON lines out of
+// benchtables' output; E14 and E16 wrap their payload in a "report"
+// object.
 func readReports(in io.Reader) (*reports, error) {
 	var cur reports
-	dst := map[string]any{"E11": &cur.E11, "E12": &cur.E12, "E13": &cur.E13, "E14": &cur.E14, "E15": &cur.E15, "E16": &cur.E16}
+	dst := map[string]any{"E11": &cur.E11, "E12": &cur.E12, "E13": &cur.E13, "E14": &cur.E14, "E16": &cur.E16}
 	sc := bufio.NewScanner(in)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
 	for sc.Scan() {
@@ -575,7 +529,7 @@ func readReports(in io.Reader) (*reports, error) {
 		return nil, err
 	}
 	if !cur.complete() {
-		return nil, errors.New("need the E11, E12, E13, E14, E15 and E16 BENCH-JSON lines on stdin (pipe `benchtables -exp E11,E12,E13,E14,E15,E16` in)")
+		return nil, errors.New("need the E11, E12, E13, E14 and E16 BENCH-JSON lines on stdin (pipe `benchtables -exp E11,E12,E13,E14,E16` in)")
 	}
 	return &cur, nil
 }

@@ -75,8 +75,6 @@ func TestBounds(t *testing.T) {
 		"E14 resident ns/For per cal, budget vs recorded spawn": {0.60, 0.70},
 		"E14 goroutines spawned per 10k statements":             {0, 0},
 		"E14 machines constructed per 10k batches":              {0, 0},
-		"E15 calibrated/default ns/op":                          {0.05, 0.25},
-		"E15 kernels calibrated >=10% faster":                   {2, 2},
 		"E16 4-backend/1-backend throughput":                    {1.8, 1.55},
 		"E16 hedged p99 improvement over unhedged":              {0.10, 0.05},
 		"E16 hedges fired on the tail-injected load":            {1, 1},
@@ -118,14 +116,6 @@ func TestVerdictsMatchPreviousGate(t *testing.T) {
 		{"E13", "disarmed ns/op per cal vs baseline", "partreed-hot-path", "ok", 0.0029727 * 1.437, 2e-6},
 		{"E14", "goroutines spawned per 10k statements", "dispatch", "ok", 0, 0},
 		{"E14", "machines constructed per 10k batches", "dispatch", "ok", 0, 0},
-		// Wins printed no band; "ratio 0.93, band 1.32" and "ratio 1.09, band 1.28" did.
-		{"E15", "calibrated/default ns/op", "monge-cutpar", "ok", math.NaN(), 0},
-		{"E15", "calibrated/default ns/op", "lincfl-dc", "ok", math.NaN(), 0},
-		{"E15", "calibrated/default ns/op", "boolmat-mulpar", "ok", 1.32, 0.005},
-		{"E15", "calibrated/default ns/op", "hufpar-concave", "ok", 1.28, 0.005},
-		{"E15", "calibrated/default ns/op", "obst-approx", "ok", math.NaN(), 0},
-		// "profile 47084f7fd935 wins on 3/5 kernels (>= 2 required) ok"
-		{"E15", "kernels calibrated >=10% faster", "profile 47084f7fd935", "ok", 2, 0},
 		// "SKIP cluster scaling gate: host reports 2 CPU(s) < 4"; the bound is 1.8 - 0.25.
 		{"E16", "4-backend/1-backend throughput", "", "SKIP", 1.55, 1e-9},
 		// "72.3% improvement >= 5.0%, 31 hedges) ok"

@@ -40,7 +40,6 @@ import (
 	"partree/internal/shannonfano"
 	"partree/internal/trace"
 	"partree/internal/tree"
-	"partree/internal/tune"
 	"partree/internal/workload"
 	"partree/internal/xmath"
 )
@@ -64,7 +63,6 @@ var experiments = []struct {
 	{"E12", "Multicore scaling — kernel speedup across worker counts", e12},
 	{"E13", "Tracing — disarmed vs armed overhead on the gated hot paths", e13},
 	{"E14", "Dispatch — resident worker pool cost per small statement", e14},
-	{"E15", "Tuning — host-calibrated profile vs static defaults", e15},
 	{"E16", "Cluster — sharded gateway scaling and hedged tail latency", e16},
 }
 
@@ -1448,202 +1446,4 @@ func e14() {
 	fmt.Println("claim: resident workers cut small-statement dispatch by ≥40% from the")
 	fmt.Println("       recorded per-statement spawning cost, and steady-state traffic spawns")
 	fmt.Println("       zero goroutines and constructs zero machines; make bench-gate holds it")
-}
-
-// e15Kernel is one tracked kernel's default-vs-calibrated timing pair.
-// NoiseFrac is the worst rep-to-rep spread either arm observed; the gate
-// widens its never-slower band by it so quiet hosts gate tight and noisy
-// ones stay honest instead of flaky.
-type e15Kernel struct {
-	Kernel    string  `json:"kernel"`
-	DefaultNs float64 `json:"default_ns"`
-	TunedNs   float64 `json:"tuned_ns"`
-	NoiseFrac float64 `json:"noise_frac"`
-}
-
-// e15Report is the E15 BENCH-JSON payload; cmd/benchgate reads the same
-// shape back out of BENCH_BASELINE.json. Both arms run in this process on
-// this host, so the gate is a same-host ratio.
-type e15Report struct {
-	GOMAXPROCS  int         `json:"gomaxprocs"`
-	Reps        int         `json:"reps"`
-	Workers     int         `json:"workers"`
-	ProfileHash string      `json:"profile_hash"`
-	Kernels     []e15Kernel `json:"kernels"`
-}
-
-// E15 — host-calibrated auto-tuning. Every kernel runs in two arms over
-// identical inputs, alternating rep by rep: under the static defaults
-// (the exact constants the tree was built with before internal/tune
-// existed) and under a profile calibrated on this host at the start of
-// the experiment. The
-// tracked sizes sit in the service regime — small problems where
-// per-statement dispatch, not arithmetic, dominates — because that is
-// where the profile's serial cutovers and grain choices pay. The claim
-// the gate holds: calibration is never slower than the defaults beyond
-// band+noise on any tracked kernel, and at least 10% faster on at least
-// two of them.
-func e15() {
-	partree.DrainMachinePool()
-
-	const workers = 2 // forced, so the measurement shape is host-independent
-	reps := 3
-	mongeN, cflN, boolN, hufN, obstN := 40, 95, 48, 128, 64
-	if shortMode {
-		reps = 2
-		mongeN, cflN, hufN, obstN = 32, 63, 96, 48
-	}
-	rng := rand.New(rand.NewSource(15))
-
-	ma := monge.Random(rng, mongeN, mongeN, 100, 5)
-	mb := monge.Random(rng, mongeN, mongeN, 100, 5)
-
-	g := grammar.Palindrome()
-	word := make([]byte, cflN)
-	for i := 0; i < cflN/2; i++ {
-		word[i] = "ab"[i%2]
-		word[cflN-1-i] = word[i]
-	}
-	word[cflN/2] = 'c'
-
-	ba := boolmat.New(boolN, boolN)
-	bb := boolmat.New(boolN, boolN)
-	for i := 0; i < boolN; i++ {
-		for j := 0; j < boolN; j += 1 + rng.Intn(8) {
-			ba.Set(i, j, true)
-			bb.Set(j, i, true)
-		}
-	}
-
-	hw := workload.SortedAscending(workload.Zipf(hufN, 1.1))
-
-	beta := make([]float64, obstN)
-	alpha := make([]float64, obstN+1)
-	tot := 0.0
-	for i := range beta {
-		beta[i] = rng.Float64()
-		tot += beta[i]
-	}
-	for i := range alpha {
-		alpha[i] = rng.Float64() * 0.3
-		tot += alpha[i]
-	}
-	for i := range beta {
-		beta[i] /= tot
-	}
-	for i := range alpha {
-		alpha[i] /= tot
-	}
-	in, err := obst.NewInstance(beta, alpha)
-	if err != nil {
-		panic(err)
-	}
-	eps := 1 / float64(obstN*obstN)
-
-	// Each machine is built inside its arm so its shape (adaptive grain
-	// target) comes from the profile under measurement, exactly as the
-	// facade builds machines in production.
-	newMach := func() *pram.Machine {
-		return pram.New(pram.WithWorkers(workers),
-			pram.WithGrainTarget(tune.Active().Tuned.GrainTargetNs),
-			pram.WithIdleTimeout(time.Minute)) // no mid-measurement retires
-	}
-	kernels := []struct {
-		name  string
-		newOp func() (op func(), done func())
-	}{
-		{"monge-cutpar", func() (func(), func()) {
-			m := newMach()
-			var cnt matrix.OpCount
-			return func() { monge.CutRecursivePar(m, ma, mb, &cnt).Release() }, m.Close
-		}},
-		{"lincfl-dc", func() (func(), func()) {
-			m := newMach()
-			return func() { benchSink = lincfl.RecognizeDC(m, g, word).Accepted }, m.Close
-		}},
-		{"boolmat-mulpar", func() (func(), func()) {
-			m := newMach()
-			return func() { boolmat.MulPar(m, ba, bb).Release() }, m.Close
-		}},
-		{"hufpar-concave", func() (func(), func()) {
-			m := newMach()
-			return func() { benchSink = hufpar.BuildConcave(m, hw).Tree != nil }, m.Close
-		}},
-		{"obst-approx", func() (func(), func()) {
-			m := newMach()
-			return func() { benchSink = obst.Approx(m, in, eps).Cost > 0 }, m.Close
-		}},
-	}
-
-	prof := tune.Calibrate(tune.Config{Quick: shortMode})
-	fmt.Printf("calibrated profile %s: grain target %dns, cutovers boolmat=%dw monge=%de\n\n",
-		prof.Hash(), prof.Tuned.GrainTargetNs, prof.Tuned.BoolmatSerialWords,
-		prof.Tuned.MongeSerialEntries)
-
-	// Both arms of a kernel: each builds its machine under its own profile
-	// (nil = built-in defaults); the machine pool keys on the active grain
-	// target, so arms cannot share machines. The arms then alternate rep
-	// by rep, swapping which goes first, so host drift lands on both;
-	// each keeps its best rep and its rep-to-rep spread.
-	measure := func(newOp func() (func(), func())) (ns, noise [2]float64) {
-		profs := [2]*tune.Profile{nil, prof}
-		var ops [2]func()
-		for a, p := range profs {
-			tune.SetActive(p)
-			op, done := newOp()
-			defer done()
-			op() // warm: resident pool up, caches touched
-			ops[a] = op
-		}
-		defer tune.SetActive(nil)
-		var worst [2]float64
-		for r := 0; r < 2*reps; r++ {
-			a := r%2 ^ r/2%2 // 0, 1, 1, 0, 0, 1, …
-			tune.SetActive(profs[a])
-			op := ops[a]
-			got := float64(testing.Benchmark(func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					op()
-				}
-			}).NsPerOp())
-			if ns[a] == 0 || got < ns[a] {
-				ns[a] = got
-			}
-			worst[a] = max(worst[a], got)
-		}
-		for a := range ns {
-			if ns[a] > 0 {
-				noise[a] = (worst[a] - ns[a]) / ns[a]
-			}
-		}
-		return ns, noise
-	}
-
-	rep := e15Report{
-		GOMAXPROCS:  runtime.GOMAXPROCS(0),
-		Reps:        reps,
-		Workers:     workers,
-		ProfileHash: prof.Hash(),
-	}
-	fmt.Printf("%-16s %14s %14s %9s %8s\n", "kernel", "default ns/op", "tuned ns/op", "speedup", "noise")
-	for _, k := range kernels {
-		ns, noises := measure(k.newOp)
-		defNs, tunNs, noise := ns[0], ns[1], max(noises[0], noises[1])
-		rep.Kernels = append(rep.Kernels, e15Kernel{
-			Kernel: k.name, DefaultNs: defNs, TunedNs: tunNs, NoiseFrac: noise,
-		})
-		fmt.Printf("%-16s %14.0f %14.0f %8.2fx %7.1f%%\n", k.name, defNs, tunNs, defNs/tunNs, 100*noise)
-	}
-
-	blob, err := json.Marshal(map[string]any{
-		"experiment": "E15",
-		"report":     rep,
-	})
-	if err != nil {
-		panic(err)
-	}
-	fmt.Printf("\nBENCH-JSON %s\n", blob)
-	fmt.Println("claim: the calibrated profile is never slower than the static defaults")
-	fmt.Println("       beyond band+noise on any tracked kernel, and >=10% faster on at")
-	fmt.Println("       least two; make bench-gate holds it")
 }

@@ -41,7 +41,6 @@ import (
 	"syscall"
 	"time"
 
-	"partree"
 	"partree/internal/pool"
 	"partree/internal/serve"
 )
@@ -63,9 +62,6 @@ func run(args []string) int {
 		traceCap   = fs.Int("trace-capacity", 512, "spans kept per X-Partree-Trace request trace")
 		shardID    = fs.String("shard-id", "", "name of this backend within a partreegw cluster (echoed in /healthz and /statsz)")
 		pprofOn    = fs.Bool("pprof", false, "mount Go profiling handlers under /debug/pprof/")
-		tuneNow    = fs.Bool("tune", false, "calibrate a tuning profile for this host at startup, install it, and write it to -tune-profile")
-		tuneOnly   = fs.Bool("tune-only", false, "calibrate and write -tune-profile, then exit without serving (for provisioning pipelines)")
-		tunePath   = fs.String("tune-profile", "partree-tune.json", "tuning profile file: loaded at startup if present (unless -tune recalibrates); invalid files fall back to built-in defaults")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -76,45 +72,6 @@ func run(args []string) int {
 	}
 
 	logger := log.New(os.Stderr, "partreed: ", log.LstdFlags)
-
-	// Resolve the tuning profile before anything sizes itself from it:
-	// -tune calibrates (and persists) a fresh profile for this host;
-	// otherwise an existing profile file is loaded, and any failure falls
-	// back to the built-in defaults — loudly, since running detuned is
-	// worth an operator's attention. /statsz reports the installed
-	// profile's hash, so a deployment can verify what it runs under.
-	switch {
-	case *tuneNow || *tuneOnly:
-		prof := partree.CalibrateProfile()
-		partree.SetActiveProfile(prof)
-		if err := prof.Save(*tunePath); err != nil {
-			logger.Printf("tuning: calibrated (hash %s) but could not write %s: %v", prof.Hash(), *tunePath, err)
-			if *tuneOnly {
-				return 1
-			}
-		} else {
-			logger.Printf("tuning: calibrated for this host, wrote %s (hash %s)", *tunePath, prof.Hash())
-		}
-		if *tuneOnly {
-			return 0
-		}
-	case *tunePath != "":
-		if _, err := os.Stat(*tunePath); err == nil {
-			prof, err := partree.LoadProfile(*tunePath)
-			if err != nil {
-				logger.Printf("tuning: %v; running on built-in defaults", err)
-			} else {
-				partree.SetActiveProfile(prof)
-				if prof.Stale() {
-					logger.Printf("tuning: loaded %s (hash %s) but it was calibrated on a different machine shape — consider re-running -tune", *tunePath, prof.Hash())
-				} else {
-					logger.Printf("tuning: loaded %s (hash %s)", *tunePath, prof.Hash())
-				}
-			}
-		} else {
-			logger.Printf("tuning: no profile at %s; running on built-in defaults (use -tune to calibrate)", *tunePath)
-		}
-	}
 
 	// Size the workspace arena: an explicit -workers wins (a -workers 1
 	// deployment collapses the arena to one shard so its slab traffic

@@ -16,7 +16,6 @@ import (
 	"partree/internal/faultpoint"
 	"partree/internal/pool"
 	"partree/internal/pram"
-	"partree/internal/tune"
 )
 
 // Matrix is a dense R×C Boolean matrix, rows packed into uint64 words.
@@ -203,32 +202,22 @@ func (m *Matrix) OrBits(di, dc int, src *Matrix, si, sc, n int) {
 	}
 }
 
+// kTileBytes is the blocked multiply's cache budget: bytes of B rows
+// kept resident per k-tile.
+const kTileBytes = 1 << 18
+
 // mulKTile picks the k-tile height for the blocked kernel: the number of
 // B rows (a multiple of 64, so tiles stay word-aligned in A's rows) whose
-// packed words fit the profile's cache budget (tune.Tuned.BoolmatKTileBytes,
-// ~256 KiB by default, swept per host by calibration). B's rows are its
-// packed columns-of-words layout, built once at Set time, so a tile is a
+// packed words fit budget bytes. B's rows are its packed
+// columns-of-words layout, built once at Set time, so a tile is a
 // contiguous, reusable byte range of b.bits.
-func mulKTile(words int) int {
-	budget := tune.Active().Tuned.BoolmatKTileBytes // bytes of B rows resident per tile
+func mulKTile(words, budget int) int {
 	kt := budget / (words * 8)
 	kt &^= 63
 	if kt < 64 {
 		kt = 64
 	}
 	return kt
-}
-
-// EstMulWords is the dense-worst-case word-OR estimate for the product
-// a·b: the A-row scan plus one output-row OR per set bit of A, assuming
-// every bit is set. The serial cutovers compare it against the
-// calibrated thresholds — an overestimate for sparse inputs, which errs
-// exactly the right way: a product only drops out of the PRAM machinery
-// when even its worst case is cheaper than a dispatch.
-func EstMulWords(a, b *Matrix) int64 {
-	aw := int64((a.C + 63) >> 6)
-	ow := int64((b.C + 63) >> 6)
-	return int64(a.R)*aw + int64(a.R)*int64(a.C)*ow
 }
 
 // mulRowInto ORs into orow every B row selected by the set bits of
@@ -254,7 +243,10 @@ func mulRowInto(orow, arow []uint64, b *Matrix, w0, w1 int) {
 // word-aligned k-tiles sized so the touched band of B stays resident
 // across all rows of A, and zero words of A are skipped entirely. The
 // output slab comes from the workspace arena (Release it to recycle).
-func Mul(a, b *Matrix) *Matrix {
+func Mul(a, b *Matrix) *Matrix { return mulTiled(a, b, kTileBytes) }
+
+// mulTiled is Mul with k-tiles sized to budget bytes of B rows.
+func mulTiled(a, b *Matrix, budget int) *Matrix {
 	if a.C != b.R {
 		panic("boolmat: dimension mismatch")
 	}
@@ -262,7 +254,7 @@ func Mul(a, b *Matrix) *Matrix {
 	if a.C == 0 || b.C == 0 {
 		return out
 	}
-	kt := mulKTile(b.words)
+	kt := mulKTile(b.words, budget)
 	for k0 := 0; k0 < a.C; k0 += kt {
 		k1 := k0 + kt
 		if k1 > a.C {
@@ -278,20 +270,10 @@ func Mul(a, b *Matrix) *Matrix {
 
 // MulPar is the PRAM form of Mul: one virtual processor per output row.
 // Each row body uses the word-skipping scan; cross-row B reuse comes from
-// the runtime handing each worker contiguous row chunks. Products whose
-// dense-worst-case work sits at or below the profile's serial cutover
-// (tune.Tuned.BoolmatSerialWords; disabled by default) run the cache-blocked
-// serial kernel as one counted step instead — identical output, none of
-// the statement's dispatch cost.
+// the runtime handing each worker contiguous row chunks.
 func MulPar(m *pram.Machine, a, b *Matrix) *Matrix {
 	if a.C != b.R {
 		panic("boolmat: dimension mismatch")
-	}
-	if cut := tune.Active().Tuned.BoolmatSerialWords; cut > 0 && EstMulWords(a, b) <= int64(cut) {
-		defer m.Phase("boolmat.MulPar")()
-		faultpoint.Hit("boolmat.mulpar")
-		m.Step(1)
-		return Mul(a, b)
 	}
 	defer m.Phase("boolmat.MulPar")()
 	out := NewFromPool(a.R, b.C)

@@ -77,6 +77,16 @@ func TestMulMatchesNaive(t *testing.T) {
 			t.Fatalf("trial %d: Mul differs from naive (%d,%d,%d)", trial, p, q, r)
 		}
 	}
+	// A 16 KiB budget over B's 18-word rows gives 64-row k-tiles, so A's
+	// 300 columns span five of them.
+	a := randMat(rng, 40, 300, 0.05)
+	b := randMat(rng, 300, 1100, 0.05)
+	if kt := mulKTile(b.words, 1<<14); kt != 64 {
+		t.Fatalf("k-tile at a 16 KiB budget = %d rows, want 64", kt)
+	}
+	if !mulTiled(a, b, 1<<14).Equal(mulNaive(a, b)) {
+		t.Fatal("Mul over several k-tiles differs from naive")
+	}
 }
 
 func TestMulParMatchesSequential(t *testing.T) {

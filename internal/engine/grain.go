@@ -1,6 +1,5 @@
-// Package engine holds the grain the serving path's request batchers run
-// with. Every tuned value lives in internal/tune's active profile, which
-// kernels read directly.
+// Package engine holds the grain the serving path's request batchers
+// run with.
 package engine
 
 // GrainBatch is for internal/serve's request batchers: one job per

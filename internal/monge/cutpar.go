@@ -4,7 +4,6 @@ import (
 	"partree/internal/faultpoint"
 	"partree/internal/matrix"
 	"partree/internal/pram"
-	"partree/internal/tune"
 )
 
 // CutRecursivePar is the PRAM version of CutRecursive: every interpolation
@@ -19,14 +18,14 @@ func CutRecursivePar(m *pram.Machine, a, b *matrix.Dense, cnt *matrix.OpCount) *
 	defer m.Phase("monge.MulPar")()
 	c := newMulCtx(a, b, cnt)
 	defer c.close()
-	return cutRecStridedPar(m, c, 1, 1, tune.Active().Tuned.MongeSerialEntries)
+	return cutRecStridedPar(m, c, 1, 1)
 }
 
 // cutRecStridedPar is cutRecStrided with each phase issued as one parallel
 // statement over its view's cut table: one virtual processor per stored
 // (hull) entry, so a statement whose view has no hull entry records no
 // step.
-func cutRecStridedPar(m *pram.Machine, c *mulCtx, rs, cs, serial int) (out *matrix.IntMat) {
+func cutRecStridedPar(m *pram.Machine, c *mulCtx, rs, cs int) (out *matrix.IntMat) {
 	// A cancellation checkpoint inside any of the statements below unwinds
 	// through this frame; the live pooled intermediates must go back to
 	// the arena on the way up (Release is nil-safe, and normally-released
@@ -45,24 +44,13 @@ func cutRecStridedPar(m *pram.Machine, c *mulCtx, rs, cs, serial int) (out *matr
 	p := stridedCount(c.a.R, rs)
 	r := stridedCount(c.b.C, cs)
 
-	// The serial-cutover threshold is read once per product: levels with
-	// at most this many entries run the serial strided recursion in place
-	// of the parallel one (same mulCtx, same phases, same comparison
-	// counts) for one counted step, skipping the per-statement dispatch
-	// that dominates small subproblems.
-	if serial > 0 && p*r <= serial {
-		out = cutRecStrided(c, rs, cs)
-		m.Step(1)
-		return out
-	}
-
 	if p == 1 || r == 1 {
 		out = c.newCut(rs, cs)
 		m.ForRange(out.Len(), func(lo, hi int) { c.fullScans(out, rs, cs, lo, hi) })
 		return out
 	}
 
-	ee = cutRecStridedPar(m, c, 2*rs, 2*cs, serial)
+	ee = cutRecStridedPar(m, c, 2*rs, 2*cs)
 
 	eb = c.newCut(2*rs, cs)
 	m.ForRange(eb.Len(), func(lo, hi int) { c.oddCols(eb, ee, 2*rs, cs, lo, hi) })
@@ -86,7 +74,7 @@ func MulPar(m *pram.Machine, a, b *matrix.Dense, cnt *matrix.OpCount) (*matrix.D
 	defer m.Phase("monge.MulPar")()
 	c := newMulCtx(a, b, cnt)
 	defer c.close()
-	cut := cutRecStridedPar(m, c, 1, 1, tune.Active().Tuned.MongeSerialEntries)
+	cut := cutRecStridedPar(m, c, 1, 1)
 	return c.valuesPar(m, cut), cut
 }
 

@@ -9,7 +9,6 @@ import (
 	"partree/internal/matrix"
 	"partree/internal/pram"
 	"partree/internal/semiring"
-	"partree/internal/tune"
 )
 
 func TestIsConcaveKnown(t *testing.T) {
@@ -349,9 +348,8 @@ func sameCut(t *testing.T, what string, got, want *matrix.IntMat) {
 // TestDifferentialMulParVsBrute is the parallel path's differential
 // oracle: for seeded random Monge operands — rectangular, and every
 // ∞-padded shape the Huffman and BST DPs multiply — the serial and
-// parallel recursions (the latter with its serial cutover off and
-// forced) and MulPar must reproduce the naive O(pqr) product exactly,
-// values and cut matrix both.
+// parallel recursions and MulPar must reproduce the naive O(pqr)
+// product exactly, values and cut matrix both.
 func TestDifferentialMulParVsBrute(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	m := pram.New(pram.WithWorkers(4), pram.WithGrain(8))
@@ -361,12 +359,6 @@ func TestDifferentialMulParVsBrute(t *testing.T) {
 		want, wantCut := matrix.MulBrute(a, b, &c1)
 		sameCut(t, what+" CutRecursive", CutRecursive(a, b, &c2), wantCut)
 		sameCut(t, what+" CutRecursivePar", CutRecursivePar(m, a, b, &c2), wantCut)
-		prof := tune.Defaults()
-		prof.Tuned.MongeSerialEntries = 1 << 20
-		tune.SetActive(prof)
-		forced := CutRecursivePar(m, a, b, &c2)
-		tune.SetActive(nil)
-		sameCut(t, what+" CutRecursivePar (serial cutover)", forced, wantCut)
 		got, gotCut := MulPar(m, a, b, &c2)
 		if !got.Equal(want, 0) {
 			t.Fatalf("%s: parallel values differ from brute", what)

@@ -85,11 +85,10 @@ type Counters struct {
 // goroutines and must not be nested; algorithms that need nested parallelism
 // flatten their index spaces into a single For.
 type Machine struct {
-	model       Model
-	procs       int     // declared processor count p for step accounting
-	workers     int     // real goroutines used to execute bodies
-	fixedGrain  int     // 0 = adaptive; >0 pins the chunk size (WithGrain)
-	grainTarget float64 // adaptive controller's per-chunk work target, ns
+	model      Model
+	procs      int // declared processor count p for step accounting
+	workers    int // real goroutines used to execute bodies
+	fixedGrain int // 0 = adaptive; >0 pins the chunk size (WithGrain)
 
 	// ctx, when non-nil, is polled at statement barriers for cooperative
 	// cancellation (see cancel.go). Nil — the default — costs one pointer
@@ -168,20 +167,6 @@ func WithGrain(g int) Option {
 	}
 }
 
-// WithGrainTarget sets the adaptive chunk controller's per-chunk work
-// target in nanoseconds: chunks are sized so each claimed chunk carries
-// about ns of measured body work. The default is 100µs; host calibration
-// (internal/tune) derives a tighter value from the measured dispatch
-// cost. No effect under WithGrain, which disables the controller.
-func WithGrainTarget(ns int) Option {
-	return func(m *Machine) {
-		if ns <= 0 {
-			panic("pram: grain target must be > 0")
-		}
-		m.grainTarget = float64(ns)
-	}
-}
-
 // WithIdleTimeout sets how long a resident worker goroutine stays parked
 // with no statements before it exits (the pool respawns workers lazily on
 // the next statement, so this only trades idle goroutines for wake-up
@@ -204,7 +189,6 @@ func New(opts ...Option) *Machine {
 		procs:       1 << 62, // effectively unbounded: one step per statement
 		workers:     defaultWorkers(),
 		idleTimeout: idleTimeoutDefault,
-		grainTarget: grainTargetNs,
 		phases:      make(map[string]*PhaseStats),
 	}
 	m.restorePhase = func() {

@@ -131,12 +131,10 @@ func (m *Machine) record(steps, work, calls int64, st stmtStats) {
 // Adaptive grain control. The controller keeps an exponentially weighted
 // moving average of the measured per-element cost (total worker busy time
 // divided by iteration count) and sizes chunks so each claim from the
-// statement's cursor carries about the machine's grain target of work
-// (grainTargetNs by default, overridable per host via WithGrainTarget) —
-// large enough to amortize the cursor's atomic add and the two clock
-// reads per chunk, small enough that the other workers can still
-// rebalance a skewed statement. WithGrain pins the grain and disables
-// the controller.
+// statement's cursor carries about grainTargetNs of work — large enough
+// to amortize the cursor's atomic add and the two clock reads per chunk,
+// small enough that the other workers can still rebalance a skewed
+// statement. WithGrain pins the grain and disables the controller.
 //
 // The EWMA lives in an atomic (float64 bits) so the orchestrator's For
 // fast path reads the grain without touching statsMu — statements issued
@@ -146,7 +144,7 @@ const (
 	grainDefault  = 1024    // used until the first measurement lands
 	grainMin      = 32      // never hand out slivers
 	grainMax      = 1 << 16 // never let one claim starve the other workers
-	grainTargetNs = 100_000 // default target: ≈100µs of work per chunk
+	grainTargetNs = 100_000 // target: ≈100µs of work per chunk
 	grainEWMA     = 0.3     // weight of the newest sample
 	minSampleNs   = 0.1     // clock-resolution floor per element
 )
@@ -161,7 +159,7 @@ func (m *Machine) grain() int {
 	if per == 0 {
 		return grainDefault
 	}
-	g := int(m.grainTarget / per)
+	g := int(grainTargetNs / per)
 	if g < grainMin {
 		return grainMin
 	}

@@ -395,15 +395,6 @@ func renderMetrics(w io.Writer, v metricsView) {
 		p.sample("partree_pool_discards_total", fmt.Sprintf(`shard="%d"`, i), float64(sh.Discards))
 	}
 
-	p.header("partree_tune_info", "Active tuning profile identity (value is always 1; identity lives in the labels).", "gauge")
-	p.sample("partree_tune_info", fmt.Sprintf(`hash=%q,source=%q`, snap.Tuning.Hash, snap.Tuning.Source), 1)
-	p.header("partree_tune_stale", "Whether the active tuning profile was calibrated on a different machine shape (1 = stale).", "gauge")
-	stale := 0.0
-	if snap.Tuning.Stale {
-		stale = 1
-	}
-	p.sample("partree_tune_stale", "", stale)
-
 	p.header("partree_draining", "Whether the server is draining (healthz returns 503).", "gauge")
 	draining := 0.0
 	if snap.Draining {

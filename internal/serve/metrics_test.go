@@ -60,12 +60,6 @@ func goldenView() metricsView {
 					{Gets: 80, Hits: 60, Puts: 70, Discards: 10, Free: 2},
 				},
 			},
-			Tuning: TuningInfo{
-				Hash:         "0123456789ab",
-				Source:       "calibrated",
-				Stale:        true,
-				CalibratedAt: "2026-01-02T03:04:05Z",
-			},
 		},
 		PhaseHists: phases.Snapshot(),
 		BatchHists: batches.Snapshot(),

@@ -37,7 +37,6 @@ import (
 	"partree/internal/engine"
 	"partree/internal/pool"
 	"partree/internal/trace"
-	"partree/internal/tune"
 )
 
 // Config parameterizes a Server. The zero value gets sensible defaults
@@ -551,29 +550,6 @@ type StatsSnapshot struct {
 	PRAM        map[string]engineStatsJSON `json:"pram"`
 	Pool        PoolCounters               `json:"pool"`
 	MachinePool MachinePoolCounters        `json:"machine_pool"`
-	Tuning      TuningInfo                 `json:"tuning"`
-}
-
-// TuningInfo identifies the tuning profile the process runs under: its
-// content hash (see tune.Profile.Hash), provenance, and whether the
-// profile was calibrated on a different machine shape than the one now
-// serving (stale — still valid, but worth re-running -tune).
-type TuningInfo struct {
-	Hash         string `json:"hash"`
-	Source       string `json:"source"`
-	Stale        bool   `json:"stale"`
-	CalibratedAt string `json:"calibrated_at,omitempty"`
-}
-
-// tuningInfo snapshots the active profile's identity.
-func tuningInfo() TuningInfo {
-	p := tune.Active()
-	return TuningInfo{
-		Hash:         p.Hash(),
-		Source:       p.Source,
-		Stale:        p.IsStale(),
-		CalibratedAt: p.CreatedAt,
-	}
 }
 
 // Snapshot assembles the current statistics (also served at /statsz).
@@ -592,7 +568,6 @@ func (s *Server) Snapshot() StatsSnapshot {
 		Batchers: make(map[string]BatcherCounters, len(s.batchers)),
 		PRAM:     make(map[string]engineStatsJSON, len(s.engineStats)),
 		Pool:     poolCounters(),
-		Tuning:   tuningInfo(),
 	}
 	mp := partree.MachinePoolStats()
 	snap.MachinePool = MachinePoolCounters{

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 
 	"partree/internal/pram"
-	"partree/internal/tune"
 )
 
 // Machine reuse. Every facade entry point used to construct a fresh
@@ -23,16 +22,13 @@ import (
 
 // machineKey identifies machines that are interchangeable: same worker
 // count (resolved, so Workers: 0 and an explicit GOMAXPROCS value
-// share), declared processor count, and grain policy — the pinned grain,
-// or for adaptive machines the profile's chunk-cost target (machines
-// calibrated against different targets must not mix, their EWMA-derived
-// grains would fight). Trace and context are per-call state, scrubbed on
-// release, so they are not part of the key.
+// share), declared processor count, and pinned grain (0 = adaptive).
+// Trace and context are per-call state, scrubbed on release, so they are
+// not part of the key.
 type machineKey struct {
 	workers int
 	procs   int
 	grain   int
-	target  int // adaptive chunk-cost target ns; 0 when grain is pinned
 }
 
 // machinePoolCap bounds each key's free list: enough to cover the
@@ -78,9 +74,9 @@ func MachinePoolStats() MachinePoolCounters {
 // DrainMachinePool closes every idle pooled machine, empties the free
 // lists and zeroes the lifetime counters, returning how many machines
 // were dropped. In-flight machines are unaffected (their release
-// re-pools them afterwards). The counter reset is what lets experiments
-// sharing one process (E14, E15) each start from a clean slate instead
-// of subtracting each other's churn.
+// re-pools them afterwards). The counter reset is what lets each
+// experiment sharing one process start from a clean slate instead of
+// subtracting the others' churn.
 func DrainMachinePool() int {
 	machines.mu.Lock()
 	var all []*pram.Machine
@@ -98,17 +94,11 @@ func DrainMachinePool() int {
 	return len(all)
 }
 
-// key resolves the Options shape. It is the only read of the active
-// profile on the acquire path: a machine is built from its key, so a
-// profile swapped mid-acquire cannot pool a machine under a grain target
-// it was not built with.
+// key resolves the Options shape.
 func (o Options) key() machineKey {
 	k := machineKey{workers: o.Workers, procs: o.Processors, grain: o.Grain}
 	if k.workers == 0 {
 		k.workers = runtime.GOMAXPROCS(0)
-	}
-	if k.grain == 0 {
-		k.target = tune.Active().Tuned.GrainTargetNs
 	}
 	return k
 }
@@ -121,8 +111,6 @@ func (k machineKey) machine() *pram.Machine {
 	}
 	if k.grain > 0 {
 		opts = append(opts, pram.WithGrain(k.grain))
-	} else if k.target > 0 {
-		opts = append(opts, pram.WithGrainTarget(k.target))
 	}
 	return pram.New(opts...)
 }

@@ -4,8 +4,6 @@ import (
 	"context"
 	"sync"
 	"testing"
-
-	"partree/internal/tune"
 )
 
 // poolTestOptions returns an Options shape with a key no other test
@@ -115,49 +113,4 @@ func TestMachinePoolConcurrentCallers(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-}
-
-// TestMachinePoolKeysOnGrainTarget: adaptive machines pool under the
-// grain target they were built with, so a profile swap never hands out a
-// machine tuned for the other target, and switching back finds the
-// pooled machine again.
-func TestMachinePoolKeysOnGrainTarget(t *testing.T) {
-	defer tune.SetActive(nil)
-	o := Options{Workers: 3, Processors: 12} // adaptive grain, a key no other test uses
-	a, b := tune.Defaults(), tune.Defaults()
-	a.Tuned.GrainTargetNs = 60_000
-	b.Tuned.GrainTargetNs = 90_000
-
-	tune.SetActive(a)
-	pooled, release := o.acquire()
-	release()
-
-	before := MachinePoolStats()
-	tune.SetActive(b)
-	other, release := o.acquire()
-	release()
-	mid := MachinePoolStats()
-	if d := mid.Constructed - before.Constructed; d != 1 {
-		t.Errorf("acquire under a new grain target constructed %d machines, want 1", d)
-	}
-	if d := mid.Reused - before.Reused; d != 0 {
-		t.Errorf("acquire under a new grain target reused %d machines, want 0", d)
-	}
-	if other == pooled {
-		t.Error("machine built under target A was handed out under target B")
-	}
-
-	tune.SetActive(a)
-	again, release := o.acquire()
-	release()
-	after := MachinePoolStats()
-	if d := after.Reused - mid.Reused; d != 1 {
-		t.Errorf("switching back to target A reused %d machines, want 1", d)
-	}
-	if d := after.Constructed - mid.Constructed; d != 0 {
-		t.Errorf("switching back to target A constructed %d machines, want 0", d)
-	}
-	if again != pooled {
-		t.Error("switching back to target A did not return the machine pooled under it")
-	}
 }

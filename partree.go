@@ -102,6 +102,11 @@ func statsOf(m *pram.Machine) Stats {
 	return out
 }
 
+// ActiveProfileHash always returns "defaults": the runtime runs on
+// built-in constants, and there is no per-host profile to install. It
+// stays so existing callers that print it keep compiling.
+func ActiveProfileHash() string { return "defaults" }
+
 // firstOption returns the first option or the zero value.
 func firstOption(opts []Options) Options {
 	if len(opts) > 0 {
