@@ -220,6 +220,11 @@ func mulKTile(words, budget int) int {
 	return kt
 }
 
+// KTileRows is the k-tile height Mul uses for a right operand with c
+// columns: a product whose inner dimension exceeds it walks A's columns
+// in several k-tiles.
+func KTileRows(c int) int { return mulKTile((c+63)/64, kTileBytes) }
+
 // mulRowInto ORs into orow every B row selected by the set bits of
 // arow's words [w0, w1). Zero words are skipped whole; set bits are
 // found with trailing-zero scans instead of per-bit probes.
