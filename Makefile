@@ -137,6 +137,7 @@ fuzz:
 	$(GO) test -fuzz='^FuzzDecode$$' -fuzztime=30s ./internal/huffman
 	$(GO) test -fuzz=FuzzLeafPattern -fuzztime=30s ./internal/leafpattern
 	$(GO) test -fuzz=FuzzLinCFL -fuzztime=30s ./internal/lincfl
+	$(GO) test -fuzz=FuzzCombineRuns -fuzztime=30s ./internal/lincfl
 	$(GO) test -fuzz=FuzzDecodeRequest -fuzztime=30s ./internal/serve
 	$(GO) test -fuzz=FuzzConcaveMultiply -fuzztime=30s ./internal/monge
 	$(GO) test -fuzz=FuzzRingKey -fuzztime=30s ./internal/cluster
@@ -151,6 +152,7 @@ fuzz-smoke:
 	$(GO) test -fuzz='^FuzzDecode$$' -fuzztime=5s ./internal/huffman
 	$(GO) test -fuzz=FuzzLeafPattern -fuzztime=5s ./internal/leafpattern
 	$(GO) test -fuzz=FuzzLinCFL -fuzztime=5s ./internal/lincfl
+	$(GO) test -fuzz=FuzzCombineRuns -fuzztime=5s ./internal/lincfl
 	$(GO) test -fuzz=FuzzDecodeRequest -fuzztime=5s ./internal/serve
 	$(GO) test -fuzz=FuzzConcaveMultiply -fuzztime=5s ./internal/monge
 	$(GO) test -fuzz=FuzzRingKey -fuzztime=5s ./internal/cluster

@@ -220,8 +220,8 @@ func TestFaultInjectionRecognizeLinear(t *testing.T) {
 }
 
 // TestFaultInjectionDeriveLinear aborts inside the derivation pass, whose
-// region table keeps every level's matrices for the walk — the abort
-// path must hand all of them back to the arena.
+// region table keeps every level's matrices for the walk in one plain
+// slab — the abort must leave the arena's gets and puts balanced.
 func TestFaultInjectionDeriveLinear(t *testing.T) {
 	g := PalindromeGrammar()
 	word := []byte("aabacabaabacabaabacabaabacabaaczaabacabaabacaba"[:33])

@@ -575,13 +575,13 @@ type e11Row struct {
 	BytesOp  int64   `json:"bytes_op"`
 }
 
-// E11 — the workspace arena's effect on the two hot paths it targets:
-// the lincfl separator recursion (whose block matrices now recycle
-// through internal/pool) and the partreed single-request steady state
-// (pooled scratch plus the raw-body fast path). What the arena buys was
-// measured once against the pre-arena code and is recorded as the
-// unpooled rows of the committed BENCH_BASELINE.json; cmd/benchgate
-// budgets these pooled rows against that recorded arm.
+// E11 — allocations on the two hot paths the workspace arena first
+// targeted: the lincfl separator recursion (whose matrices, once pooled,
+// now live in one plain slab per call) and the partreed single-request
+// steady state (pooled scratch plus the raw-body fast path). The
+// pre-arena code was measured once and is recorded as the unpooled rows
+// of the committed BENCH_BASELINE.json; cmd/benchgate budgets these
+// pooled rows against that recorded arm.
 func e11() {
 	measure := func(kernel string, fn func(b *testing.B)) e11Row {
 		wspool.Reset()

@@ -10,7 +10,6 @@ package boolmat
 import (
 	"math/bits"
 	"strings"
-	"sync"
 	"sync/atomic"
 
 	"partree/internal/faultpoint"
@@ -43,17 +42,12 @@ func Words(r, c int) int { return r * ((c + 63) / 64) }
 
 // On returns the R×C matrix stored in the first Words(r, c) words of
 // bits: a view into a slab its caller owns (lincfl keeps every region
-// matrix of its table in one slab). Release only drops the view.
+// matrix of its table, and every combine's intermediates, in one slab).
+// Release only drops the view.
 func On(r, c int, bits []uint64) Matrix {
 	w := (c + 63) / 64
 	return Matrix{R: r, C: c, words: w, bits: bits[: r*w : r*w]}
 }
-
-// headerPool recycles the Matrix structs themselves: the separator
-// recursion creates and releases so many matrices that the 48-byte
-// headers dominate the allocation profile once the word slabs are
-// pooled.
-var headerPool = sync.Pool{New: func() any { return new(Matrix) }}
 
 // NewFromPool returns an all-false R×C matrix whose word slab is drawn
 // from the workspace arena. Call Release when done with it; forgetting
@@ -63,13 +57,6 @@ func NewFromPool(r, c int) *Matrix {
 		panic("boolmat: negative dimension")
 	}
 	w := (c + 63) / 64
-	if reuseHeaders {
-		m := headerPool.Get().(*Matrix)
-		m.R, m.C, m.words = r, c, w
-		m.bits = pool.Uint64s(r * w)
-		m.pooled, m.released = true, false
-		return m
-	}
 	return &Matrix{R: r, C: c, words: w, bits: pool.Uint64s(r * w), pooled: true}
 }
 
@@ -88,9 +75,6 @@ func (m *Matrix) Release() {
 		pool.PutUint64s(m.bits)
 	}
 	m.bits = nil
-	if m.pooled && reuseHeaders {
-		headerPool.Put(m)
-	}
 }
 
 // Identity returns the n×n identity (pool-backed).
@@ -220,7 +204,7 @@ func mulKTile(words, budget int) int {
 	return kt
 }
 
-// KTileRows is the k-tile height Mul uses for a right operand with c
+// KTileRows is the k-tile height MulInto uses for a right operand with c
 // columns: a product whose inner dimension exceeds it walks A's columns
 // in several k-tiles.
 func KTileRows(c int) int { return mulKTile((c+63)/64, kTileBytes) }
@@ -242,22 +226,30 @@ func mulRowInto(orow, arow []uint64, b *Matrix, w0, w1 int) {
 	}
 }
 
-// Mul returns the Boolean product m·o: out[i][j] = ∨ₖ m[i][k] ∧ o[k][j],
-// computed row-wise with word-level parallelism (n³/64 word-ORs in the
-// dense model). The kernel is cache-blocked: A's columns are walked in
-// word-aligned k-tiles sized so the touched band of B stays resident
-// across all rows of A, and zero words of A are skipped entirely. The
-// output slab comes from the workspace arena (Release it to recycle).
-func Mul(a, b *Matrix) *Matrix { return mulTiled(a, b, kTileBytes) }
+// Mul returns the Boolean product a·b: out[i][j] = ∨ₖ a[i][k] ∧ b[k][j],
+// computed by MulInto into a matrix whose slab comes from the workspace
+// arena (Release it to recycle).
+func Mul(a, b *Matrix) *Matrix {
+	out := NewFromPool(a.R, b.C)
+	MulInto(out, a, b)
+	return out
+}
 
-// mulTiled is Mul with k-tiles sized to budget bytes of B rows.
-func mulTiled(a, b *Matrix, budget int) *Matrix {
-	if a.C != b.R {
+// MulInto ORs the Boolean product a·b into out, which must be a.R×b.C
+// (all false for out = a·b), computed row-wise with word-level
+// parallelism (n³/64 word-ORs in the dense model). The kernel is
+// cache-blocked: A's columns are walked in word-aligned k-tiles sized so
+// the touched band of B stays resident across all rows of A, and zero
+// words of A are skipped entirely.
+func MulInto(out, a, b *Matrix) { mulInto(out, a, b, kTileBytes) }
+
+// mulInto is MulInto with k-tiles sized to budget bytes of B rows.
+func mulInto(out, a, b *Matrix, budget int) {
+	if a.C != b.R || out.R != a.R || out.C != b.C {
 		panic("boolmat: dimension mismatch")
 	}
-	out := NewFromPool(a.R, b.C)
 	if a.C == 0 || b.C == 0 {
-		return out
+		return
 	}
 	kt := mulKTile(b.words, budget)
 	for k0 := 0; k0 < a.C; k0 += kt {
@@ -270,7 +262,6 @@ func mulTiled(a, b *Matrix, budget int) *Matrix {
 			mulRowInto(out.row(i), a.row(i), b, w0, w1)
 		}
 	}
-	return out
 }
 
 // MulPar is the PRAM form of Mul: one virtual processor per output row.

@@ -67,6 +67,13 @@ func TestIdentity(t *testing.T) {
 	}
 }
 
+// mulTiled is Mul with k-tiles sized to budget bytes of B rows.
+func mulTiled(a, b *Matrix, budget int) *Matrix {
+	out := New(a.R, b.C)
+	mulInto(out, a, b, budget)
+	return out
+}
+
 func TestMulMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 30; trial++ {
@@ -87,6 +94,28 @@ func TestMulMatchesNaive(t *testing.T) {
 	if !mulTiled(a, b, 1<<14).Equal(mulNaive(a, b)) {
 		t.Fatal("Mul over several k-tiles differs from naive")
 	}
+}
+
+// TestMulIntoOrs checks that MulInto ORs the product into what out
+// already holds, and that Mul is MulInto on an all-false matrix.
+func TestMulIntoOrs(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	for trial := 0; trial < 20; trial++ {
+		p, q, r := 1+rng.Intn(70), 1+rng.Intn(140), 1+rng.Intn(140)
+		a, b := randMat(rng, p, q, 0.1), randMat(rng, q, r, 0.1)
+		out := randMat(rng, p, r, 0.1)
+		want := mulNaive(a, b).Or(out.Clone())
+		MulInto(out, a, b)
+		if !out.Equal(want) {
+			t.Fatalf("trial %d (%d,%d,%d): MulInto differs from the naive product ORed in", trial, p, q, r)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("MulInto into a misshapen matrix did not panic")
+		}
+	}()
+	MulInto(New(2, 4), New(2, 3), New(3, 5))
 }
 
 func TestMulParMatchesSequential(t *testing.T) {

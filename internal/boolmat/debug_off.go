@@ -6,9 +6,3 @@ package boolmat
 // release builds (a released matrix still panics on access there, via
 // the nil slab, just without the targeted message).
 func (m *Matrix) check() {}
-
-// reuseHeaders enables recycling Matrix structs through headerPool. Off
-// under pooldebug: a recycled header makes a stale reference to a
-// released matrix alias the header's next owner, which would blind the
-// use-after-release detector.
-const reuseHeaders = true

@@ -9,7 +9,3 @@ func (m *Matrix) check() {
 		panic("boolmat: use of Matrix after Release")
 	}
 }
-
-// reuseHeaders is off under pooldebug so every Matrix keeps a unique
-// header and the released flag on a stale reference stays trustworthy.
-const reuseHeaders = false

@@ -1,12 +1,12 @@
 //go:build !race && !pooldebug
 
 // Allocation counts are only meaningful in release builds: the race
-// detector makes sync.Pool drop items at random, and pooldebug turns off
-// Matrix header reuse so released matrices stay detectable.
+// detector and the pooldebug ledger change them.
 
 package lincfl
 
 import (
+	"runtime"
 	"testing"
 
 	"partree/internal/grammar"
@@ -15,14 +15,14 @@ import (
 
 // TestRecognizeDCAllocBudget pins the separator recursion's allocations
 // on the n=127 palindrome with one worker: boundary moves between regions
-// allocate nothing beyond their target matrix (pooled), products run on
-// the serial kernel without a statement of their own, and the region
-// table is one slice of entries plus one slab holding every region
-// matrix. What remains is per-call and per-level bookkeeping. Products
-// by materialized injection matrices allocated ~30k per call here, and
-// one MulPar statement per product about 8k.
+// allocate nothing, products run on the serial kernel without a
+// statement of their own, and the region table is one slice of entries
+// plus one slab holding every region matrix and every combine's
+// intermediates. What remains is per-call and per-level bookkeeping.
+// Products by materialized injection matrices allocated ~30k per call
+// here, and one MulPar statement per product about 8k.
 func TestRecognizeDCAllocBudget(t *testing.T) {
-	// Measured 42–43 allocs/call on linux/amd64 (go1.24); the budget
+	// Measured 42 allocs/call on linux/amd64 (go1.24); the budget
 	// leaves a few for runtime and toolchain drift.
 	const budget = 48
 	g := grammar.Palindrome()
@@ -34,5 +34,32 @@ func TestRecognizeDCAllocBudget(t *testing.T) {
 	}
 	if got := testing.AllocsPerRun(5, func() { RecognizeDC(m, g, w) }); got > budget {
 		t.Fatalf("RecognizeDC allocated %.0f times per call, budget %d", got, budget)
+	}
+}
+
+// TestRecognizeDCBytesBudget pins the bytes the n=127 palindrome's
+// recognition allocates per call with one worker, nearly all of them the
+// slab: the region matrices, and scratch for the largest level's
+// combines, reserved to the word.
+func TestRecognizeDCBytesBudget(t *testing.T) {
+	// Measured 825 370 bytes/call on linux/amd64 (go1.24); the budget
+	// leaves 6.6% for runtime and toolchain drift.
+	const budget = 880_000
+	g := grammar.Palindrome()
+	w := palindromeWord(127)
+	m := pram.New(pram.WithWorkers(1))
+	defer m.Close()
+	RecognizeDC(m, g, w)
+	const runs = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		RecognizeDC(m, g, w)
+	}
+	runtime.ReadMemStats(&after)
+	got := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("%d bytes/call", got)
+	if got > budget {
+		t.Fatalf("RecognizeDC allocated %d bytes per call, budget %d", got, budget)
 	}
 }

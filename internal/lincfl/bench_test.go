@@ -1,6 +1,7 @@
 package lincfl
 
 import (
+	"fmt"
 	"testing"
 
 	"partree/internal/grammar"
@@ -18,16 +19,21 @@ func palindromeWord(n int) []byte {
 }
 
 // BenchmarkRecognizeDC measures the separator divide-and-conquer on the
-// palindrome grammar; run with -benchmem to see its allocations per
-// call (EXPERIMENTS.md E11 records the figure without the workspace
-// arena).
+// palindrome grammar at n = 127 and at n = 257, the size the lib-par
+// benchmark workload recognizes; run with -benchmem to see its
+// allocations per call (EXPERIMENTS.md E11 records the figure without
+// the workspace arena).
 func BenchmarkRecognizeDC(b *testing.B) {
 	g := grammar.Palindrome()
-	w := palindromeWord(127)
 	m := pram.New(pram.WithGrain(64))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		RecognizeDC(m, g, w)
+	defer m.Close()
+	for _, n := range []int{127, 257} {
+		w := palindromeWord(n)
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				RecognizeDC(m, g, w)
+			}
+		})
 	}
 }

@@ -35,9 +35,10 @@ import (
 // The regions are a fixed function of n, so they are enumerated once,
 // top-down, into a table of levels, and combined bottom-up: one PRAM
 // statement per level combines all of its regions side by side, as the
-// recurrence bills sibling regions. The recognizer reads the root's
-// matrix; the deriver walks its accepting path down the same table
-// (pathwalk.go).
+// recurrence bills sibling regions. A combine's intermediates live in
+// words the table reserves for it, so a combine allocates nothing. The
+// recognizer reads the root's matrix; the deriver walks its accepting
+// path down the same table (pathwalk.go).
 
 // DCResult carries the recognition verdict together with the measurements
 // the experiment harness reports.
@@ -56,12 +57,13 @@ type DCResult struct {
 }
 
 type dcCtx struct {
-	g     *grammar.Linear
-	w     []byte
-	k     int // number of nonterminals
-	m     *pram.Machine
-	cnt   *boolmat.OpCounter
-	prods atomic.Int64
+	g *grammar.Linear
+	w []byte
+	k int // number of nonterminals
+	m *pram.Machine
+
+	// Products and their word operations, summed over the combines.
+	prods, ops atomic.Int64
 
 	// K×K rule blocks per terminal t; terminals without rules share one
 	// all-false block.
@@ -71,11 +73,14 @@ type dcCtx struct {
 	// The region table: regs[0] is the root triangle T(0, n−1), and
 	// level d is regs[lv[d]:lv[d+1]]. Below the root, 1×1 cells get no
 	// entry: they all read the identity id. Every entry's matrix lives in
-	// slab, from word off.
-	regs []region
-	lv   []int
-	slab []uint64
-	id   *boolmat.Matrix
+	// slab, from word off, and its combine's intermediates in scratch,
+	// from word soff. Levels combine one after another, so every level
+	// reuses scratch, sized to the largest.
+	regs    []region
+	lv      []int
+	slab    []uint64
+	scratch []uint64
+	id      *boolmat.Matrix
 }
 
 // region is one entry of the table: the triangle T(a, b) (tri, with c, d
@@ -85,6 +90,7 @@ type region struct {
 	tri        bool
 	child      int32 // index in regs of the first child that has an entry
 	off        int   // first word of its matrix in slab
+	soff       int   // first word of its combine's scratch
 }
 
 func triRegion(lo, hi int32) region      { return region{a: lo, b: hi, c: lo, d: hi, tri: true} }
@@ -92,6 +98,40 @@ func rectRegion(a, b, c, d int32) region { return region{a: a, b: b, c: c, d: d}
 func (r *region) cell() bool             { return r.a == r.b && r.c == r.d }
 func (r *region) holds(c [2]int) bool {
 	return int(r.a) <= c[0] && c[0] <= int(r.b) && int(r.c) <= c[1] && c[1] <= int(r.d)
+}
+
+// dims returns the cell counts of the region's entry and exit boundaries,
+// their size() without building them: the combines read them for every
+// child's view.
+func (r *region) dims() (in, out int) {
+	if r.tri {
+		return 2*int(r.b-r.a) + 1, int(r.b-r.a) + 1
+	}
+	n := int(r.b-r.a) + int(r.d-r.c) + 1
+	return n, n
+}
+
+// scratchWords is the scratch region r's combine draws: the children's
+// matrices widened to r's exit columns (IN(child) rows each), then one
+// slot for the routed right factor of each product in turn, sized to the
+// largest (a quad's products take NW's, SE's and NE's OUT rows in turn,
+// and NW's is never the smaller). Sizes are counted in cells; every
+// intermediate has |OUT(r)|·K columns.
+func (r *region) scratchWords(k int) int {
+	a, b, c, d := int(r.a), int(r.b), int(r.c), int(r.d)
+	var cells int
+	switch m1, m2 := (a+b)/2, (c+d)/2; {
+	case r.tri: // L, R and Q (2(b−a) + (b−a) cells), then OUT(Q)
+		cells = 4 * (b - a)
+	case a == b: // W and E, then OUT(E)
+		cells = (m2 - c + 1) + 2*(d-m2)
+	case c == d: // S and N, then OUT(N)
+		cells = (b - m1) + 2*(m1-a+1)
+	default: // the four quadrants, then OUT(NW)
+		cells = 2*(b-a+d-c) + (m1 - a) + (m2 - c) + 1
+	}
+	_, out := r.dims()
+	return boolmat.Words(cells*k, out*k)
 }
 
 // bounds returns the region's entry and exit boundaries.
@@ -125,9 +165,10 @@ func (r *region) split() (ks [4]region, n int) {
 // boundary crossings route through, and the region table, enumerated
 // once top-down from T(0, n−1). Each level's children are appended in
 // their parents' order, so a region's children with entries sit
-// contiguously from its child index.
+// contiguously from its child index. The region matrices and the
+// scratch share one allocation.
 func newDCCtx(m *pram.Machine, g *grammar.Linear, w []byte) *dcCtx {
-	ctx := &dcCtx{g: g, w: w, k: g.NumNT, m: m, cnt: &boolmat.OpCounter{}}
+	ctx := &dcCtx{g: g, w: w, k: g.NumNT, m: m}
 	empty := boolmat.New(ctx.k, ctx.k)
 	for t := range ctx.left {
 		ctx.left[t], ctx.right[t] = empty, empty
@@ -154,14 +195,16 @@ func newDCCtx(m *pram.Machine, g *grammar.Linear, w []byte) *dcCtx {
 	n := len(w)
 	ctx.regs = append(make([]region, 0, n*n/6+2*n), triRegion(0, int32(n-1)))
 	ctx.lv = []int{0}
-	words := 0
+	words, most := 0, 0 // region words; scratch words of the largest level
 	for lo := 0; lo < len(ctx.regs) && !ctx.regs[0].cell(); lo = ctx.lv[len(ctx.lv)-1] {
 		hi := len(ctx.regs)
+		level := 0 // scratch words of this level's regions so far
 		for i := lo; i < hi; i++ {
 			r := &ctx.regs[i]
-			in, out := r.bounds()
-			r.off, r.child = words, int32(len(ctx.regs))
-			words += boolmat.Words(in.size()*ctx.k, out.size()*ctx.k)
+			in, out := r.dims()
+			r.off, r.soff, r.child = words, level, int32(len(ctx.regs))
+			words += boolmat.Words(in*ctx.k, out*ctx.k)
+			level += r.scratchWords(ctx.k)
 			ks, n := r.split()
 			for _, k := range ks[:n] {
 				if !k.cell() {
@@ -169,9 +212,11 @@ func newDCCtx(m *pram.Machine, g *grammar.Linear, w []byte) *dcCtx {
 				}
 			}
 		}
+		most = max(most, level)
 		ctx.lv = append(ctx.lv, hi)
 	}
-	ctx.slab = make([]uint64, words)
+	slab := make([]uint64, words+most)
+	ctx.slab, ctx.scratch = slab[:words], slab[words:]
 	return ctx
 }
 
@@ -181,8 +226,13 @@ func (ctx *dcCtx) view(r *region) boolmat.Matrix {
 	if r.cell() {
 		return *ctx.id
 	}
-	in, out := r.bounds()
-	return boolmat.On(in.size()*ctx.k, out.size()*ctx.k, ctx.slab[r.off:])
+	in, out := r.dims()
+	return boolmat.On(in*ctx.k, out*ctx.k, ctx.slab[r.off:])
+}
+
+// scratchOf returns the scratch newDCCtx reserved for region r's combine.
+func (ctx *dcCtx) scratchOf(r *region) scratch {
+	return scratch{buf: ctx.scratch[r.soff : r.soff+r.scratchWords(ctx.k)]}
 }
 
 // kids returns region r's children in combine order: their table
@@ -205,16 +255,19 @@ func (ctx *dcCtx) kids(r *region) (ks [4]region, n int) {
 // the serial blocked kernel (a statement body cannot nest another
 // statement) and returns its counted charge; the level charges its
 // longest region as steps and all of them as work. The slab is one
-// garbage-collected allocation per call, so a cancellation that aborts a
-// level statement at its barrier leaves nothing to release: every
-// started combine has finished and returned its intermediates.
+// garbage-collected allocation per call that holds every intermediate
+// too, so a cancellation that aborts a level statement at its barrier
+// leaves nothing to release.
 func (ctx *dcCtx) build() {
 	for d := len(ctx.lv) - 2; d >= 0; d-- {
 		regs := ctx.regs[ctx.lv[d]:ctx.lv[d+1]]
 		var steps, work atomic.Int64
 		ctx.m.For(len(regs), func(i int) {
-			c := ctx.combine(&regs[i])
+			sc := ctx.scratchOf(&regs[i])
+			c := ctx.combine(&regs[i], &sc)
 			work.Add(c.work)
+			ctx.prods.Add(c.prods)
+			ctx.ops.Add(c.ops)
 			for s := steps.Load(); c.steps > s && !steps.CompareAndSwap(s, c.steps); s = steps.Load() {
 			}
 		})
@@ -222,8 +275,9 @@ func (ctx *dcCtx) build() {
 	}
 }
 
-// combine builds region r's matrix from its children's.
-func (ctx *dcCtx) combine(r *region) cost {
+// combine builds region r's matrix from its children's, drawing its
+// intermediates from sc.
+func (ctx *dcCtx) combine(r *region, sc *scratch) cost {
 	ks, n := ctx.kids(r)
 	var ms [4]boolmat.Matrix
 	for j := range ks[:n] {
@@ -234,29 +288,50 @@ func (ctx *dcCtx) combine(r *region) cost {
 	switch {
 	case r.tri:
 		faultpoint.Hit("lincfl.tri")
-		return ctx.combineTri(a, b, &ms[0], &ms[1], &ms[2], &res)
+		return ctx.combineTri(a, b, &ms[0], &ms[1], &ms[2], &res, sc)
 	case a == b:
 		faultpoint.Hit("lincfl.rect")
-		return ctx.combineRectRow(a, b, c, d, &ms[0], &ms[1], &res)
+		return ctx.combineRectRow(c, d, &ms[0], &ms[1], &res, sc)
 	case c == d:
 		faultpoint.Hit("lincfl.rect")
-		return ctx.combineRectCol(a, b, c, d, &ms[0], &ms[1], &res)
+		return ctx.combineRectCol(a, b, &ms[0], &ms[1], &res, sc)
 	}
 	faultpoint.Hit("lincfl.rect")
-	return ctx.combineRectQuad(a, b, c, d, &ms[0], &ms[1], &ms[2], &ms[3], &res)
+	return ctx.combineRectQuad(a, b, c, d, &ms[0], &ms[1], &ms[2], &ms[3], &res, sc)
 }
 
-// cost is a combine's counted charge: steps along its dependent chain —
-// its moves, then ⌈rows/p⌉ per product, what one MulPar statement per
-// product charged — and work over all its virtual processors.
-type cost struct{ steps, work int64 }
+// cost is a combine's counted charge — steps along its dependent chain
+// (its moves, then ⌈rows/p⌉ per product, what one MulPar statement per
+// product charged) and work over all its virtual processors — and its
+// products with their word operations.
+type cost struct{ steps, work, prods, ops int64 }
 
-// release returns every matrix to the workspace arena.
-func release(ms ...*boolmat.Matrix) {
-	for _, m := range ms {
-		m.Release()
-	}
+// mul ORs the reachability product a·b into out (all false) on the
+// serial blocked kernel and counts it.
+func (c *cost) mul(out, a, b *boolmat.Matrix) {
+	c.prods++
+	c.ops += int64(a.R) * int64(a.C) * int64((b.C+63)/64)
+	boolmat.MulInto(out, a, b)
 }
+
+// scratch hands a combine its intermediates from the front of the words
+// newDCCtx reserved for it: take clears and returns the next matrix, and
+// drop hands back the last one taken.
+type scratch struct {
+	buf       []uint64
+	top, peak int // words handed out now, and at most
+}
+
+func (s *scratch) take(r, c int) boolmat.Matrix {
+	n := boolmat.Words(r, c)
+	clear(s.buf[s.top : s.top+n])
+	m := boolmat.On(r, c, s.buf[s.top:])
+	s.top += n
+	s.peak = max(s.peak, s.top)
+	return m
+}
+
+func (s *scratch) drop(m *boolmat.Matrix) { s.top -= boolmat.Words(m.R, m.C) }
 
 // rowSteps is the step charge of a product with a's rows.
 func (ctx *dcCtx) rowSteps(a *boolmat.Matrix) int64 {
@@ -296,17 +371,15 @@ func RecognizeDC(m *pram.Machine, g *grammar.Linear, w []byte) *DCResult {
 	root := ctx.view(&ctx.regs[0])
 	_, _, res.Accepted = ctx.accept(&root)
 	res.Products = int(ctx.prods.Load())
-	res.WordOps = ctx.cnt.Load()
+	res.WordOps = ctx.ops.Load()
 	res.Depth = len(ctx.lv) - 1
 	return res
 }
 
 // boundary is an ordered list of grid cells along one edge of a region.
 // Each of the four shapes (triangle/rectangle entry/exit) has a closed
-// form, so the list is never materialized: cell(i) and lookup compute
-// both directions arithmetically and a boundary is a plain value — the
-// separator recursion creates millions of them, and a map-backed index
-// used to dominate the recognizer's allocation profile.
+// form, so the list is never materialized: lookup computes a cell's
+// position arithmetically and a boundary is a plain value.
 type boundary struct {
 	kind       bkind
 	a, b, c, d int // rows a..b, cols c..d (triangles use a..b for both)
@@ -333,33 +406,7 @@ func (bd boundary) size() int {
 	}
 }
 
-// cell returns the i-th cell in boundary order.
-func (bd boundary) cell(i int) [2]int {
-	switch bd.kind {
-	case bTriIn:
-		if row := bd.b - bd.a + 1; i < row {
-			return [2]int{bd.a, bd.a + i}
-		} else {
-			return [2]int{bd.a + 1 + (i - row), bd.b}
-		}
-	case bTriOut:
-		return [2]int{bd.a + i, bd.a + i}
-	case bRectIn:
-		if row := bd.d - bd.c + 1; i < row {
-			return [2]int{bd.a, bd.c + i}
-		} else {
-			return [2]int{bd.a + 1 + (i - row), bd.d}
-		}
-	default: // bRectOut
-		if col := bd.b - bd.a + 1; i < col {
-			return [2]int{bd.a + i, bd.c}
-		} else {
-			return [2]int{bd.b, bd.c + 1 + (i - col)}
-		}
-	}
-}
-
-// lookup is the inverse of cell: the position of a cell on the boundary.
+// lookup returns the position of a cell on the boundary.
 func (bd boundary) lookup(cell [2]int) (int, bool) {
 	i, j := cell[0], cell[1]
 	switch bd.kind {
@@ -405,175 +452,122 @@ func rectIn(a, b, c, d int) boundary { return boundary{kind: bRectIn, a: a, b: b
 // rectOut: left column, then bottom row (excluding the shared corner).
 func rectOut(a, b, c, d int) boundary { return boundary{kind: bRectOut, a: a, b: b, c: c, d: d} }
 
-// mul is one reachability product, on the serial blocked kernel.
-func (ctx *dcCtx) mul(a, b *boolmat.Matrix) *boolmat.Matrix {
-	ctx.prods.Add(1)
-	ctx.cnt.Add(int64(a.R) * int64(a.C) * int64((b.C+63)/64))
-	return boolmat.Mul(a, b)
-}
-
 // combineTri assembles a triangle's boundary reachability into res (all
 // false) from its three pieces' matrices.
-func (ctx *dcCtx) combineTri(lo, hi int, rl, rr, rq, res *boolmat.Matrix) cost {
-	k := ctx.k
+func (ctx *dcCtx) combineTri(lo, hi int, rl, rr, rq, res *boolmat.Matrix, sc *scratch) cost {
 	mid := (lo + hi) / 2
-	inT := triIn(lo, hi)
-	outT := triOut(lo, hi)
-	inL, outL := triIn(lo, mid), triOut(lo, mid)
-	inR, outR := triIn(mid+1, hi), triOut(mid+1, hi)
-	inQ, outQ := rectIn(lo, mid, mid+1, hi), rectOut(lo, mid, mid+1, hi)
-
-	// Every intermediate is declared up front and nil'd as it is released
-	// on the normal path, so a panic inside the combine returns exactly
-	// the still-live ones to the arena (Release is nil-safe) before the
-	// unwind continues. res belongs to the table.
-	var lFull, rFull, x, qFull *boolmat.Matrix
-	defer func() {
-		if rec := recover(); rec != nil {
-			release(lFull, rFull, x, qFull)
-			panic(rec)
-		}
-	}()
+	mv := triRuns(lo, hi)
+	cols := (hi - lo + 1) * ctx.k // OUT(T)
+	var ch cost
 
 	// Region → OUT(T): L's and R's diagonals are part of T's, and Q exits
 	// across column mid+1 into L or across row mid into R.
-	lFull = ctx.place(rl, outL, outT) // IN(L) → OUT(T)
-	rFull = ctx.place(rr, outR, outT) // IN(R) → OUT(T)
-	x = boolmat.NewFromPool(outQ.size()*k, outT.size()*k)
-	ctx.route(x, outQ, inL, crossLeft(mid+1), ctx.right[ctx.w[mid+1]], lFull)
-	ctx.route(x, outQ, inR, crossDown(mid), ctx.left[ctx.w[mid]], rFull)
-	qFull = ctx.mul(rq, x) // IN(Q) → OUT(T)
-	x.Release()
-	x = nil
+	lFull := sc.take(rl.R, cols) // IN(L) → OUT(T)
+	rFull := sc.take(rr.R, cols) // IN(R) → OUT(T)
+	qFull := sc.take(rq.R, cols) // IN(Q) → OUT(T)
+	ctx.place(&lFull, rl, mv[0])
+	ctx.place(&rFull, rr, mv[1])
+	x := sc.take(rq.C, cols) // OUT(Q) → OUT(T)
+	ctx.route(&x, mv[2], ctx.right[ctx.w[mid+1]], &lFull)
+	ctx.route(&x, mv[3], ctx.left[ctx.w[mid]], &rFull)
+	ch.mul(&qFull, rq, &x)
 
 	// IN(T) is partitioned among IN(L), IN(R) and IN(Q).
-	ctx.route(res, inT, inL, same, nil, lFull)
-	ctx.route(res, inT, inR, same, nil, rFull)
-	ctx.route(res, inT, inQ, same, nil, qFull)
-	release(lFull, rFull, qFull)
+	ctx.route(res, mv[4], nil, &lFull)
+	ctx.route(res, mv[5], nil, &rFull)
+	ctx.route(res, mv[6], nil, &qFull)
 	// Two placements and five routings around one product.
-	return cost{steps: 7 + ctx.rowSteps(rq), work: 7 + int64(rq.R)}
+	ch.steps, ch.work = 7+ctx.rowSteps(rq), 7+int64(rq.R)
+	return ch
 }
 
-// combineRectRow assembles a single-row rectangle into res from its
-// west/east halves. Like combineTri, it releases every intermediate it
-// creates but leaves the child matrices to the table.
-func (ctx *dcCtx) combineRectRow(a, b, c, d int, rw, re, res *boolmat.Matrix) cost {
-	k := ctx.k
-	inQ := rectIn(a, b, c, d)
-	outQ := rectOut(a, b, c, d)
+// combineRectRow assembles the single-row rectangle over columns c..d
+// into res from its west/east halves.
+func (ctx *dcCtx) combineRectRow(c, d int, rw, re, res *boolmat.Matrix, sc *scratch) cost {
 	m2 := (c + d) / 2
-	inW, outW := rectIn(a, b, c, m2), rectOut(a, b, c, m2)
-	inE, outE := rectIn(a, b, m2+1, d), rectOut(a, b, m2+1, d)
-	var wFull, x, eFull *boolmat.Matrix
-	defer func() {
-		if rec := recover(); rec != nil {
-			release(wFull, x, eFull)
-			panic(rec)
-		}
-	}()
-	wFull = ctx.place(rw, outW, outQ)
+	mv := rowRuns(c, d)
+	cols := (d - c + 1) * ctx.k // OUT(Q)
+	var ch cost
+	wFull := sc.take(rw.R, cols)
+	eFull := sc.take(re.R, cols)
+	ctx.place(&wFull, rw, mv[0])
 	// OUT(E) → OUT(Q): direct exits plus crossing left into W.
-	x = boolmat.NewFromPool(outE.size()*k, outQ.size()*k)
-	ctx.route(x, outE, inW, crossLeft(m2+1), ctx.right[ctx.w[m2+1]], wFull)
-	ctx.addIdentity(x, outE, outQ)
-	eFull = ctx.mul(re, x)
-	x.Release()
-	x = nil
-	ctx.route(res, inQ, inW, same, nil, wFull)
-	ctx.route(res, inQ, inE, same, nil, eFull)
-	release(wFull, eFull)
+	x := sc.take(re.C, cols)
+	ctx.route(&x, mv[1], ctx.right[ctx.w[m2+1]], &wFull)
+	ctx.addIdentity(&x, mv[2])
+	ch.mul(&eFull, re, &x)
+	ctx.route(res, mv[3], nil, &wFull)
+	ctx.route(res, mv[4], nil, &eFull)
 	// One placement, one identity and three routings around one product.
-	return cost{steps: 5 + ctx.rowSteps(re), work: 5 + int64(re.R)}
+	ch.steps, ch.work = 5+ctx.rowSteps(re), 5+int64(re.R)
+	return ch
 }
 
-// combineRectCol assembles a single-column rectangle into res from its
-// north/south halves.
-func (ctx *dcCtx) combineRectCol(a, b, c, d int, rn, rs, res *boolmat.Matrix) cost {
-	k := ctx.k
-	inQ := rectIn(a, b, c, d)
-	outQ := rectOut(a, b, c, d)
+// combineRectCol assembles the single-column rectangle over rows a..b
+// into res from its north/south halves.
+func (ctx *dcCtx) combineRectCol(a, b int, rn, rs, res *boolmat.Matrix, sc *scratch) cost {
 	m1 := (a + b) / 2
-	inN, outN := rectIn(a, m1, c, d), rectOut(a, m1, c, d)
-	inS, outS := rectIn(m1+1, b, c, d), rectOut(m1+1, b, c, d)
-	var sFull, x, nFull *boolmat.Matrix
-	defer func() {
-		if rec := recover(); rec != nil {
-			release(sFull, x, nFull)
-			panic(rec)
-		}
-	}()
-	sFull = ctx.place(rs, outS, outQ)
+	mv := colRuns(a, b)
+	cols := (b - a + 1) * ctx.k // OUT(Q)
+	var ch cost
+	sFull := sc.take(rs.R, cols)
+	nFull := sc.take(rn.R, cols)
+	ctx.place(&sFull, rs, mv[0])
 	// OUT(N) → OUT(Q): direct exits plus crossing down into S.
-	x = boolmat.NewFromPool(outN.size()*k, outQ.size()*k)
-	ctx.route(x, outN, inS, crossDown(m1), ctx.left[ctx.w[m1]], sFull)
-	ctx.addIdentity(x, outN, outQ)
-	nFull = ctx.mul(rn, x)
-	x.Release()
-	x = nil
-	ctx.route(res, inQ, inN, same, nil, nFull)
-	ctx.route(res, inQ, inS, same, nil, sFull)
-	release(sFull, nFull)
+	x := sc.take(rn.C, cols)
+	ctx.route(&x, mv[1], ctx.left[ctx.w[m1]], &sFull)
+	ctx.addIdentity(&x, mv[2])
+	ch.mul(&nFull, rn, &x)
+	ctx.route(res, mv[3], nil, &nFull)
+	ctx.route(res, mv[4], nil, &sFull)
 	// One placement, one identity and three routings around one product.
-	return cost{steps: 5 + ctx.rowSteps(rn), work: 5 + int64(rn.R)}
+	ch.steps, ch.work = 5+ctx.rowSteps(rn), 5+int64(rn.R)
+	return ch
 }
 
 // combineRectQuad assembles a rectangle into res from its four
 // quadrants: SW first, then NW and SE (which exit through SW), then NE
-// (which exits through NW and SE) — three products.
-func (ctx *dcCtx) combineRectQuad(a, b, c, d int, rnw, rne, rsw, rse, res *boolmat.Matrix) cost {
-	k := ctx.k
-	inQ := rectIn(a, b, c, d)
-	outQ := rectOut(a, b, c, d)
-	m1 := (a + b) / 2
-	m2 := (c + d) / 2
-
-	inNW, outNW := rectIn(a, m1, c, m2), rectOut(a, m1, c, m2)
-	inNE, outNE := rectIn(a, m1, m2+1, d), rectOut(a, m1, m2+1, d)
-	inSW, outSW := rectIn(m1+1, b, c, m2), rectOut(m1+1, b, c, m2)
-	inSE, outSE := rectIn(m1+1, b, m2+1, d), rectOut(m1+1, b, m2+1, d)
+// (which exits through NW and SE) — three products, whose right factors
+// take one scratch slot in turn.
+func (ctx *dcCtx) combineRectQuad(a, b, c, d int, rnw, rne, rsw, rse, res *boolmat.Matrix, sc *scratch) cost {
+	m1, m2 := (a+b)/2, (c+d)/2
+	mv := quadRuns(a, b, c, d)
+	cols := (b - a + d - c + 1) * ctx.k // OUT(Q)
 	// Rule blocks for the two interior crossings: down across row m1,
 	// left across column m2+1.
 	downBlock, leftBlock := ctx.left[ctx.w[m1]], ctx.right[ctx.w[m2+1]]
+	var ch cost
 
-	var swFull, x, nwFull, seFull, neFull *boolmat.Matrix
-	defer func() {
-		if rec := recover(); rec != nil {
-			release(swFull, x, nwFull, seFull, neFull)
-			panic(rec)
-		}
-	}()
-
-	swFull = ctx.place(rsw, outSW, outQ)
+	swFull := sc.take(rsw.R, cols)
+	nwFull := sc.take(rnw.R, cols)
+	seFull := sc.take(rse.R, cols)
+	neFull := sc.take(rne.R, cols)
+	ctx.place(&swFull, rsw, mv[0])
 	// OUT(NW) → OUT(Q): direct exits plus crossing down into SW.
-	x = boolmat.NewFromPool(outNW.size()*k, outQ.size()*k)
-	ctx.route(x, outNW, inSW, crossDown(m1), downBlock, swFull)
-	ctx.addIdentity(x, outNW, outQ)
-	nwFull = ctx.mul(rnw, x)
-	x.Release()
+	x := sc.take(rnw.C, cols)
+	ctx.route(&x, mv[1], downBlock, &swFull)
+	ctx.addIdentity(&x, mv[2])
+	ch.mul(&nwFull, rnw, &x)
+	sc.drop(&x)
 	// OUT(SE) → OUT(Q): direct exits plus crossing left into SW.
-	x = boolmat.NewFromPool(outSE.size()*k, outQ.size()*k)
-	ctx.route(x, outSE, inSW, crossLeft(m2+1), leftBlock, swFull)
-	ctx.addIdentity(x, outSE, outQ)
-	seFull = ctx.mul(rse, x)
-	x.Release()
+	x = sc.take(rse.C, cols)
+	ctx.route(&x, mv[3], leftBlock, &swFull)
+	ctx.addIdentity(&x, mv[4])
+	ch.mul(&seFull, rse, &x)
+	sc.drop(&x)
 	// OUT(NE) → OUT(Q): left into NW or down into SE; NE touches no exit.
-	x = boolmat.NewFromPool(outNE.size()*k, outQ.size()*k)
-	ctx.route(x, outNE, inNW, crossLeft(m2+1), leftBlock, nwFull)
-	ctx.route(x, outNE, inSE, crossDown(m1), downBlock, seFull)
-	neFull = ctx.mul(rne, x)
-	x.Release()
-	x = nil
+	x = sc.take(rne.C, cols)
+	ctx.route(&x, mv[5], leftBlock, &nwFull)
+	ctx.route(&x, mv[6], downBlock, &seFull)
+	ch.mul(&neFull, rne, &x)
 
 	// IN(Q) is partitioned among IN(NW), IN(NE) and IN(SE).
-	ctx.route(res, inQ, inNW, same, nil, nwFull)
-	ctx.route(res, inQ, inNE, same, nil, neFull)
-	ctx.route(res, inQ, inSE, same, nil, seFull)
-	release(swFull, nwFull, seFull, neFull)
+	ctx.route(res, mv[7], nil, &nwFull)
+	ctx.route(res, mv[8], nil, &neFull)
+	ctx.route(res, mv[9], nil, &seFull)
 	// One placement, two identities and seven routings; the NW and SE
 	// products are independent, and NE's waits for both.
-	return cost{
-		steps: 10 + max(ctx.rowSteps(rnw), ctx.rowSteps(rse)) + ctx.rowSteps(rne),
-		work:  10 + int64(rnw.R+rse.R+rne.R),
-	}
+	ch.steps = 10 + max(ctx.rowSteps(rnw), ctx.rowSteps(rse)) + ctx.rowSteps(rne)
+	ch.work = 10 + int64(rnw.R+rse.R+rne.R)
+	return ch
 }

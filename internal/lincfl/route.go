@@ -30,13 +30,10 @@ type cellMap struct {
 type cmKind uint8
 
 const (
-	cmSame cmKind = iota
-	cmLeft        // (i, line) → (i, line-1), consuming w[line]
-	cmDown        // (line, j) → (line+1, j), consuming w[line]
+	cmSame cmKind = iota // the cell itself (regions whose boundaries share cells)
+	cmLeft               // (i, line) → (i, line-1), consuming w[line]
+	cmDown               // (line, j) → (line+1, j), consuming w[line]
 )
-
-// same keeps the cell (regions whose boundaries share cells).
-var same = cellMap{kind: cmSame}
 
 // crossLeft maps (i, col) → (i, col-1), consuming w[col].
 func crossLeft(col int) cellMap { return cellMap{kind: cmLeft, line: col} }
@@ -62,80 +59,150 @@ func (cm cellMap) apply(c [2]int) ([2]int, bool) {
 	return c, true
 }
 
-// eachRun calls f(fi, ti, n) for every maximal run of n consecutive cells
-// of from, starting at position fi, that cm carries onto n consecutive
-// cells of to, starting at position ti. Cells cm or to reject are
-// skipped. Every boundary is at most two straight segments, so a move
-// yields a handful of runs.
-func eachRun(from, to boundary, cm cellMap, f func(fi, ti, n int)) {
-	fi0, ti0, n := 0, 0, 0
-	for fi, fn := 0, from.size(); fi < fn; fi++ {
-		ti, ok := 0, false
-		if tc, hit := cm.apply(from.cell(fi)); hit {
-			ti, ok = to.lookup(tc)
-		}
-		if ok && n > 0 && ti == ti0+n {
-			n++
-			continue
-		}
-		if n > 0 {
-			f(fi0, ti0, n)
-			n = 0
-		}
-		if ok {
-			fi0, ti0, n = fi, ti, 1
-		}
-	}
-	if n > 0 {
-		f(fi0, ti0, n)
+// A move carries a contiguous run of cells: n consecutive cells of its
+// source boundary, from position fi, land on n consecutive cells of its
+// target boundary, from position ti.
+type run struct{ fi, ti, n int }
+
+// Every move a combine makes is one run, whose ends follow from the
+// region's geometry. With m1 = ⌊(a+b)/2⌋ and m2 = ⌊(c+d)/2⌋, the
+// boundaries index their cells as
+//
+//	triIn(lo, hi):       (lo, j) at j−lo, then (i, hi) at (hi−lo)+(i−lo)
+//	triOut(lo, hi):      (i, i) at i−lo
+//	rectIn(a, b, c, d):  (a, j) at j−c, then (i, d) at (d−c)+(i−a)
+//	rectOut(a, b, c, d): (i, c) at i−a, then (b, j) at (b−a)+(j−c)
+//
+// and each function below lists its combine's moves in the order the
+// combine makes them. route_test.go checks every run against a walk of
+// the two boundaries cell by cell.
+
+// triRuns returns the moves of combineTri on T(lo, hi), with L, R and Q
+// its left and right halves and the square between them:
+//
+//	0, 1: OUT(L), OUT(R) → OUT(T)          (placements)
+//	2:    OUT(Q) → IN(L) across column mid+1 (Q's left column)
+//	3:    OUT(Q) → IN(R) across row mid      (Q's bottom row)
+//	4–6:  IN(T) → IN(L), IN(R), IN(Q)
+func triRuns(lo, hi int) [7]run {
+	mid := (lo + hi) / 2
+	return [7]run{
+		{0, 0, mid - lo + 1},
+		{0, mid + 1 - lo, hi - mid},
+		{0, mid - lo, mid - lo + 1},
+		{mid - lo, 0, hi - mid},
+		{0, 0, mid - lo + 1},
+		{(hi - lo) + (mid + 1 - lo), hi - mid - 1, hi - mid},
+		{mid + 1 - lo, 0, hi - lo},
 	}
 }
 
-// place returns x with its column blocks moved from the positions of
-// from to those of to — x·inject(from, to, same, nil) without the
-// product: each run of cells is one bit-range copy per row.
-func (ctx *dcCtx) place(x *boolmat.Matrix, from, to boundary) *boolmat.Matrix {
-	k := ctx.k
-	out := boolmat.NewFromPool(x.R, to.size()*k)
-	eachRun(from, to, same, func(fi, ti, n int) {
-		for r := 0; r < x.R; r++ {
-			out.OrBits(r, ti*k, x, r, fi*k, n*k)
-		}
-	})
-	return out
+// rowRuns returns the moves of combineRectRow on the one-row rectangle
+// Q over columns c..d, with W and E its halves:
+//
+//	0:    OUT(W) → OUT(Q)
+//	1:    OUT(E) → IN(W) across column m2+1
+//	2:    OUT(E) → OUT(Q)                   (identity)
+//	3, 4: IN(Q) → IN(W), IN(E)
+func rowRuns(c, d int) [5]run {
+	m2 := (c + d) / 2
+	return [5]run{
+		{0, 0, m2 - c + 1},
+		{0, m2 - c, 1},
+		{0, m2 + 1 - c, d - m2},
+		{0, 0, m2 - c + 1},
+		{m2 + 1 - c, 0, d - m2},
+	}
 }
 
-// route ORs into dst, whose rows follow from, the rows of y, which follow
-// to — dst |= inject(from, to, cm, block)·y without the product. Row
-// (cell, A) of dst gathers row (cm(cell), B) of y for every B with
-// block[A][B]; a nil block is the identity on nonterminals, so a run of
-// cells is one contiguous row copy.
-func (ctx *dcCtx) route(dst *boolmat.Matrix, from, to boundary, cm cellMap, block, y *boolmat.Matrix) {
+// colRuns returns the moves of combineRectCol on the one-column
+// rectangle Q over rows a..b, with N and S its halves:
+//
+//	0:    OUT(S) → OUT(Q)
+//	1:    OUT(N) → IN(S) across row m1
+//	2:    OUT(N) → OUT(Q)                   (identity)
+//	3, 4: IN(Q) → IN(N), IN(S)
+func colRuns(a, b int) [5]run {
+	m1 := (a + b) / 2
+	return [5]run{
+		{0, m1 + 1 - a, b - m1},
+		{m1 - a, 0, 1},
+		{0, 0, m1 - a + 1},
+		{0, 0, m1 - a + 1},
+		{m1 + 1 - a, 0, b - m1},
+	}
+}
+
+// quadRuns returns the moves of combineRectQuad on the rectangle Q =
+// rows a..b × columns c..d, with NW, NE, SW and SE its quadrants:
+//
+//	0: OUT(SW) → OUT(Q)
+//	1: OUT(NW) → IN(SW) across row m1      (NW's bottom row)
+//	2: OUT(NW) → OUT(Q)                    (identity, NW's left column)
+//	3: OUT(SE) → IN(SW) across column m2+1 (SE's left column)
+//	4: OUT(SE) → OUT(Q)                    (identity, SE's bottom row)
+//	5: OUT(NE) → IN(NW) across column m2+1
+//	6: OUT(NE) → IN(SE) across row m1
+//	7–9: IN(Q) → IN(NW), IN(NE), IN(SE)
+func quadRuns(a, b, c, d int) [10]run {
+	m1, m2 := (a+b)/2, (c+d)/2
+	return [10]run{
+		{0, m1 + 1 - a, (b - m1 - 1) + (m2 - c) + 1},
+		{m1 - a, 0, m2 - c + 1},
+		{0, 0, m1 - a + 1},
+		{0, m2 - c, b - m1},
+		{b - m1 - 1, (b - a) + (m2 + 1 - c), d - m2},
+		{0, m2 - c, m1 - a + 1},
+		{m1 - a, 0, d - m2},
+		{0, 0, m2 - c + 1},
+		{m2 + 1 - c, 0, (m1 - a) + (d - m2 - 1) + 1},
+		{(d - c) + (m1 + 1 - a), d - m2 - 1, b - m1},
+	}
+}
+
+// place ORs into dst the column blocks of x at the run's source cells,
+// moved to its target cells — dst |= x·inject(from, to, same, nil)
+// without the product: one bit-range copy per row.
+func (ctx *dcCtx) place(dst, x *boolmat.Matrix, r run) {
 	k := ctx.k
-	eachRun(from, to, cm, func(fi, ti, n int) {
-		if block == nil {
-			dst.OrRows(fi*k, y, ti*k, n*k)
-			return
-		}
-		for c := 0; c < n; c++ {
-			for a := 0; a < k; a++ {
-				for b := 0; b < k; b++ {
-					if block.Get(a, b) {
-						dst.OrRows((fi+c)*k+a, y, (ti+c)*k+b, 1)
-					}
-				}
+	for i := 0; i < x.R; i++ {
+		dst.OrBits(i, r.ti*k, x, i, r.fi*k, r.n*k)
+	}
+}
+
+// route ORs into dst, whose rows follow the move's source boundary, the
+// rows of y, which follow its target — dst |= inject(from, to, cm,
+// block)·y without the product. Row (cell, A) of dst gathers row
+// (cm(cell), B) of y for every B with block[A][B]; a nil block is the
+// identity on nonterminals, so the run is one contiguous row copy.
+func (ctx *dcCtx) route(dst *boolmat.Matrix, r run, block, y *boolmat.Matrix) {
+	k := ctx.k
+	if block == nil {
+		dst.OrRows(r.fi*k, y, r.ti*k, r.n*k)
+		return
+	}
+	// The block's set pairs (A, B), collected once for the run.
+	var buf [16][2]int
+	pairs := buf[:0]
+	for a := 0; a < k; a++ {
+		for b := 0; b < k; b++ {
+			if block.Get(a, b) {
+				pairs = append(pairs, [2]int{a, b})
 			}
 		}
-	})
+	}
+	for c := 0; c < r.n; c++ {
+		for _, p := range pairs {
+			dst.OrRows((r.fi+c)*k+p[0], y, (r.ti+c)*k+p[1], 1)
+		}
+	}
 }
 
 // addIdentity sets p |= inject(from, to, same, nil) in place: the
-// identity on nonterminals for every cell the two boundaries share.
-func (ctx *dcCtx) addIdentity(p *boolmat.Matrix, from, to boundary) {
+// identity on nonterminals for every cell of the run.
+func (ctx *dcCtx) addIdentity(p *boolmat.Matrix, r run) {
 	k := ctx.k
-	eachRun(from, to, same, func(fi, ti, n int) {
-		for x := 0; x < n*k; x++ {
-			p.Set(fi*k+x, ti*k+x, true)
-		}
-	})
+	for x := 0; x < r.n*k; x++ {
+		p.Set(r.fi*k+x, r.ti*k+x, true)
+	}
 }

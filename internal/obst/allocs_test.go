@@ -1,8 +1,7 @@
 //go:build !race && !pooldebug
 
 // Allocation counts are only meaningful in release builds: the race
-// detector makes sync.Pool drop items at random, and pooldebug turns off
-// Matrix header reuse so released matrices stay detectable.
+// detector and the pooldebug ledger change them.
 
 package obst
 

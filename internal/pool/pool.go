@@ -1,10 +1,11 @@
 // Package pool provides sized, free-list workspace arenas for the numeric
 // slabs backing the repository's hot matrices ([]float64, []uint64, []int,
-// []int32). Every hot kernel — the lincfl separator recursion, the monge
-// stride-refinement rounds, the boolmat products, the partreed request
-// path — allocates rectangular scratch whose shapes recur millions of
-// times under load; recycling those slabs removes the allocator and the
-// garbage collector from the steady state.
+// []int32). Hot kernels — the monge stride-refinement rounds, the boolmat
+// products, the partreed request path — allocate rectangular scratch
+// whose shapes recur millions of times under load; recycling those slabs
+// removes the allocator and the garbage collector from the steady state.
+// (The lincfl separator recursion keeps its matrices in one plain slab
+// per call instead.)
 //
 // The arena is sharded for multicore scaling: free lists live in
 // per-worker shards keyed by the P (logical processor) the caller runs on
