@@ -2,11 +2,11 @@
 
 GO ?= go
 
-.PHONY: all build fmt-check test test-race test-flaky test-e2e test-chaos test-pooldebug test-trace test-cluster check vet bench-vet bench bench-par bench-gate bench-gate-quick bench-baseline tables examples cover fuzz fuzz-smoke loc clean
+.PHONY: all build fmt-check test test-race test-flaky test-e2e test-chaos test-pooldebug test-trace test-cluster check vet bench-vet bench bench-smoke bench-par bench-gate bench-gate-quick bench-baseline tables examples cover fuzz fuzz-smoke loc clean
 
 all: build vet test
 
-check: build fmt-check vet bench-vet test test-race test-flaky test-e2e test-chaos test-pooldebug test-trace test-cluster fuzz-smoke bench-gate-quick
+check: build fmt-check vet bench-vet test test-race test-flaky test-e2e test-chaos test-pooldebug test-trace test-cluster fuzz-smoke bench-smoke bench-gate-quick
 
 build:
 	$(GO) build ./...
@@ -87,6 +87,12 @@ tables:
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
+
+# Every benchmark once, at the short sizes, with no test: the E1–E8
+# benchmarks and ablations must still build and run to the end, even
+# though nothing times them here.
+bench-smoke:
+	$(GO) test -short -run '^$$' -bench . -benchtime 1x ./...
 
 # Multicore scaling sweep: every parallel kernel at P ∈ {1,2,4,8} with
 # per-op barrier-wait probes (experiment E12, full sizes).

@@ -10,7 +10,6 @@ package boolmat
 import (
 	"math/bits"
 	"strings"
-	"sync/atomic"
 
 	"partree/internal/faultpoint"
 	"partree/internal/pool"
@@ -334,60 +333,6 @@ func ClosurePar(mach *pram.Machine, m *Matrix) *Matrix {
 		cur = next
 	}
 	return cur
-}
-
-// OpCounter tallies Boolean word operations across products for the
-// experiment harness.
-type OpCounter struct{ n atomic.Int64 }
-
-// Add records k word operations.
-func (c *OpCounter) Add(k int64) {
-	if c != nil {
-		c.n.Add(k)
-	}
-}
-
-// Load returns the tally.
-func (c *OpCounter) Load() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.n.Load()
-}
-
-// MulCounted is Mul with word-operation counting, charged as the
-// multiply executes — one operation per word of A scanned plus one per
-// output word OR'd — rather than recomputed from the dense n³/64 formula
-// after the fact. The count therefore reflects the work the blocked
-// kernel actually performs on sparse inputs.
-func MulCounted(a, b *Matrix, cnt *OpCounter) *Matrix {
-	if a.C != b.R {
-		panic("boolmat: dimension mismatch")
-	}
-	out := NewFromPool(a.R, b.C)
-	if a.C == 0 || b.C == 0 {
-		return out
-	}
-	var ops int64
-	ow := int64(out.words)
-	for i := 0; i < a.R; i++ {
-		arow := a.row(i)
-		orow := out.row(i)
-		for w, bitsW := range arow {
-			ops++ // the scan reads one word of A
-			for bitsW != 0 {
-				k := w<<6 + bits.TrailingZeros64(bitsW)
-				bitsW &= bitsW - 1
-				brow := b.row(k)
-				for x := range orow {
-					orow[x] |= brow[x]
-				}
-				ops += ow
-			}
-		}
-	}
-	cnt.Add(ops)
-	return out
 }
 
 // String renders the matrix as rows of 0/1 for debugging.

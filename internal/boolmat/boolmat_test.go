@@ -185,38 +185,6 @@ func TestClosureMatchesFloydWarshall(t *testing.T) {
 	}
 }
 
-func TestMulCounted(t *testing.T) {
-	// All-false product: the scan reads each of the 8 rows' single packed
-	// word and ORs nothing.
-	var cnt OpCounter
-	a, b := New(8, 8), New(8, 8)
-	MulCounted(a, b, &cnt)
-	if cnt.Load() != 8 {
-		t.Errorf("all-false ops = %d, want 8 (one scanned word per row)", cnt.Load())
-	}
-	// With s set bits in A, the multiply additionally ORs s output rows of
-	// one word each — counted during the multiply, so the tally reflects
-	// the sparse work actually done.
-	a.Set(0, 3, true)
-	a.Set(5, 1, true)
-	a.Set(5, 7, true)
-	b.Set(3, 2, true)
-	b.Set(1, 6, true)
-	var cnt2 OpCounter
-	got := MulCounted(a, b, &cnt2)
-	if want := int64(8 + 3); cnt2.Load() != want {
-		t.Errorf("sparse ops = %d, want %d", cnt2.Load(), want)
-	}
-	if !got.Equal(Mul(a, b)) {
-		t.Error("MulCounted product differs from Mul")
-	}
-	var nilCnt *OpCounter
-	nilCnt.Add(3)
-	if nilCnt.Load() != 0 {
-		t.Error("nil counter must be inert")
-	}
-}
-
 func TestReleaseRecyclesAndDoubleReleasePanics(t *testing.T) {
 	pool.Reset()
 	defer pool.Reset()

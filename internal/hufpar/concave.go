@@ -90,10 +90,16 @@ func heightLevel(m *pram.Machine, a *matrix.Dense, pre []float64, t int, mul mul
 	var changed atomic.Bool
 	m.ForRange(next.Len(), func(lo, hi int) {
 		next.Walk(lo, hi, func(i, j0, j1 int) {
-			for j := max(j0, i+2); j < j1; j++ {
-				v := prod.At(i, j) + (pre[j] - pre[i])
-				next.Set(i, j, v)
-				if !changed.Load() && v != a.At(i, j) {
+			j0 = max(j0, i+2)
+			if j0 >= j1 {
+				return
+			}
+			out, p, prev := next.Line(i).Piece(j0, j1), prod.Line(i), a.Line(i)
+			for x := range out {
+				j := j0 + x
+				v := p.At(j) + (pre[j] - pre[i])
+				out[x] = v
+				if !changed.Load() && v != prev.At(j) {
 					changed.Store(true)
 				}
 			}
@@ -128,8 +134,10 @@ func pathMatrix(m *pram.Machine, a *matrix.Dense, pre []float64) *matrix.Dense {
 			if i == 0 {
 				return // the zeroed slab already holds both 0s
 			}
-			for j := j0; j < j1; j++ {
-				mp.Set(i, j, a.At(i, j)+(pre[j]-pre[0]))
+			out, ai := mp.Line(i).Piece(j0, j1), a.Line(i)
+			for x := range out {
+				j := j0 + x
+				out[x] = ai.At(j) + (pre[j] - pre[0])
 			}
 		})
 	})

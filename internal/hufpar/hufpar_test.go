@@ -133,24 +133,35 @@ func TestBuildConcaveSingle(t *testing.T) {
 	}
 }
 
-// Theorem 5.1 shape: comparison work stays O(n² log n) (vs n³ for the
-// naive DP) and the statement depth is polylogarithmic.
+// TestBuildConcaveWorkAndDepth checks Theorem 5.1 on counted quantities
+// over n = 2⁴ … 2¹⁰: comparisons stay within cCmp·n²·log n (against n³
+// for the naive DP) and the statement depth within cSteps·(log n + 1)²,
+// 2⌈log n⌉ products of O(log n) statements each. Both ratios peak at
+// n = 16 and fall as n grows: 1.39 for comparisons and 3.88 for steps,
+// so cCmp = 2 and cSteps = 5. The test logs the peaks.
 func TestBuildConcaveWorkAndDepth(t *testing.T) {
-	n := 128
-	w := workload.SortedAscending(workload.Random(rand.New(rand.NewSource(2)), n))
-	m := pram.New() // unbounded: steps = statement count
-	res := BuildConcave(m, w)
-	n2 := int64(n) * int64(n)
-	logn := int64(xmath.CeilLog2(n))
-	if res.Comparisons > 40*n2*logn {
-		t.Errorf("comparisons %d exceed 40·n²·log n = %d", res.Comparisons, 40*n2*logn)
+	const cCmp, cSteps = 2.0, 5.0
+	var peakCmp, peakSteps float64
+	for e := 4; e <= 10; e++ {
+		n := 1 << e
+		w := workload.SortedAscending(workload.Random(rand.New(rand.NewSource(2)), n))
+		m := pram.New() // unbounded: steps = statement count
+		res := BuildConcave(m, w)
+		steps := m.Counters().Steps
+		m.Close()
+		lg := float64(e)
+		rc := float64(res.Comparisons) / (float64(n) * float64(n) * lg)
+		rs := float64(steps) / ((lg + 1) * (lg + 1))
+		peakCmp, peakSteps = max(peakCmp, rc), max(peakSteps, rs)
+		if rc > cCmp {
+			t.Errorf("n=%d: %d comparisons, %.2f·n²·log n, bound %.1f", n, res.Comparisons, rc, cCmp)
+		}
+		if rs > cSteps {
+			t.Errorf("n=%d: %d statements, %.2f·(log n + 1)², bound %.1f", n, steps, rs, cSteps)
+		}
 	}
-	steps := m.Counters().Steps
-	// 2·log n products, each O(log n) statements → O(log² n).
-	budget := int64(8 * (logn + 1) * (logn + 1))
-	if steps > budget {
-		t.Errorf("statement depth %d exceeds O(log² n) budget %d", steps, budget)
-	}
+	t.Logf("peak ratios: comparisons/(n² log n) %.2f (bound %.1f), steps/(log n + 1)² %.2f (bound %.1f)",
+		peakCmp, cCmp, peakSteps, cSteps)
 }
 
 // The Fibonacci vector drives the deepest spine (n-1); the concave

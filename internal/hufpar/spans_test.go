@@ -112,3 +112,31 @@ func TestSpanLevelsMatchDense(t *testing.T) {
 		cur.Release()
 	}
 }
+
+// TestLayoutsAreStaircases checks that every layout the Section 5
+// pipeline multiplies is a staircase (matrix.Spans.Staircase): A_t at
+// every level up to one past saturation, and M′, for n = 1 … 300. The
+// product of two staircases has a staircase hull (monge's
+// TestStaircaseProductIsStaircase), so M′'s squarings are staircases too,
+// and every concave product here reads B without re-laying it out.
+func TestLayoutsAreStaircases(t *testing.T) {
+	m := pram.New(pram.WithWorkers(1))
+	defer m.Close()
+	for n := 1; n <= 300; n++ {
+		levels := xmath.CeilLog2(n)
+		for h := 0; h <= levels+1; h++ {
+			a := heightBand(n, h)
+			if !a.Staircase() {
+				t.Fatalf("n=%d: A_%d is not a staircase", n, h)
+			}
+			a.Release()
+		}
+		a := heightBand(n, levels)
+		mp := pathMatrix(m, a, make([]float64, n+1))
+		if !mp.Staircase() {
+			t.Fatalf("n=%d: M′ is not a staircase", n)
+		}
+		mp.Release()
+		a.Release()
+	}
+}

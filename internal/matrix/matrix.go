@@ -148,6 +148,32 @@ func (s *Spans) pos(i, j int) int {
 	return r[2] + j - r[0]
 }
 
+// Base returns row i's slab base: entry (i, j) of a column j in the
+// row's span sits at slab position Base(i)+j. A kernel that keeps the
+// bases of the rows it reads indexes the slab without the span check.
+func (s *Spans) Base(i int) int { return s.sp[3*i+2] - s.sp[3*i] }
+
+// Staircase reports whether the non-empty rows are contiguous and both
+// ends of their spans are nondecreasing: the layout of the paper's band
+// and triangle matrices. Then the rows that store a column form one
+// interval, so a column's first and last storing rows bound exactly
+// the rows that store it.
+func (s *Spans) Staircase() bool {
+	prev, gap := -1, false // prev: the last non-empty row seen
+	for i := 0; i < s.R; i++ {
+		lo, hi := s.Span(i)
+		switch {
+		case lo > hi:
+			gap = prev >= 0
+		case prev >= 0 && (gap || lo < s.sp[3*prev] || hi < s.sp[3*prev+1]):
+			return false
+		default:
+			prev = i
+		}
+	}
+	return true
+}
+
 // Len returns the number of stored entries: the size of the index space
 // a statement over the matrix's spans runs on.
 func (s *Spans) Len() int { return s.sp[3*s.R+2] }
@@ -325,6 +351,13 @@ func (d *Dense) Row(i int) []float64 {
 	return d.v[off : off+hi-lo+1]
 }
 
+// Slab returns a live view of the whole value slab, rows packed in
+// order: entry (i, j) inside row i's span is Slab()[Base(i)+j].
+func (d *Dense) Slab() []float64 {
+	d.check()
+	return d.v
+}
+
 // Clone returns a deep copy with the same spans.
 func (d *Dense) Clone() *Dense {
 	out := &Dense{Spans: makeSpans(d.R, d.C, false, d.Span), v: make([]float64, d.Len())}
@@ -448,6 +481,41 @@ func (m *IntMat) Set(i, j, v int) {
 	}
 	m.v[p] = int32(v)
 }
+
+// Line is one row of a Dense or IntMat taken once for a run of reads and
+// writes: At reads column j without the matrix's span lookup, as the
+// unstored value (+∞ or -1) outside the row's span, and Piece returns a
+// run of the span's columns as a live slice to write. Kernels that visit
+// a row piece by piece take its Line once per piece; At/Set stay for
+// single entries.
+type Line[T float64 | int32] struct {
+	lo    int
+	v     []T
+	unset T
+}
+
+// Line returns row i of d as a Line.
+func (d *Dense) Line(i int) Line[float64] {
+	lo, _ := d.Span(i)
+	return Line[float64]{lo, d.Row(i), semiring.Inf}
+}
+
+// Line returns row i of m as a Line.
+func (m *IntMat) Line(i int) Line[int32] {
+	lo, _ := m.Span(i)
+	return Line[int32]{lo, m.Row(i), -1}
+}
+
+// At returns column j of the row.
+func (l Line[T]) At(j int) T {
+	if x := j - l.lo; uint(x) < uint(len(l.v)) {
+		return l.v[x]
+	}
+	return l.unset
+}
+
+// Piece returns columns j0 … j1-1, which must lie in the row's span.
+func (l Line[T]) Piece(j0, j1 int) []T { return l.v[j0-l.lo : j1-l.lo] }
 
 // MulBrute computes the (min,+) product AB by examining every k for every
 // output entry: Θ(p·q·r) comparisons. It returns the product and the Cut

@@ -248,13 +248,17 @@ func TestSpanLayout(t *testing.T) {
 			}
 			for j := 0; j < c; j++ {
 				if j < lo || j > hi {
-					if !semiring.IsInf(d.At(i, j)) || m.At(i, j) != -1 {
+					if !semiring.IsInf(d.At(i, j)) || m.At(i, j) != -1 || !semiring.IsInf(d.Line(i).At(j)) || m.Line(i).At(j) != -1 {
 						t.Fatalf("trial %d (%d,%d): outside the span reads %v / %d", trial, i, j, d.At(i, j), m.At(i, j))
 					}
 					continue
 				}
-				d.Set(i, j, float64(e))
-				m.Set(i, j, e)
+				d.Line(i).Piece(j, j+1)[0] = float64(e)
+				m.Line(i).Piece(j, j+1)[0] = int32(e)
+				if d.At(i, j) != float64(e) || m.At(i, j) != e || d.Line(i).At(j) != float64(e) ||
+					m.Line(i).At(j) != int32(e) || d.Slab()[d.Base(i)+j] != float64(e) {
+					t.Fatalf("trial %d (%d,%d): wrote %d through a Line, read %v / %d", trial, i, j, e, d.At(i, j), m.At(i, j))
+				}
 				wi, wj := -1, -1
 				d.Walk(e, e+1, func(i, j0, _ int) { wi, wj = i, j0 })
 				if d.RowOf(e) != i || wi != i || wj != j {
@@ -355,9 +359,37 @@ func TestTrimAndShift(t *testing.T) {
 				if got := sh.At(i, j); got != want {
 					t.Fatalf("trial %d: Shift(%d) at (%d,%d) = %v, want %v", trial, k, i, j, got, want)
 				}
+				if lo, hi := sh.Span(i); j >= lo && j <= hi && sh.Slab()[sh.Base(i)+j] != want {
+					t.Fatalf("trial %d: Shift(%d) slab read at (%d,%d) = %v, want %v", trial, k, i, j, sh.Slab()[sh.Base(i)+j], want)
+				}
 			}
 		}
 		sh.Release()
 		tr.Release()
+	}
+}
+
+// TestStaircase checks the layout predicate the concave product's
+// unchecked reads rest on: non-empty rows contiguous, both span ends
+// nondecreasing over them.
+func TestStaircase(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		spans [][2]int
+		want  bool
+	}{
+		{"no rows", nil, true},
+		{"all empty", [][2]int{{1, 0}, {1, 0}}, true},
+		{"full", [][2]int{{0, 5}, {0, 5}, {0, 5}}, true},
+		{"band", [][2]int{{1, 2}, {2, 3}, {3, 4}, {4, 5}, {1, 0}}, true},
+		{"empty rows around", [][2]int{{1, 0}, {0, 1}, {0, 3}, {1, 0}, {1, 0}}, true},
+		{"empty row between", [][2]int{{0, 1}, {1, 0}, {2, 3}}, false},
+		{"lo falls", [][2]int{{2, 3}, {1, 4}}, false},
+		{"hi falls", [][2]int{{0, 4}, {1, 3}}, false},
+	} {
+		s := makeSpans(len(tc.spans), 6, false, func(i int) (int, int) { return tc.spans[i][0], tc.spans[i][1] })
+		if got := s.Staircase(); got != tc.want {
+			t.Errorf("%s: Staircase() = %v, want %v", tc.name, got, tc.want)
+		}
 	}
 }

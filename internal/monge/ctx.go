@@ -10,8 +10,9 @@ import (
 )
 
 // mulCtx carries the shared state of one Cut(A,B) computation: the input
-// matrices, the comparison counter, the column envelopes of B, and the
-// per-row output hulls derived from them.
+// matrices, the comparison counter, the column envelopes of B, the
+// per-row output hulls derived from them, and B's row bases for the
+// unchecked reads of the inner loop.
 //
 // The paper's DP matrices are ∞-padded (A_h is +∞ outside the band
 // 0 < j-i ≤ 2^h; M′ is +∞ below the diagonal), and their matrices store
@@ -26,11 +27,19 @@ import (
 // The column envelopes come from one two-pointer pass over B's row spans
 // (envelopes): loB[j] is the first row whose span, or an earlier row's,
 // reaches column j, and hiB[j] the last row whose span, or a later
-// row's, starts at or before it. Both are nondecreasing in j. They are
-// exact when the spans' ends are nondecreasing over B's non-empty rows —
-// the paper's band and triangle shapes — and a sound superset otherwise:
-// the extra candidates are not stored, read +∞ and lose every
-// comparison, so cuts are unchanged.
+// row's, starts at or before it. Both are nondecreasing in j.
+//
+// The scans read B without a span check: B[k][j] is bv[base[k]+j], with
+// base[k] B's row base (matrix.Spans.Base). That is sound only where
+// every row in [loB[j], hiB[j]] stores column j. It holds when B's spans
+// are a staircase (matrix.Spans.Staircase) — the paper's band and
+// triangle shapes, and every product of them, so every matrix the
+// Huffman and search-tree pipelines multiply. Any other B (a trimmed
+// dense input with +∞ rows or holes) is laid out once on its envelopes
+// instead (relayout): row k stores the columns j with
+// loB[j] ≤ k ≤ hiB[j], +∞ where B stores nothing. The envelopes, hulls
+// and comparisons are still those of B, and the extra candidates read
+// +∞ and lose every comparison, so cuts are unchanged.
 //
 // The output hull [hlo[i], hhi[i]] of row i holds every column j whose
 // clamped range is non-empty: the first j with hiB[j] ≥ loA[i] through
@@ -41,8 +50,11 @@ import (
 // entries only.
 type mulCtx struct {
 	a, b     *matrix.Dense
-	loB, hiB []int // per column of b: first/last row that may store it (q/-1 if none)
-	hlo, hhi []int // per row of a: output hull in columns of b (hlo > hhi if empty)
+	loB, hiB []int     // per column of b: first/last row that may store it (q/-1 if none)
+	hlo, hhi []int     // per row of a: output hull in columns of b (hlo > hhi if empty)
+	bv       []float64 // b's value slab
+	base     []int     // per row k of b: B[k][j] is bv[base[k]+j] for loB[j] ≤ k ≤ hiB[j]
+	relaid   bool      // b is the ctx's own re-layout of the caller's B
 	cnt      *matrix.OpCount
 }
 
@@ -54,6 +66,7 @@ func newMulCtx(a, b *matrix.Dense, cnt *matrix.OpCount) *mulCtx {
 		a: a, b: b, cnt: cnt,
 		loB: pool.Ints(b.C), hiB: pool.Ints(b.C),
 		hlo: pool.Ints(a.R), hhi: pool.Ints(a.R),
+		base: pool.Ints(b.R),
 	}
 	c.envelopes()
 	// The spans are read once per row of each input; charge those reads.
@@ -64,7 +77,34 @@ func newMulCtx(a, b *matrix.Dense, cnt *matrix.OpCount) *mulCtx {
 		c.hlo[i] = sort.Search(r, func(j int) bool { return c.hiB[j] >= lo })
 		c.hhi[i] = sort.Search(r, func(j int) bool { return c.loB[j] > hi }) - 1
 	}
+	if !b.Staircase() {
+		c.b, c.relaid = c.relayout(), true
+	}
+	c.bv = c.b.Slab()
+	for k := range c.base {
+		c.base[k] = c.b.Base(k)
+	}
 	return c
+}
+
+// relayout returns a copy of B from the arena whose row k stores the
+// columns j with loB[j] ≤ k ≤ hiB[j] — an interval, since both
+// envelopes are nondecreasing — holding B's entry there, +∞ where B
+// stores none.
+func (c *mulCtx) relayout() *matrix.Dense {
+	b, r := c.b, c.b.C
+	out := matrix.NewSpan(b.R, r, func(k int) (int, int) {
+		return sort.Search(r, func(j int) bool { return c.hiB[j] >= k }),
+			sort.Search(r, func(j int) bool { return c.loB[j] > k }) - 1
+	})
+	for k := 0; k < out.R; k++ {
+		lo, _ := out.Span(k)
+		row := out.Row(k)
+		for x := range row {
+			row[x] = b.At(k, lo+x)
+		}
+	}
+	return out
 }
 
 // envelopes fills loB/hiB from B's row spans with two pointers (see
@@ -112,13 +152,17 @@ func (c *mulCtx) newCut(rs, cs int) *matrix.IntMat {
 	})
 }
 
-// close returns the envelope and hull slabs to the workspace arena.
-// Call once the product is finished; the ctx must not be used afterwards.
+// close returns the envelope, hull and base slabs, and B's re-layout if
+// any, to the workspace arena. Call once the product is finished; the
+// ctx must not be used afterwards.
 func (c *mulCtx) close() {
-	for _, s := range [][]int{c.loB, c.hiB, c.hlo, c.hhi} {
+	for _, s := range [][]int{c.loB, c.hiB, c.hlo, c.hhi, c.base} {
 		pool.PutInts(s)
 	}
-	c.loB, c.hiB, c.hlo, c.hhi = nil, nil, nil, nil
+	if c.relaid {
+		c.b.Release()
+	}
+	c.loB, c.hiB, c.hlo, c.hhi, c.base, c.bv, c.b = nil, nil, nil, nil, nil, nil, nil
 }
 
 // clamp narrows the candidate range [lo, hi] of entry (i, j) to the
@@ -148,8 +192,9 @@ func (c *mulCtx) argmin(i, j, lo, hi int) (float64, int, int64) {
 	}
 	alo, _ := c.a.Span(i)
 	arow := c.a.Row(i)[lo-alo : hi-alo+1]
+	base, bv := c.base[lo:lo+len(arow)], c.bv
 	for x, v := range arow {
-		if s := v + c.b.At(lo+x, j); s < best {
+		if s := v + bv[base[x]+j]; s < best {
 			best, arg = s, lo+x
 		}
 	}

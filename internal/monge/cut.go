@@ -63,17 +63,20 @@ func cutRecStrided(c *mulCtx, rs, cs int) *matrix.IntMat {
 
 // The three phases below fill the stored entries [lo, hi) of the current
 // view's cut table (mulCtx.newCut), whose rows have stride rs and columns
-// stride cs, and charge their comparisons once per row piece.
+// stride cs, and charge their comparisons once per row piece. Each takes
+// its output row and its bracket rows once per piece (matrix.Line)
+// instead of looking every entry up through the tables' spans.
 
 // fullScans is the base case (one view row or column): an unbracketed scan
 // per entry.
 func (c *mulCtx) fullScans(out *matrix.IntMat, rs, cs, lo, hi int) {
 	q := c.a.C
 	out.Walk(lo, hi, func(ii, j0, j1 int) {
+		orow := out.Line(ii).Piece(j0, j1)
 		var cmp int64
-		for jj := j0; jj < j1; jj++ {
-			_, arg, n := c.argmin(ii*rs, jj*cs, 0, q-1)
-			out.Set(ii, jj, arg)
+		for x := range orow {
+			_, arg, n := c.argmin(ii*rs, (j0+x)*cs, 0, q-1)
+			orow[x] = int32(arg)
 			cmp += n
 		}
 		c.cnt.Add(cmp)
@@ -86,23 +89,23 @@ func (c *mulCtx) fullScans(out *matrix.IntMat, rs, cs, lo, hi int) {
 func (c *mulCtx) oddCols(eb, ee *matrix.IntMat, rs, cs, lo, hi int) {
 	q := c.a.C
 	eb.Walk(lo, hi, func(ii, j0, j1 int) {
+		orow, even := eb.Line(ii).Piece(j0, j1), ee.Line(ii)
 		var cmp int64
-		for jj := j0; jj < j1; jj++ {
+		for x := range orow {
+			jj := j0 + x
 			if jj%2 == 0 {
-				eb.Set(ii, jj, ee.At(ii, jj/2))
+				orow[x] = even.At(jj / 2)
 				continue
 			}
 			klo, khi := 0, q-1
-			if k := ee.At(ii, (jj-1)/2); k >= 0 {
-				klo = k
+			if k := even.At((jj - 1) / 2); k >= 0 {
+				klo = int(k)
 			}
-			if (jj+1)/2 < ee.C {
-				if k := ee.At(ii, (jj+1)/2); k >= 0 {
-					khi = k
-				}
+			if k := even.At((jj + 1) / 2); k >= 0 {
+				khi = int(k)
 			}
 			_, arg, n := c.argmin(ii*rs, jj*cs, klo, khi)
-			eb.Set(ii, jj, arg)
+			orow[x] = int32(arg)
 			cmp += n
 		}
 		c.cnt.Add(cmp)
@@ -114,25 +117,34 @@ func (c *mulCtx) oddCols(eb, ee *matrix.IntMat, rs, cs, lo, hi int) {
 func (c *mulCtx) oddRows(out, eb *matrix.IntMat, rs, cs, lo, hi int) {
 	q := c.a.C
 	out.Walk(lo, hi, func(ii, j0, j1 int) {
+		orow := out.Line(ii).Piece(j0, j1)
 		if ii%2 == 0 {
-			for jj := j0; jj < j1; jj++ {
-				out.Set(ii, jj, eb.At(ii/2, jj))
+			even := eb.Line(ii / 2)
+			for x := range orow {
+				orow[x] = even.At(j0 + x)
 			}
 			return
 		}
+		// The last view row, when odd, has no row below it.
+		up, last := eb.Line((ii-1)/2), (ii+1)/2 >= eb.R
+		var down matrix.Line[int32]
+		if !last {
+			down = eb.Line((ii + 1) / 2)
+		}
 		var cmp int64
-		for jj := j0; jj < j1; jj++ {
+		for x := range orow {
+			jj := j0 + x
 			klo, khi := 0, q-1
-			if k := eb.At((ii-1)/2, jj); k >= 0 {
-				klo = k
+			if k := up.At(jj); k >= 0 {
+				klo = int(k)
 			}
-			if (ii+1)/2 < eb.R {
-				if k := eb.At((ii+1)/2, jj); k >= 0 {
-					khi = k
+			if !last {
+				if k := down.At(jj); k >= 0 {
+					khi = int(k)
 				}
 			}
 			_, arg, n := c.argmin(ii*rs, jj*cs, klo, khi)
-			out.Set(ii, jj, arg)
+			orow[x] = int32(arg)
 			cmp += n
 		}
 		c.cnt.Add(cmp)
@@ -140,15 +152,18 @@ func (c *mulCtx) oddRows(out, eb *matrix.IntMat, rs, cs, lo, hi int) {
 }
 
 // values fills the stored entries [lo, hi) of out, which is laid out on
-// the full view's cut table, from that table.
+// the full view's cut table, from that table. Every cut k ≥ 0 lies in
+// its entry's clamped range, so A's row and B's slab store both terms.
 func (c *mulCtx) values(out *matrix.Dense, cut *matrix.IntMat, lo, hi int) {
+	base, bv := c.base, c.bv
 	out.Walk(lo, hi, func(i, j0, j1 int) {
-		rlo, _ := out.Span(i)
-		orow, crow := out.Row(i)[j0-rlo:j1-rlo], cut.Row(i)[j0-rlo:j1-rlo]
+		orow, crow := out.Line(i).Piece(j0, j1), cut.Line(i).Piece(j0, j1)
+		alo, _ := c.a.Span(i)
+		arow := c.a.Row(i)
 		for x, k := range crow {
 			v := semiring.Inf
 			if k >= 0 {
-				v = c.a.At(i, int(k)) + c.b.At(int(k), j0+x)
+				v = arow[int(k)-alo] + bv[base[k]+j0+x]
 			}
 			orow[x] = v
 		}

@@ -17,7 +17,8 @@ import (
 // rows and columns, A_h-style bands or upper triangles; the ∞-padded
 // shapes drive the output hulls' edges, where the recursion must agree
 // with brute force cut for cut, and the holes leave +∞ gaps inside the
-// spans, where the column envelopes are only a superset.
+// spans and empty rows between stored ones, where the column envelopes
+// are only a superset and the product lays B out again.
 // Fuzz with `go test -fuzz=FuzzConcaveMultiply ./internal/monge`.
 func FuzzConcaveMultiply(f *testing.F) {
 	f.Add(int64(1), uint8(4), uint8(5), uint8(6), uint8(10), uint8(3), uint8(0))
@@ -28,6 +29,10 @@ func FuzzConcaveMultiply(f *testing.F) {
 	f.Add(int64(9), uint8(2), uint8(47), uint8(19), uint8(9), uint8(4), uint8(1))
 	f.Add(int64(11), uint8(31), uint8(0), uint8(0), uint8(20), uint8(3), uint8(2))
 	f.Add(int64(13), uint8(1), uint8(0), uint8(0), uint8(5), uint8(1), uint8(2))
+	// Holes that leave B's spans off a staircase: a product that read
+	// this B as laid out, without laying it out again, indexes outside
+	// its slab.
+	f.Add(int64(24), uint8(233), uint8(134), uint8(22), uint8(170), uint8(229), uint8(102))
 
 	f.Fuzz(func(t *testing.T, seed int64, pb, qb, rb, span, maxDelta, shape uint8) {
 		p := 1 + int(pb)%48
@@ -52,18 +57,23 @@ func FuzzConcaveMultiply(f *testing.F) {
 			t.Fatalf("Random produced a non-concave A: %+v", v)
 		}
 
-		var cnt matrix.OpCount
-		pooledVal, pooledCut := Mul(a, b, &cnt)
-		bottomCut := CutBottomUp(a, b, &cnt)
-		bruteVal, bruteCut := matrix.MulBrute(a, b, &cnt)
-		smawkCut := CutSMAWK(a, b, &cnt)
+		// One counter per engine, so a drift between the sequential and
+		// the parallel §4.1 product cannot hide in a shared total.
+		var mulCnt, bottomCnt, bruteCnt, smawkCnt, smawkParCnt, parCnt matrix.OpCount
+		pooledVal, pooledCut := Mul(a, b, &mulCnt)
+		bottomCut := CutBottomUp(a, b, &bottomCnt)
+		bruteVal, bruteCut := matrix.MulBrute(a, b, &bruteCnt)
+		smawkCut := CutSMAWK(a, b, &smawkCnt)
 		m := pram.New(pram.WithWorkers(4), pram.WithGrain(1))
 		defer m.Close()
-		smawkParCut := CutSMAWKPar(m, a, b, &cnt)
-		parVal, parCut := MulPar(m, a, b, &cnt)
+		smawkParCut := CutSMAWKPar(m, a, b, &smawkParCnt)
+		parVal, parCut := MulPar(m, a, b, &parCnt)
 
 		if !pooledVal.Equal(bruteVal, 0) || !parVal.Equal(bruteVal, 0) {
 			t.Fatalf("(%d,%d,%d): concave product differs from brute force", p, q, r)
+		}
+		if s, par := mulCnt.Load(), parCnt.Load(); s != par {
+			t.Fatalf("(%d,%d,%d): Mul charged %d comparisons, MulPar %d", p, q, r, s, par)
 		}
 		for i := 0; i < p; i++ {
 			for j := 0; j < r; j++ {

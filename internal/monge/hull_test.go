@@ -1,6 +1,7 @@
 package monge
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -199,5 +200,109 @@ func TestColumnEnvelopes(t *testing.T) {
 		}
 		c.close()
 		b.Release()
+	}
+}
+
+// staircase returns a random r×c layout with staircase spans: an
+// interval of non-empty rows, possibly with empty rows before and after
+// it, whose span ends are nondecreasing. Each stored entry is drawn in
+// [0, 100).
+func staircase(rng *rand.Rand, r, c int) *matrix.Dense {
+	first := rng.Intn(r)
+	last := first + rng.Intn(r-first)
+	los, his := make([]int, r), make([]int, r)
+	lo := rng.Intn(c)
+	hi := lo + rng.Intn(c-lo)
+	for i := range los {
+		los[i], his[i] = 1, 0
+		if i < first || i > last {
+			continue
+		}
+		los[i], his[i] = lo, hi
+		hi = min(c-1, hi+rng.Intn(3))
+		lo = min(hi, lo+rng.Intn(3))
+	}
+	d := matrix.NewSpan(r, c, func(i int) (int, int) { return los[i], his[i] })
+	for i := 0; i < r; i++ {
+		for x, row := 0, d.Row(i); x < len(row); x++ {
+			row[x] = float64(rng.Intn(100))
+		}
+	}
+	return d
+}
+
+// TestStaircaseProductIsStaircase checks that staircase operands — the
+// band and triangle layouts of the Huffman and search-tree pipelines —
+// take the unchecked read on B as laid out, with no re-layout, and that
+// their product's output hull is a staircase again. With the pipelines'
+// own layouts (hufpar's and obst's TestLayoutsAreStaircases) this shows
+// that every product they make, squarings included, reads its B as laid
+// out.
+func TestStaircaseProductIsStaircase(t *testing.T) {
+	rng := rand.New(rand.NewSource(67))
+	for trial := 0; trial < 500; trial++ {
+		p, q, r := 1+rng.Intn(40), 1+rng.Intn(40), 1+rng.Intn(40)
+		a, b := staircase(rng, p, q), staircase(rng, q, r)
+		if !a.Staircase() || !b.Staircase() {
+			t.Fatalf("trial %d: the generator drew a layout that is not a staircase", trial)
+		}
+		var cnt matrix.OpCount
+		c := newMulCtx(a, b, &cnt)
+		if c.relaid {
+			t.Fatalf("trial %d: staircase B was laid out again", trial)
+		}
+		out := c.newCut(1, 1)
+		if !out.Staircase() {
+			t.Fatalf("trial %d: (%d,%d,%d) product hull is not a staircase", trial, p, q, r)
+		}
+		out.Release()
+		c.close()
+		a.Release()
+		b.Release()
+	}
+}
+
+// TestRawReadsMatchAt checks the invariant the inner loop's unchecked
+// read rests on: for every column j and every row k in [loB[j], hiB[j]],
+// bv[base[k]+j] is B[k][j] bit for bit. B is laid out again exactly when
+// its spans are not a staircase (rows with +∞ holes, empty rows between
+// stored ones, or ends in any order).
+func TestRawReadsMatchAt(t *testing.T) {
+	rng := rand.New(rand.NewSource(71))
+	relaid := 0
+	for trial := 0; trial < 400; trial++ {
+		q, r := 1+rng.Intn(40), 1+rng.Intn(40)
+		var b *matrix.Dense
+		if trial%2 == 0 {
+			b = staircase(rng, q, r)
+		} else {
+			rows := randomSupport(rng, q, r, rng.Intn(2) == 0)
+			b = trimmed(q, r, func(k, j int) float64 {
+				if rows[k][j] {
+					return float64(rng.Intn(100))
+				}
+				return semiring.Inf
+			})
+		}
+		var cnt matrix.OpCount
+		c := newMulCtx(matrix.New(1, q), b, &cnt)
+		if c.relaid == b.Staircase() {
+			t.Fatalf("trial %d: staircase %v, laid out again %v", trial, b.Staircase(), c.relaid)
+		}
+		if c.relaid {
+			relaid++
+		}
+		for j := 0; j < r; j++ {
+			for k := c.loB[j]; k <= c.hiB[j]; k++ {
+				if got, want := c.bv[c.base[k]+j], b.At(k, j); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("trial %d: raw read (%d,%d) = %v, At %v", trial, k, j, got, want)
+				}
+			}
+		}
+		c.close()
+		b.Release()
+	}
+	if relaid < 100 {
+		t.Fatalf("only %d of 400 trials laid B out again; the gapped half should", relaid)
 	}
 }

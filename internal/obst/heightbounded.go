@@ -144,13 +144,19 @@ func nextLevel(m *pram.Machine, e *matrix.Dense, w func(a, b int) float64, t int
 	var changed atomic.Bool
 	m.ForRange(next.Len(), func(lo, hi int) {
 		next.Walk(lo, hi, func(a, b0, b1 int) {
-			for b := max(b0, a+1); b < b1; b++ {
+			b0 = max(b0, a+1)
+			if b0 >= b1 {
+				return
+			}
+			out, pa, prev := next.Line(a).Piece(b0, b1), prod.Line(a), e.Line(a)
+			for x := range out {
+				b := b0 + x
 				v := semiring.Inf
-				if p := prod.At(a, b); !semiring.IsInf(p) {
+				if p := pa.At(b); !semiring.IsInf(p) {
 					v = p + w(a, b)
 				}
-				next.Set(a, b, v)
-				if !changed.Load() && v != e.At(a, b) {
+				out[x] = v
+				if !changed.Load() && v != prev.At(b) {
 					changed.Store(true)
 				}
 			}

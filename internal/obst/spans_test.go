@@ -88,3 +88,19 @@ func TestSpanLevelsMatchDense(t *testing.T) {
 		e.Release()
 	}
 }
+
+// TestLayoutsAreStaircases checks that E_t, the B operand of every
+// product of the height-bounded DP, is a staircase
+// (matrix.Spans.Staircase) at every level up to two past saturation for
+// n = 1 … 300, so those products read it without re-laying it out.
+func TestLayoutsAreStaircases(t *testing.T) {
+	for n := 1; n <= 300; n++ {
+		for lv := 0; lv <= xmath.CeilLog2(n+1)+2; lv++ {
+			e := levelBand(n, lv)
+			if !e.Staircase() {
+				t.Fatalf("n=%d: E_%d is not a staircase", n, lv)
+			}
+			e.Release()
+		}
+	}
+}
