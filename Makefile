@@ -6,7 +6,7 @@ GO ?= go
 
 all: build vet test
 
-check: build fmt-check vet bench-vet test test-race test-flaky test-e2e test-chaos test-pooldebug test-trace test-cluster fuzz-smoke bench-smoke bench-gate-quick
+check: build fmt-check vet bench-vet test test-race test-flaky test-e2e test-chaos test-pooldebug test-trace test-cluster fuzz-smoke bench-smoke examples bench-gate-quick
 
 build:
 	$(GO) build ./...
@@ -127,7 +127,10 @@ bench-gate-quick:
 bench-baseline:
 	$(GO) run ./cmd/benchtables -exp E11,E12,E13,E14,E16 | $(GO) run ./cmd/benchgate -baseline BENCH_BASELINE.json -write
 
+# Run every example program to the end: they call the façade as a user
+# would, so a façade change that only compiles still has to run here.
 examples:
+	$(GO) run ./examples/ambiguity
 	$(GO) run ./examples/quickstart
 	$(GO) run ./examples/textcompress
 	$(GO) run ./examples/dictionary

@@ -242,8 +242,8 @@ func randObstInstance(rng *rand.Rand, n int) *obst.Instance {
 }
 
 // E6 — Theorems 7.1/7.2/7.3: tree construction from leaf patterns.
-// Reports the parallel statement count (monotone) and Finger-Reduction
-// rounds (general).
+// Reports the counted statements of every pattern and the
+// Finger-Reduction rounds of general ones.
 func BenchmarkE6LeafPattern(b *testing.B) {
 	for _, n := range []int{1 << 10, 1 << 14, 1 << 18} {
 		b.Run(fmt.Sprintf("monotone/n=%d", n), func(b *testing.B) {
@@ -275,15 +275,18 @@ func BenchmarkE6LeafPattern(b *testing.B) {
 		b.Run(fmt.Sprintf("general/n=%d", n), func(b *testing.B) {
 			rng := rand.New(rand.NewSource(7))
 			p := workload.TreePattern(rng, n)
+			m := pram.New(pram.WithGrain(4096))
 			var rounds int
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
+				m.Reset()
 				var err error
-				_, rounds, err = leafpattern.Build(p)
+				_, rounds, err = leafpattern.Build(m, p)
 				if err != nil {
 					b.Fatal(err)
 				}
 			}
+			b.ReportMetric(float64(m.Counters().Steps), "statements")
 			b.ReportMetric(float64(rounds), "finger-rounds")
 			b.ReportMetric(float64(workload.Fingers(p)), "fingers")
 		})
@@ -547,8 +550,8 @@ func BenchmarkAblationMinDoublyLog(b *testing.B) {
 
 func pramSteps(m *pram.Machine) int64 { return m.Counters().Steps }
 
-// Ablation: tree-from-pattern constructions (greedy oracle vs level-count
-// parallel vs Finger-Reduction) on monotone input where all apply.
+// Ablation: tree-from-pattern constructions (greedy oracle vs the link
+// kernel vs Finger-Reduction) on monotone input where all apply.
 func BenchmarkAblationPattern(b *testing.B) {
 	n := 1 << 14
 	rng := rand.New(rand.NewSource(10))
@@ -556,13 +559,6 @@ func BenchmarkAblationPattern(b *testing.B) {
 	b.Run("greedy", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := leafpattern.Greedy(p); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("levels", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := leafpattern.Monotone(p); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -576,8 +572,9 @@ func BenchmarkAblationPattern(b *testing.B) {
 		}
 	})
 	b.Run("finger", func(b *testing.B) {
+		m := pram.New(pram.WithGrain(2048))
 		for i := 0; i < b.N; i++ {
-			if _, _, err := leafpattern.Build(p); err != nil {
+			if _, _, err := leafpattern.Build(m, p); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -244,23 +244,25 @@ func e6() {
 		fmt.Printf("%-10s %10d %12d %14s\n", "bitonic", n, mb.Counters().Steps, "-")
 
 		q := workload.TreePattern(rng, n)
-		_, rounds, err := leafpattern.Build(q)
+		mg := pram.New()
+		_, rounds, err := leafpattern.Build(mg, q)
 		if err != nil {
 			panic(err)
 		}
-		fmt.Printf("%-10s %10d %12s %14d\n", "general", n, "-", rounds)
+		fmt.Printf("%-10s %10d %12d %14d\n", "general", n, mg.Counters().Steps, rounds)
 	}
 	// The paper: "In general Finger-Reduction will simultaneously remove
 	// all fingers" — m independent same-base fingers vanish in ONE round,
 	// however many there are; the log m rounds above come from nesting.
-	fmt.Printf("\n%-14s %8s %14s\n", "fixed n=16384", "m", "finger-rounds")
+	fmt.Printf("\n%-14s %8s %12s %14s\n", "fixed n=16384", "m", "statements", "finger-rounds")
 	for _, m := range []int{2, 16, 128, 1024} {
 		p := workload.FingerPattern(rng, 1<<14, m)
-		_, rounds, err := leafpattern.Build(p)
+		mf := pram.New()
+		_, rounds, err := leafpattern.Build(mf, p)
 		if err != nil {
 			panic(err)
 		}
-		fmt.Printf("%-14s %8d %14d\n", "", m, rounds)
+		fmt.Printf("%-14s %8d %12d %14d\n", "", m, mf.Counters().Steps, rounds)
 	}
 	fmt.Println("claim: monotone/bitonic in O(log n) statements; general patterns in")
 	fmt.Println("       O(log m) rounds (nested fingers) — parallel fingers fall in one round")

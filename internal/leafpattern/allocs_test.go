@@ -14,6 +14,7 @@ import (
 
 	"partree/internal/huffman"
 	"partree/internal/pram"
+	"partree/internal/workload"
 )
 
 // TestMonotoneParAllocBudget pins MonotonePar's allocations and heap bytes
@@ -22,7 +23,7 @@ import (
 // slab of 2n−1 nodes, so the bytes are that slab plus O(L) level tables
 // and the word-sized scan over the L+1 levels.
 func TestMonotoneParAllocBudget(t *testing.T) {
-	// Measured 31 allocs and 2 103 000 bytes per call on linux/amd64
+	// Measured 32 allocs and 2 103 200 bytes per call on linux/amd64
 	// (go1.24); the budgets leave ~5% slack for runtime and toolchain
 	// drift.
 	const budget, byteBudget = 33, 2220000
@@ -56,9 +57,9 @@ func TestMonotoneParAllocBudget(t *testing.T) {
 // L = n − 1 levels make the internal-node scan as long as the pattern.
 // Its elements are three words each, so the bytes stay linear in n:
 // scanning L-bit big integers took 1.17 GB here. The tree must still be
-// Monotone's, node for node.
+// the sequential oracle's, node for node.
 func TestMonotoneParCaterpillarAllocBudget(t *testing.T) {
-	// Measured 52 allocs and 6 842 600 bytes per call on linux/amd64
+	// Measured 53 allocs and 6 842 800 bytes per call on linux/amd64
 	// (go1.24); the budgets leave ~5% slack for runtime and toolchain
 	// drift.
 	const budget, byteBudget = 55, 7190000
@@ -69,7 +70,7 @@ func TestMonotoneParCaterpillarAllocBudget(t *testing.T) {
 	}
 	m := pram.New(pram.WithWorkers(1))
 	defer m.Close()
-	checkSameTree(t, m, "MonotonePar", p, Monotone, MonotonePar)
+	checkSameTree(t, m, "MonotonePar", p, seqMonotone, MonotonePar)
 	call := func() {
 		if _, err := MonotonePar(m, p); err != nil {
 			t.Fatal(err)
@@ -83,6 +84,34 @@ func TestMonotoneParCaterpillarAllocBudget(t *testing.T) {
 	}
 	if bytes > byteBudget {
 		t.Fatalf("MonotonePar allocated %.0f bytes per call, budget %d", bytes, byteBudget)
+	}
+}
+
+// TestBuildAllocBudget pins Build's allocations and heap bytes on a random
+// full-tree pattern of 2¹⁴ leaves with one worker. Each Finger-Reduction
+// round makes one link call for all of its fingers, so the allocations
+// are some dozens per round instead of one per node.
+func TestBuildAllocBudget(t *testing.T) {
+	// Measured 415 allocs and 6 347 700 bytes per call on linux/amd64
+	// (go1.24); the budgets leave ~5% slack for runtime and toolchain
+	// drift.
+	const budget, byteBudget = 436, 6670000
+	p := workload.TreePattern(rand.New(rand.NewSource(1)), 1<<14)
+	m := pram.New(pram.WithWorkers(1))
+	defer m.Close()
+	call := func() {
+		if _, _, err := Build(m, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := testing.AllocsPerRun(5, call)
+	bytes := bytesPerRun(5, call)
+	t.Logf("%.0f allocs/call, %.0f bytes/call", got, bytes)
+	if got > budget {
+		t.Fatalf("Build allocated %.0f times per call, budget %d", got, budget)
+	}
+	if bytes > byteBudget {
+		t.Fatalf("Build allocated %.0f bytes per call, budget %d", bytes, byteBudget)
 	}
 }
 

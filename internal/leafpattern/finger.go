@@ -1,7 +1,7 @@
 package leafpattern
 
 import (
-	"partree/internal/kraft"
+	"partree/internal/pram"
 	"partree/internal/tree"
 	"partree/internal/xmath"
 )
@@ -9,22 +9,26 @@ import (
 // Build solves the general tree-construction problem with the paper's
 // Finger-Reduction (Section 7.2): every round simultaneously removes all
 // fingers — maximal runs that rise above their flanking min-points —
-// replacing each with the ⌈Kraft⌉ many subtree roots its leaves pack into
-// (built by the bitonic forest constructor, Theorem 7.2), which at least
-// halves the number of fingers (Lemma 7.3). When the pattern becomes
-// bitonic the root tree is built directly and the removed subtrees are
-// grafted back in an expansion phase.
+// replacing each with the ⌈Kraft⌉ many subtree roots its leaves pack into,
+// which at least halves the number of fingers (Lemma 7.3). One link call
+// per round builds the minimal bitonic forests of all the round's fingers
+// (Theorem 7.2), and the placeholder record standing for a subtree root
+// carries it. When the pattern becomes bitonic one more link call builds
+// the root tree. After each call one statement grafts the leaves, so a
+// placeholder's leaf becomes its subtree root.
 //
 // Build returns the tree, the number of reduction rounds (observably
 // O(log m) for m fingers, Theorem 7.3), and ErrNoTree when the pattern is
 // not realizable.
-func Build(pattern []int) (*tree.Node, int, error) {
+func Build(m *pram.Machine, pattern []int) (*tree.Node, int, error) {
 	if err := validate(pattern); err != nil {
 		return nil, 0, err
 	}
-	cur := records(pattern)
-	pending := make(map[int]*tree.Node) // placeholder id → subtree root
-	nextPH := -1
+	defer m.Phase("leafpattern.Build")()
+	cur := make([]leafRec, len(pattern))
+	for i, l := range pattern {
+		cur[i] = leafRec{level: l, id: i}
+	}
 
 	rounds := 0
 	maxRounds := 2*xmath.CeilLog2(len(pattern)+1) + 8
@@ -34,14 +38,22 @@ func Build(pattern []int) (*tree.Node, int, error) {
 			// mean a malformed reduction, not an infeasible input.
 			panic("leafpattern: Finger-Reduction did not converge")
 		}
-		cur, nextPH = reduceFingers(cur, pending, nextPH)
+		cur = reduceFingers(m, cur)
 	}
 
-	roots := buildForest(cur)
-	if len(roots) != 1 {
+	slab, off, _ := forests(m, cur, []finger{{hi: len(cur)}}) // one run, base 0
+	if off[1] != 1 {
 		return nil, rounds, ErrNoTree
 	}
-	return expand(roots[0], pending), rounds, nil
+	return &slab[0], rounds, nil
+}
+
+// leafRec is a leaf of the current pattern: an input leaf with its
+// position id, or a placeholder for the subtree root sub.
+type leafRec struct {
+	level int
+	id    int
+	sub   *tree.Node
 }
 
 func bitonicRecs(rs []leafRec) bool {
@@ -55,6 +67,51 @@ func bitonicRecs(rs []leafRec) bool {
 		}
 	}
 	return true
+}
+
+// finger is a bitonic run of records rs[lo:hi], built on levels relative
+// to its base β.
+type finger struct{ lo, hi, β int }
+
+// forests builds the minimal forest of every finger in one link call.
+// Finger r's roots are slab[off[base[r]]:off[base[r]+1]]. Then one
+// statement grafts the leaves: a leaf made for an input record takes its
+// id, and a placeholder's leaf becomes its subtree root.
+func forests(m *pram.Machine, rs []leafRec, fs []finger) ([]tree.Node, []int, []int) {
+	k := 0
+	for _, f := range fs {
+		k += f.hi - f.lo
+	}
+	levels, recs := make([]int, 0, k), make([]leafRec, 0, k)
+	runs := make([]int, 3*len(fs)+2)
+	start, peak, base := runs[:len(fs)+1], runs[len(fs)+1:2*len(fs)+1], runs[2*len(fs)+1:]
+	for r, f := range fs {
+		start[r] = len(levels)
+		deep := f.lo
+		for j := f.lo; j < f.hi; j++ {
+			if rs[j].level > rs[deep].level {
+				deep = j
+			}
+			levels = append(levels, rs[j].level-f.β)
+			recs = append(recs, rs[j])
+		}
+		peak[r] = start[r] + deep - f.lo
+		base[r+1] = base[r] + rs[deep].level - f.β + 1
+	}
+	start[len(fs)] = k
+	slab, off := link(m, levels, start, peak, base)
+	m.For(len(slab), func(v int) {
+		node := &slab[v]
+		if node.Left != nil { // every internal node has a left child
+			return
+		}
+		if rec := recs[node.Symbol]; rec.sub != nil {
+			*node = *rec.sub
+		} else {
+			node.Symbol = rec.id
+		}
+	})
+	return slab, off, base
 }
 
 // segment is a maximal run of equal-level leaf records [lo, hi).
@@ -85,26 +142,25 @@ func segments(rs []leafRec) []segment {
 // the finger's K = ⌈Σ 2^{-(l-β)}⌉ packed subtrees become K placeholder
 // leaves at level β in the reduced pattern; mountain records at level ≤ β
 // (the tails next to the lower flank) stay as they are.
-func reduceFingers(rs []leafRec, pending map[int]*tree.Node, nextPH int) ([]leafRec, int) {
+func reduceFingers(m *pram.Machine, rs []leafRec) []leafRec {
 	segs := segments(rs)
-	m := len(segs)
+	n := len(segs)
 
-	isMin := make([]bool, m)
-	for s := 0; s < m; s++ {
+	isMin := make([]bool, n)
+	for s := 0; s < n; s++ {
 		leftHigher := s == 0 || segs[s-1].level > segs[s].level
-		rightHigher := s == m-1 || segs[s+1].level > segs[s].level
+		rightHigher := s == n-1 || segs[s+1].level > segs[s].level
 		isMin[s] = leftHigher && rightHigher
 	}
 
-	out := make([]leafRec, 0, len(rs))
-	for s := 0; s < m; {
+	var fs []finger
+	for s := 0; s < n; {
 		if isMin[s] {
-			out = append(out, rs[segs[s].lo:segs[s].hi]...)
 			s++
 			continue
 		}
 		e := s
-		for e < m && !isMin[e] {
+		for e < n && !isMin[e] {
 			e++
 		}
 		// Flanking bases; the whole pattern being one mountain is the
@@ -114,61 +170,29 @@ func reduceFingers(rs []leafRec, pending map[int]*tree.Node, nextPH int) ([]leaf
 		if s > 0 {
 			β = segs[s-1].level
 		}
-		if e < m && segs[e].level > β {
+		if e < n && segs[e].level > β {
 			β = segs[e].level
 		}
-
-		lo, hi := segs[s].lo, segs[e-1].hi
-		fLo, fHi := lo, hi
-		for fLo < hi && rs[fLo].level <= β {
-			fLo++
+		f := finger{lo: segs[s].lo, hi: segs[e-1].hi, β: β}
+		for rs[f.lo].level <= β {
+			f.lo++
 		}
-		for fHi > fLo && rs[fHi-1].level <= β {
-			fHi--
+		for rs[f.hi-1].level <= β {
+			f.hi--
 		}
-
-		finger := rs[fLo:fHi]
-		rel := make([]leafRec, len(finger))
-		levels := make([]int, len(finger))
-		for i, r := range finger {
-			rel[i] = leafRec{level: r.level - β, id: r.id}
-			levels[i] = r.level - β
-		}
-		forest := buildForest(rel)
-		if want := kraft.Roots(kraft.LevelCounts(levels)); len(forest) != want {
-			panic("leafpattern: bitonic forest size disagrees with ⌈Kraft⌉")
-		}
-
-		out = append(out, rs[lo:fLo]...) // ascending tail (≤ β), if any
-		for _, root := range forest {
-			pending[nextPH] = root
-			out = append(out, leafRec{level: β, id: nextPH})
-			nextPH--
-		}
-		out = append(out, rs[fHi:hi]...) // descending tail (≤ β), if any
+		fs = append(fs, f)
 		s = e
 	}
-	return out, nextPH
-}
 
-// expand grafts the pending subtrees back: every leaf with a negative id
-// is replaced by its recorded root (recursively, since fingers removed in
-// later rounds contain placeholders from earlier ones).
-func expand(t *tree.Node, pending map[int]*tree.Node) *tree.Node {
-	if t == nil {
-		return nil
-	}
-	if t.IsLeaf() {
-		if t.Symbol < 0 {
-			sub, ok := pending[t.Symbol]
-			if !ok {
-				panic("leafpattern: placeholder with no recorded subtree")
-			}
-			return expand(sub, pending)
+	slab, off, base := forests(m, rs, fs)
+	out := make([]leafRec, 0, len(rs))
+	prev := 0
+	for r, f := range fs {
+		out = append(out, rs[prev:f.lo]...) // min-points and ≤ β tails
+		for v := off[base[r]]; v < off[base[r]+1]; v++ {
+			out = append(out, leafRec{level: f.β, sub: &slab[v]})
 		}
-		return t
+		prev = f.hi
 	}
-	t.Left = expand(t.Left, pending)
-	t.Right = expand(t.Right, pending)
-	return t
+	return append(out, rs[prev:]...)
 }

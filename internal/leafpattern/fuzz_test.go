@@ -13,9 +13,10 @@ import (
 // greedy codeword-packing oracle (Greedy) must agree on feasibility, and
 // any tree either produces must be structurally valid, reproduce the
 // input pattern leaf for leaf with symbols 0…n-1 in order, and satisfy the
-// Kraft inequality. On bitonic patterns BitonicPar must return Bitonic's
-// tree, and on monotone ones MonotonePar must return Monotone's, with the
-// same error. Fuzz with
+// Kraft inequality. On bitonic patterns BitonicPar must return the
+// sequential oracle's tree, and on monotone ones MonotonePar must, with the
+// same error. Cut into maximal bitonic runs, the pattern must link in one
+// call to the oracle's forest of every run, node for node. Fuzz with
 // `go test -fuzz=FuzzLeafPattern ./internal/leafpattern`.
 func FuzzLeafPattern(f *testing.F) {
 	f.Add([]byte{0})                     // single root leaf
@@ -38,14 +39,24 @@ func FuzzLeafPattern(f *testing.F) {
 		}
 
 		if IsBitonic(pattern) {
-			checkSameTree(t, m, "BitonicPar", pattern, Bitonic, BitonicPar)
+			checkSameTree(t, m, "BitonicPar", pattern, seqBitonic, BitonicPar)
 		}
 		if IsMonotone(pattern) {
-			checkSameTree(t, m, "MonotonePar", pattern, Monotone, MonotonePar)
+			checkSameTree(t, m, "MonotonePar", pattern, seqMonotone, MonotonePar)
 		}
+		var runs [][]int
+		for lo := 0; lo < len(pattern); {
+			hi := lo + 1
+			for hi < len(pattern) && IsBitonic(pattern[lo:hi+1]) {
+				hi++
+			}
+			runs = append(runs, pattern[lo:hi])
+			lo = hi
+		}
+		checkForests(t, m, runs)
 
 		oracle, oErr := Greedy(pattern)
-		got, _, err := Build(pattern)
+		got, _, err := Build(m, pattern)
 		if (oErr == nil) != (err == nil) {
 			t.Fatalf("feasibility disagreement on %v: greedy=%v build=%v", pattern, oErr, err)
 		}

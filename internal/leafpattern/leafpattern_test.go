@@ -2,6 +2,7 @@ package leafpattern
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"partree/internal/pram"
 	"partree/internal/tree"
 	"partree/internal/workload"
+	"partree/internal/xmath"
 )
 
 // checkRealizes fails unless t is a valid ordered tree whose leaf depths,
@@ -101,11 +103,12 @@ func TestGreedyDeepPattern(t *testing.T) {
 
 func TestMonotoneMatchesPattern(t *testing.T) {
 	rng := rand.New(rand.NewSource(139))
+	m := pram.New(pram.WithWorkers(2), pram.WithGrain(16))
 	for trial := 0; trial < 40; trial++ {
 		p := workload.MonotonePattern(rng, 1+rng.Intn(100), 3)
-		tr, err := Monotone(p)
+		tr, err := MonotonePar(m, p)
 		if err != nil {
-			t.Fatalf("Monotone(%v): %v", p, err)
+			t.Fatalf("MonotonePar(%v): %v", p, err)
 		}
 		checkRealizes(t, tr, p, "monotone")
 		// Full Kraft ⇒ full tree; non-increasing depths ⇒ left-justified.
@@ -117,6 +120,7 @@ func TestMonotoneMatchesPattern(t *testing.T) {
 
 func TestMonotoneIncreasingDirection(t *testing.T) {
 	rng := rand.New(rand.NewSource(149))
+	m := pram.New(pram.WithWorkers(2), pram.WithGrain(16))
 	for trial := 0; trial < 20; trial++ {
 		p := workload.MonotonePattern(rng, 1+rng.Intn(60), 3)
 		// Reverse to non-decreasing.
@@ -124,9 +128,9 @@ func TestMonotoneIncreasingDirection(t *testing.T) {
 		for i := range p {
 			rev[i] = p[len(p)-1-i]
 		}
-		tr, err := Monotone(rev)
+		tr, err := MonotonePar(m, rev)
 		if err != nil {
-			t.Fatalf("Monotone(%v): %v", rev, err)
+			t.Fatalf("MonotonePar(%v): %v", rev, err)
 		}
 		checkRealizes(t, tr, rev, "monotone-inc")
 	}
@@ -134,34 +138,37 @@ func TestMonotoneIncreasingDirection(t *testing.T) {
 
 func TestMonotoneKraftDeficit(t *testing.T) {
 	// Kraft < 1 needs single-child chains.
+	m := pram.New(pram.WithWorkers(2), pram.WithGrain(16))
 	for _, p := range [][]int{{2}, {3, 3}, {5, 5, 5}} {
-		tr, err := Monotone(p)
+		tr, err := MonotonePar(m, p)
 		if err != nil {
-			t.Fatalf("Monotone(%v): %v", p, err)
+			t.Fatalf("MonotonePar(%v): %v", p, err)
 		}
 		checkRealizes(t, tr, p, "monotone-deficit")
 	}
 }
 
 func TestMonotoneInfeasible(t *testing.T) {
-	if _, err := Monotone([]int{1, 1, 1}); !errors.Is(err, ErrNoTree) {
+	m := pram.New(pram.WithWorkers(2), pram.WithGrain(16))
+	if _, err := MonotonePar(m, []int{1, 1, 1}); !errors.Is(err, ErrNoTree) {
 		t.Errorf("want ErrNoTree, got %v", err)
 	}
-	if _, err := Monotone([]int{1, 2, 1}); err == nil {
+	if _, err := MonotonePar(m, []int{1, 2, 1}); err == nil {
 		t.Error("non-monotone input must be rejected")
 	}
-	if _, err := Monotone(nil); err == nil {
+	if _, err := MonotonePar(m, nil); err == nil {
 		t.Error("empty pattern must be rejected")
 	}
 }
 
 func TestBitonicMatchesPattern(t *testing.T) {
 	rng := rand.New(rand.NewSource(151))
+	m := pram.New(pram.WithWorkers(2), pram.WithGrain(16))
 	for trial := 0; trial < 40; trial++ {
 		p := workload.BitonicPattern(rng, 1+rng.Intn(100), 3)
-		tr, err := Bitonic(p)
+		tr, err := BitonicPar(m, p)
 		if err != nil {
-			t.Fatalf("Bitonic(%v): %v", p, err)
+			t.Fatalf("BitonicPar(%v): %v", p, err)
 		}
 		checkRealizes(t, tr, p, "bitonic")
 	}
@@ -171,6 +178,7 @@ func TestBitonicAgainstGreedy(t *testing.T) {
 	// Feasibility must agree with the greedy oracle on random bitonic
 	// patterns including infeasible ones.
 	rng := rand.New(rand.NewSource(157))
+	m := pram.New(pram.WithWorkers(2), pram.WithGrain(16))
 	for trial := 0; trial < 60; trial++ {
 		n := 1 + rng.Intn(12)
 		p := make([]int, n)
@@ -187,7 +195,7 @@ func TestBitonicAgainstGreedy(t *testing.T) {
 			p[i] = rng.Intn(p[i-1] + 1)
 		}
 		_, gerr := Greedy(p)
-		tr, berr := Bitonic(p)
+		tr, berr := BitonicPar(m, p)
 		if (gerr == nil) != (berr == nil) {
 			t.Fatalf("pattern %v: greedy err=%v, bitonic err=%v", p, gerr, berr)
 		}
@@ -198,26 +206,17 @@ func TestBitonicAgainstGreedy(t *testing.T) {
 }
 
 func TestBitonicForestMinimal(t *testing.T) {
-	// (1,1,1): Kraft 1.5 → 2 trees.
-	forest, err := BitonicForest([]int{1, 1, 1})
-	if err != nil || len(forest) != 2 {
-		t.Fatalf("forest = %d trees (%v), want 2", len(forest), err)
-	}
-	// Depth sequences concatenate to the pattern.
-	var depths []int
-	for _, tr := range forest {
-		depths = append(depths, tr.LeafDepths()...)
-	}
-	want := []int{1, 1, 1}
-	for i := range want {
-		if depths[i] != want[i] {
-			t.Fatalf("forest depths %v", depths)
-		}
+	// (1,1,1): Kraft 1.5 → 2 trees, whose depth sequences concatenate to
+	// the pattern.
+	forest := checkForests(t, pram.New(), [][]int{{1, 1, 1}})[0]
+	if len(forest) != 2 {
+		t.Fatalf("forest = %d trees, want 2", len(forest))
 	}
 }
 
 func TestBuildGeneralAgainstGreedy(t *testing.T) {
 	rng := rand.New(rand.NewSource(163))
+	m := pram.New(pram.WithWorkers(2), pram.WithGrain(16))
 	for trial := 0; trial < 120; trial++ {
 		var p []int
 		if trial%3 == 0 {
@@ -230,7 +229,7 @@ func TestBuildGeneralAgainstGreedy(t *testing.T) {
 			}
 		}
 		_, gerr := Greedy(p)
-		tr, _, berr := Build(p)
+		tr, _, berr := Build(m, p)
 		if (gerr == nil) != (berr == nil) {
 			t.Fatalf("pattern %v: greedy err=%v, finger err=%v", p, gerr, berr)
 		}
@@ -242,20 +241,21 @@ func TestBuildGeneralAgainstGreedy(t *testing.T) {
 
 func TestBuildRoundsLogOfFingers(t *testing.T) {
 	rng := rand.New(rand.NewSource(167))
+	m := pram.New(pram.WithWorkers(2), pram.WithGrain(16))
 	for trial := 0; trial < 10; trial++ {
 		p := workload.TreePattern(rng, 200+rng.Intn(200))
-		_, rounds, err := Build(p)
+		_, rounds, err := Build(m, p)
 		if err != nil {
 			t.Fatalf("Build failed on feasible pattern: %v", err)
 		}
-		m := workload.Fingers(p)
+		fingers := workload.Fingers(p)
 		// Rounds are bounded by ~log₂(m) + small constant.
 		bound := 2
-		for v := 1; v < m; v <<= 1 {
+		for v := 1; v < fingers; v <<= 1 {
 			bound++
 		}
 		if rounds > bound+4 {
-			t.Errorf("trial %d: %d rounds for %d fingers (bound %d)", trial, rounds, m, bound+4)
+			t.Errorf("trial %d: %d rounds for %d fingers (bound %d)", trial, rounds, fingers, bound+4)
 		}
 	}
 }
@@ -313,10 +313,10 @@ func TestMonotoneParMatchesSequential(t *testing.T) {
 		if trial%2 == 1 { // the non-decreasing direction
 			p = risen(p, len(p))
 		}
-		checkSameTree(t, m, "MonotonePar", p, Monotone, MonotonePar)
+		checkSameTree(t, m, "MonotonePar", p, seqMonotone, MonotonePar)
 	}
 	// The layout of a non-decreasing deficit pattern: the level-3 leaves
-	// pair up left to right, as in Monotone.
+	// pair up left to right, as in the sequential oracle.
 	tr, err := MonotonePar(m, []int{1, 3, 3, 3})
 	if err != nil || tr.String() != "(0 ((1 2) (3)))" {
 		t.Fatalf("MonotonePar([1 3 3 3]) = %v, %v; want (0 ((1 2) (3)))", tr, err)
@@ -417,6 +417,42 @@ func TestParStepBound(t *testing.T) {
 	}
 }
 
+// Theorem 7.3: Finger-Reduction builds a general pattern in at most
+// c·⌈log₂ n⌉·(⌈log₂ m⌉+1) counted statements on an unbounded machine, m the
+// pattern's finger count: O(log m) rounds, each one link call of O(log n)
+// statements. The table runs random full-tree patterns (nested fingers)
+// and finger patterns (parallel fingers, one round) for n = 2⁶…2¹⁶, and
+// logs the peak ratio to the bound without c. Counted steps are exact, so
+// the check needs no noise band.
+func TestBuildStepBound(t *testing.T) {
+	const c = 2
+	rng := rand.New(rand.NewSource(181))
+	peak, at := 0.0, ""
+	for e := 6; e <= 16; e++ {
+		n := 1 << e
+		patterns := map[string][]int{"TreePattern": workload.TreePattern(rng, n)}
+		for _, m := range []int{4, 64, 1024} {
+			patterns[fmt.Sprintf("FingerPattern/m=%d", m)] = workload.FingerPattern(rng, n, m)
+		}
+		for name, p := range patterns {
+			m := pram.New()
+			if _, _, err := Build(m, p); err != nil {
+				t.Fatalf("%s n=%d: %v", name, n, err)
+			}
+			fingers := workload.Fingers(p)
+			bound := e * (xmath.CeilLog2(fingers) + 1)
+			steps := m.Counters().Steps
+			if steps > int64(c*bound) {
+				t.Errorf("%s n=%d m=%d: %d statements, bound %d·%d = %d", name, n, fingers, steps, c, bound, c*bound)
+			}
+			if r := float64(steps) / float64(bound); r > peak {
+				peak, at = r, fmt.Sprintf("%s n=%d m=%d", name, n, fingers)
+			}
+		}
+	}
+	t.Logf("peak statements / (⌈log₂ n⌉·(⌈log₂ m⌉+1)) = %.2f at %s", peak, at)
+}
+
 func TestIsMonotoneIsBitonic(t *testing.T) {
 	if !IsMonotone([]int{3, 2, 2, 1}) || !IsMonotone([]int{1, 2, 3}) || !IsMonotone([]int{2}) {
 		t.Error("IsMonotone false negative")
@@ -448,7 +484,7 @@ func TestBitonicParMatchesSequential(t *testing.T) {
 		case 1:
 			k = len(p)
 		}
-		checkSameTree(t, m, "BitonicPar", risen(p, k), Bitonic, BitonicPar)
+		checkSameTree(t, m, "BitonicPar", risen(p, k), seqBitonic, BitonicPar)
 	}
 }
 
@@ -471,8 +507,12 @@ func TestErrorStrings(t *testing.T) {
 	if errNotBitonic.Error() == "" || errNotMonotone.Error() == "" {
 		t.Error("error strings must be non-empty")
 	}
-	if _, err := BitonicForest([]int{2, 1, 2}); err == nil {
-		t.Error("non-bitonic forest must be rejected")
+	m := pram.New(pram.WithWorkers(2))
+	if _, err := BitonicPar(m, []int{2, 1, 2}); !errors.Is(err, errNotBitonic) {
+		t.Errorf("non-bitonic pattern: %v, want %v", err, errNotBitonic)
+	}
+	if _, err := MonotonePar(m, []int{1, 2, 1}); !errors.Is(err, errNotMonotone) {
+		t.Errorf("non-monotone pattern: %v, want %v", err, errNotMonotone)
 	}
 }
 
@@ -480,53 +520,185 @@ func TestErrorStrings(t *testing.T) {
 // must store a as a linked-list"): a single leaf at depth 5000 builds a
 // 5000-chain without Kraft-arithmetic overflow anywhere.
 func TestVeryDeepPattern(t *testing.T) {
-	tr, err := Monotone([]int{5000})
+	m := pram.New(pram.WithGrain(4096))
+	tr, err := MonotonePar(m, []int{5000})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if d := tr.LeafDepths(); len(d) != 1 || d[0] != 5000 {
 		t.Fatalf("depths = %v", d)
 	}
-	m := pram.New(pram.WithGrain(4096))
 	if _, err := MonotonePar(m, []int{2000, 2000, 1}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// Theorem 7.2's minimality: the bitonic forest always has exactly
-// ⌈Σ2^{-l}⌉ trees.
+// Theorem 7.2's minimality: the kernel's forest of every run always has
+// exactly ⌈Σ2^{-l}⌉ trees and equals the oracle's node for node, with
+// several runs of random bitonic patterns linked in one call.
 func TestBitonicForestAlwaysMinimal(t *testing.T) {
 	rng := rand.New(rand.NewSource(499))
+	m := pram.New(pram.WithWorkers(2), pram.WithGrain(4))
 	for trial := 0; trial < 50; trial++ {
-		n := 1 + rng.Intn(20)
-		p := make([]int, n)
-		peak := rng.Intn(n)
-		for i := 1; i <= peak; i++ {
-			p[i] = p[i-1] + rng.Intn(3)
-		}
-		for i := peak + 1; i < n; i++ {
-			p[i] = p[i-1] - rng.Intn(3)
-			if p[i] < 0 {
-				p[i] = 0
+		runs := make([][]int, 1+rng.Intn(6))
+		for r := range runs {
+			n := 1 + rng.Intn(20)
+			p := make([]int, n)
+			peak := rng.Intn(n)
+			for i := 1; i <= peak; i++ {
+				p[i] = p[i-1] + rng.Intn(3)
 			}
+			for i := peak + 1; i < n; i++ {
+				p[i] = max(0, p[i-1]-rng.Intn(3))
+			}
+			runs[r] = p
 		}
-		forest, err := BitonicForest(p)
-		if err != nil {
-			t.Fatalf("BitonicForest(%v): %v", p, err)
-		}
-		want := kraft.Roots(kraft.LevelCounts(p))
-		if len(forest) != want {
-			t.Fatalf("pattern %v: %d trees, want ⌈Kraft⌉ = %d", p, len(forest), want)
-		}
-		// Concatenated leaf depths reproduce the pattern.
-		var depths []int
-		for _, tr := range forest {
-			depths = append(depths, tr.LeafDepths()...)
-		}
-		for i := range p {
-			if depths[i] != p[i] {
-				t.Fatalf("pattern %v: forest depths %v", p, depths)
+		for r, forest := range checkForests(t, m, runs) {
+			if want := kraft.Roots(kraft.LevelCounts(runs[r])); len(forest) != want {
+				t.Fatalf("run %v: %d trees, want ⌈Kraft⌉ = %d", runs[r], len(forest), want)
 			}
 		}
 	}
+}
+
+// buildForest is the node-by-node oracle for link: it constructs the
+// minimal ordered forest realizing a bitonic sequence of leaf records
+// sequentially. Levels are processed bottom-up; at each level the complete
+// node list, left to right, is
+//
+//	[rising-side leaves at l] [nodes paired from level l+1] [falling-side leaves at l]
+//
+// and pairing takes two adjacent nodes per internal node (an odd leftover
+// becomes a single left child — allowed by the problem statement and
+// necessary when the Kraft sum is < 1). The roots returned number exactly
+// ⌈Σ 2^{-lᵢ}⌉, the minimum possible (each tree absorbs Kraft weight ≤ 1).
+func buildForest(leaves []leafRec) []*tree.Node {
+	if len(leaves) == 0 {
+		return nil
+	}
+	maxL := 0
+	for _, r := range leaves {
+		if r.level > maxL {
+			maxL = r.level
+		}
+	}
+	// Split at the first peak: records before it are the rising side.
+	peak := 0
+	for i, r := range leaves {
+		if r.level == maxL {
+			peak = i
+			break
+		}
+	}
+	left := make([][]leafRec, maxL+1)
+	right := make([][]leafRec, maxL+1)
+	for i, r := range leaves {
+		if i < peak {
+			left[r.level] = append(left[r.level], r)
+		} else {
+			right[r.level] = append(right[r.level], r)
+		}
+	}
+
+	var cur []*tree.Node
+	for l := maxL; l >= 0; l-- {
+		var internals []*tree.Node
+		for i := 0; i+1 < len(cur); i += 2 {
+			internals = append(internals, tree.NewInternal(cur[i], cur[i+1]))
+		}
+		if len(cur)%2 == 1 {
+			internals = append(internals, tree.NewInternal(cur[len(cur)-1], nil))
+		}
+		next := make([]*tree.Node, 0, len(left[l])+len(internals)+len(right[l]))
+		for _, r := range left[l] {
+			next = append(next, tree.NewLeaf(r.id, 0))
+		}
+		next = append(next, internals...)
+		for _, r := range right[l] {
+			next = append(next, tree.NewLeaf(r.id, 0))
+		}
+		cur = next
+	}
+	return cur
+}
+
+// seqBitonic is the sequential Theorem 7.2 oracle: buildForest's single
+// tree, ErrNoTree when the forest has more than one.
+func seqBitonic(pattern []int) (*tree.Node, error) {
+	if err := validate(pattern); err != nil {
+		return nil, err
+	}
+	if !IsBitonic(pattern) {
+		return nil, errNotBitonic
+	}
+	rs := make([]leafRec, len(pattern))
+	for i, l := range pattern {
+		rs[i] = leafRec{level: l, id: i}
+	}
+	roots := buildForest(rs)
+	if len(roots) != 1 {
+		return nil, ErrNoTree
+	}
+	return roots[0], nil
+}
+
+// seqMonotone is seqBitonic on monotone patterns (Theorem 7.1).
+func seqMonotone(pattern []int) (*tree.Node, error) {
+	if !IsMonotone(pattern) {
+		return nil, errNotMonotone
+	}
+	return seqBitonic(pattern)
+}
+
+// linkForests links bitonic runs end to end in one link call and returns
+// each run's roots; leaf symbols are positions in the concatenation.
+func linkForests(m *pram.Machine, runs [][]int) [][]*tree.Node {
+	start, peak, base := []int{0}, []int{}, []int{0}
+	var pattern []int
+	for _, p := range runs {
+		pk, _ := bitonicPeak(p)
+		peak = append(peak, len(pattern)+pk)
+		pattern = append(pattern, p...)
+		start = append(start, len(pattern))
+		base = append(base, base[len(base)-1]+p[pk]+1)
+	}
+	slab, off := link(m, pattern, start, peak, base)
+	forests := make([][]*tree.Node, len(runs))
+	for r := range runs {
+		for v := off[base[r]]; v < off[base[r]+1]; v++ {
+			forests[r] = append(forests[r], &slab[v])
+		}
+	}
+	return forests
+}
+
+// checkForests fails unless link, given the bitonic runs end to end,
+// builds buildForest's forest of every run node for node, and its trees'
+// leaf depths, concatenated, reproduce the run. It returns the forests.
+func checkForests(t *testing.T, m *pram.Machine, runs [][]int) [][]*tree.Node {
+	t.Helper()
+	forests := linkForests(m, runs)
+	pos := 0
+	for r, p := range runs {
+		rs := make([]leafRec, len(p))
+		for i, l := range p {
+			rs[i] = leafRec{level: l, id: pos + i}
+		}
+		pos += len(p)
+		want := buildForest(rs)
+		if len(forests[r]) != len(want) {
+			t.Fatalf("run %d of %v: %d roots, oracle %d", r, runs, len(forests[r]), len(want))
+		}
+		var depths []int
+		for j := range want {
+			if err := forests[r][j].Validate(); err != nil || !forests[r][j].Equal(want[j]) {
+				t.Fatalf("run %d of %v: tree %d = %v (%v), oracle %v", r, runs, j, forests[r][j], err, want[j])
+			}
+			depths = append(depths, forests[r][j].LeafDepths()...)
+		}
+		if !slices.Equal(depths, p) {
+			t.Fatalf("run %d of %v: forest depths %v", r, runs, depths)
+		}
+	}
+	return forests
 }

@@ -18,7 +18,6 @@ import (
 	"sync/atomic"
 
 	"partree/internal/pool"
-	"partree/internal/pram"
 	"partree/internal/procid"
 	"partree/internal/semiring"
 )
@@ -539,32 +538,6 @@ func MulBrute(a, b *Dense, cnt *OpCount) (*Dense, *IntMat) {
 			cut.Set(i, j, arg)
 		}
 	}
-	cnt.Add(int64(p) * int64(q) * int64(r))
-	return out, cut
-}
-
-// MulBrutePar computes the (min,+) product on a PRAM: one virtual processor
-// per output entry, each scanning all q candidates (the "parallelization of
-// dynamic programming" the paper improves upon). Comparisons are still
-// Θ(p·q·r); the step count is ⌈pr/P⌉·q-ish under Brent scheduling.
-func MulBrutePar(m *pram.Machine, a, b *Dense, cnt *OpCount) (*Dense, *IntMat) {
-	if a.C != b.R {
-		panic("matrix: dimension mismatch")
-	}
-	p, q, r := a.R, a.C, b.C
-	out := New(p, r)
-	cut := NewInt(p, r)
-	m.For(p*r, func(e int) {
-		i, j := e/r, e%r
-		best, arg := semiring.Inf, -1
-		for k := 0; k < q; k++ {
-			if s := a.At(i, k) + b.At(k, j); s < best {
-				best, arg = s, k
-			}
-		}
-		out.Set(i, j, best)
-		cut.Set(i, j, arg)
-	})
 	cnt.Add(int64(p) * int64(q) * int64(r))
 	return out, cut
 }

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"partree/internal/pram"
 	"partree/internal/semiring"
 )
 
@@ -115,31 +114,6 @@ func TestMulBruteAllInfGivesCutMinusOne(t *testing.T) {
 	p, cut := MulBrute(a, b, &cnt)
 	if !semiring.IsInf(p.At(0, 0)) || cut.At(0, 0) != -1 {
 		t.Error("all-∞ product must be ∞ with cut -1")
-	}
-}
-
-func TestMulBruteParMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	m := pram.New(pram.WithWorkers(4), pram.WithGrain(8))
-	for _, dims := range [][3]int{{1, 1, 1}, {3, 4, 5}, {16, 16, 16}, {7, 13, 5}} {
-		a := randMat(rng, dims[0], dims[1])
-		b := randMat(rng, dims[1], dims[2])
-		var c1, c2 OpCount
-		p1, cut1 := MulBrute(a, b, &c1)
-		p2, cut2 := MulBrutePar(m, a, b, &c2)
-		if !p1.Equal(p2, 0) {
-			t.Fatalf("dims %v: parallel product differs", dims)
-		}
-		for i := 0; i < cut1.R; i++ {
-			for j := 0; j < cut1.C; j++ {
-				if cut1.At(i, j) != cut2.At(i, j) {
-					t.Fatalf("dims %v: cut differs at (%d,%d)", dims, i, j)
-				}
-			}
-		}
-		if c1.Load() != c2.Load() {
-			t.Errorf("dims %v: comparison counts differ: %d vs %d", dims, c1.Load(), c2.Load())
-		}
 	}
 }
 

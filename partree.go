@@ -15,7 +15,8 @@
 //     Huffman by Claim 7.1).
 //   - Tree construction from leaf depths: TreeFromDepths (general
 //     patterns, Finger-Reduction, Theorem 7.3), TreeFromMonotoneDepths
-//     (Theorem 7.1) and TreeFromBitonicDepths (Theorem 7.2).
+//     (Theorem 7.1) and TreeFromBitonicDepths (Theorem 7.2), all on the
+//     simulated PRAM through one forest-linking kernel.
 //   - Binary search trees: OptimalBST (Knuth's exact O(n²) DP) and
 //     ApproxBST (Theorem 6.1's ε-approximation).
 //   - Linear context-free languages: NewLinearGrammar, RecognizeLinear

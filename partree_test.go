@@ -133,6 +133,9 @@ func TestTreeFromDepthsFacade(t *testing.T) {
 			t.Fatalf("depths %v, want %v", got, depths)
 		}
 	}
+	if tr2, err := TreeFromDepths(depths, Options{Workers: 2}); err != nil || !tr2.Equal(tr) {
+		t.Errorf("TreeFromDepths with Options = %v, %v; want %v", tr2, err, tr)
+	}
 	if _, err := TreeFromDepths([]int{1, 1, 1}); !errors.Is(err, ErrNoTree) {
 		t.Errorf("want ErrNoTree, got %v", err)
 	}

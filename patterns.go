@@ -13,10 +13,13 @@ var ErrNoTree = leafpattern.ErrNoTree
 // TreeFromDepths solves the general Tree Construction Problem (Definition
 // 1.1): given depths l₁,…,lₙ, it builds an ordered binary tree whose
 // leaves, left to right, sit at exactly those depths, using the paper's
-// Finger-Reduction (Theorem 7.3, O(log n · log m) for m fingers). Leaf i
-// carries Symbol i. It returns ErrNoTree when the pattern is unrealizable.
-func TreeFromDepths(depths []int) (*Tree, error) {
-	t, _, err := leafpattern.Build(depths)
+// Finger-Reduction (Theorem 7.3, O(log n · log m) for m fingers) on a
+// pooled machine configured by opts. Leaf i carries Symbol i. It returns
+// ErrNoTree when the pattern is unrealizable.
+func TreeFromDepths(depths []int, opts ...Options) (*Tree, error) {
+	m, release := firstOption(opts).acquire()
+	defer release()
+	t, _, err := leafpattern.Build(m, depths)
 	return t, err
 }
 
@@ -29,9 +32,11 @@ func TreeFromMonotoneDepths(depths []int, opts ...Options) (*Tree, Stats, error)
 }
 
 // TreeFromBitonicDepths builds a tree for a pattern that rises then falls
-// (Theorem 7.2).
-func TreeFromBitonicDepths(depths []int) (*Tree, error) {
-	return leafpattern.Bitonic(depths)
+// (Theorem 7.2, O(log n) steps) on a pooled machine configured by opts.
+func TreeFromBitonicDepths(depths []int, opts ...Options) (*Tree, error) {
+	m, release := firstOption(opts).acquire()
+	defer release()
+	return leafpattern.BitonicPar(m, depths)
 }
 
 // DepthsRealizable reports whether any ordered binary tree realizes the
