@@ -272,23 +272,24 @@ func BenchmarkE6LeafPattern(b *testing.B) {
 			}
 			b.ReportMetric(float64(m.Counters().Steps), "statements")
 		})
+		// The framework calls the function b.Run takes once per b.N
+		// round, so the pattern is drawn here, once per size.
+		general := workload.TreePattern(rand.New(rand.NewSource(7)), n)
 		b.Run(fmt.Sprintf("general/n=%d", n), func(b *testing.B) {
-			rng := rand.New(rand.NewSource(7))
-			p := workload.TreePattern(rng, n)
 			m := pram.New(pram.WithGrain(4096))
 			var rounds int
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				m.Reset()
 				var err error
-				_, rounds, err = leafpattern.Build(m, p)
+				_, rounds, err = leafpattern.Build(m, general)
 				if err != nil {
 					b.Fatal(err)
 				}
 			}
 			b.ReportMetric(float64(m.Counters().Steps), "statements")
 			b.ReportMetric(float64(rounds), "finger-rounds")
-			b.ReportMetric(float64(workload.Fingers(p)), "fingers")
+			b.ReportMetric(float64(workload.Fingers(general)), "fingers")
 		})
 	}
 }

@@ -22,7 +22,7 @@ import (
 // Products by materialized injection matrices allocated ~30k per call
 // here, and one MulPar statement per product about 8k.
 func TestRecognizeDCAllocBudget(t *testing.T) {
-	// Measured 42 allocs/call on linux/amd64 (go1.24); the budget
+	// Measured 32 allocs/call on linux/amd64 (go1.24); the budget
 	// leaves a few for runtime and toolchain drift.
 	const budget = 48
 	g := grammar.Palindrome()
@@ -42,8 +42,8 @@ func TestRecognizeDCAllocBudget(t *testing.T) {
 // slab: the region matrices, and scratch for the largest level's
 // combines, reserved to the word.
 func TestRecognizeDCBytesBudget(t *testing.T) {
-	// Measured 825 370 bytes/call on linux/amd64 (go1.24); the budget
-	// leaves 6.6% for runtime and toolchain drift.
+	// Measured 833 728 bytes/call on linux/amd64 (go1.24); the budget
+	// leaves 5.5% for runtime and toolchain drift.
 	const budget = 880_000
 	g := grammar.Palindrome()
 	w := palindromeWord(127)

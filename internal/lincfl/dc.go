@@ -1,6 +1,8 @@
 package lincfl
 
 import (
+	"cmp"
+	"slices"
 	"sync/atomic"
 
 	"partree/internal/boolmat"
@@ -65,10 +67,10 @@ type dcCtx struct {
 	// Products and their word operations, summed over the combines.
 	prods, ops atomic.Int64
 
-	// K×K rule blocks per terminal t; terminals without rules share one
-	// all-false block.
-	left  [256]*boolmat.Matrix // [A][B] = A → tB
-	right [256]*boolmat.Matrix // [A][B] = A → Bt
+	// Rule pairs per terminal t: the set (A, B) of t's K×K rule block,
+	// listed once per call so that no move scans the block.
+	left  [256][]rulePair // A → tB
+	right [256][]rulePair // A → Bt
 
 	// The region table: regs[0] is the root triangle T(0, n−1), and
 	// level d is regs[lv[d]:lv[d+1]]. Below the root, 1×1 cells get no
@@ -161,7 +163,32 @@ func (r *region) split() (ks [4]region, n int) {
 		rectRegion(m1+1, b, c, m2), rectRegion(m1+1, b, m2+1, d)}, 4
 }
 
-// newDCCtx builds the recognizer context for g on w: the rule blocks the
+// rulePair is one rule A → tB or A → Bt, filed under its terminal t.
+type rulePair struct {
+	t    byte
+	a, b int
+}
+
+// byTerminal files rules under their terminals: lists[t] holds t's pairs
+// in (A, B) order without repeats, the order a scan of t's rule block
+// finds them. The lists share rules' backing array, which it sorts.
+func byTerminal(rules []rulePair) (lists [256][]rulePair) {
+	slices.SortFunc(rules, func(x, y rulePair) int {
+		return cmp.Or(cmp.Compare(x.t, y.t), cmp.Compare(x.a, y.a), cmp.Compare(x.b, y.b))
+	})
+	rules = slices.Compact(rules)
+	for lo := 0; lo < len(rules); {
+		hi := lo + 1
+		for hi < len(rules) && rules[hi].t == rules[lo].t {
+			hi++
+		}
+		lists[rules[lo].t] = rules[lo:hi:hi]
+		lo = hi
+	}
+	return lists
+}
+
+// newDCCtx builds the recognizer context for g on w: the rule pairs the
 // boundary crossings route through, and the region table, enumerated
 // once top-down from T(0, n−1). Each level's children are appended in
 // their parents' order, so a region's children with entries sit
@@ -169,22 +196,16 @@ func (r *region) split() (ks [4]region, n int) {
 // scratch share one allocation.
 func newDCCtx(m *pram.Machine, g *grammar.Linear, w []byte) *dcCtx {
 	ctx := &dcCtx{g: g, w: w, k: g.NumNT, m: m}
-	empty := boolmat.New(ctx.k, ctx.k)
-	for t := range ctx.left {
-		ctx.left[t], ctx.right[t] = empty, empty
-	}
-	block := func(b **boolmat.Matrix) *boolmat.Matrix {
-		if *b == empty {
-			*b = boolmat.New(ctx.k, ctx.k)
-		}
-		return *b
-	}
+	rules := make([]rulePair, 0, len(g.Left)+len(g.Right))
 	for _, r := range g.Left {
-		block(&ctx.left[r.T]).Set(r.A, r.B, true)
+		rules = append(rules, rulePair{r.T, r.A, r.B})
 	}
+	ctx.left = byTerminal(rules)
+	rules = rules[len(rules):]
 	for _, r := range g.Right {
-		block(&ctx.right[r.T]).Set(r.A, r.B, true)
+		rules = append(rules, rulePair{r.T, r.A, r.B})
 	}
+	ctx.right = byTerminal(rules)
 	ctx.id = boolmat.New(ctx.k, ctx.k)
 	for a := 0; a < ctx.k; a++ {
 		ctx.id.Set(a, a, true)
@@ -258,17 +279,33 @@ func (ctx *dcCtx) kids(r *region) (ks [4]region, n int) {
 // garbage-collected allocation per call that holds every intermediate
 // too, so a cancellation that aborts a level statement at its barrier
 // leaves nothing to release.
+//
+// A statement body tallies per chunk and never writes a shared word once
+// per virtual processor: each chunk of regions sums its charge in
+// locals and adds it to the level's totals once. The deepest levels at
+// n = 257 hold 8 256 and 2 080 regions of a few microseconds each. When
+// each region added to four shared words, two workers passed those
+// cache lines between the cores, and a call cost a median 17.3 ms of
+// CPU on two workers against 11.6 ms on one (2-CPU host); per chunk it
+// costs the same on both.
 func (ctx *dcCtx) build() {
 	for d := len(ctx.lv) - 2; d >= 0; d-- {
 		regs := ctx.regs[ctx.lv[d]:ctx.lv[d+1]]
 		var steps, work atomic.Int64
-		ctx.m.For(len(regs), func(i int) {
-			sc := ctx.scratchOf(&regs[i])
-			c := ctx.combine(&regs[i], &sc)
-			work.Add(c.work)
-			ctx.prods.Add(c.prods)
-			ctx.ops.Add(c.ops)
-			for s := steps.Load(); c.steps > s && !steps.CompareAndSwap(s, c.steps); s = steps.Load() {
+		ctx.m.ForRange(len(regs), func(lo, hi int) {
+			var t cost // t.steps is the chunk's longest combine
+			for i := lo; i < hi; i++ {
+				sc := ctx.scratchOf(&regs[i])
+				c := ctx.combine(&regs[i], &sc)
+				t.steps = max(t.steps, c.steps)
+				t.work += c.work
+				t.prods += c.prods
+				t.ops += c.ops
+			}
+			work.Add(t.work)
+			ctx.prods.Add(t.prods)
+			ctx.ops.Add(t.ops)
+			for s := steps.Load(); t.steps > s && !steps.CompareAndSwap(s, t.steps); s = steps.Load() {
 			}
 		})
 		ctx.m.Charge(steps.Load(), work.Load())
@@ -473,9 +510,9 @@ func (ctx *dcCtx) combineTri(lo, hi int, rl, rr, rq, res *boolmat.Matrix, sc *sc
 	ch.mul(&qFull, rq, &x)
 
 	// IN(T) is partitioned among IN(L), IN(R) and IN(Q).
-	ctx.route(res, mv[4], nil, &lFull)
-	ctx.route(res, mv[5], nil, &rFull)
-	ctx.route(res, mv[6], nil, &qFull)
+	ctx.pass(res, mv[4], &lFull)
+	ctx.pass(res, mv[5], &rFull)
+	ctx.pass(res, mv[6], &qFull)
 	// Two placements and five routings around one product.
 	ch.steps, ch.work = 7+ctx.rowSteps(rq), 7+int64(rq.R)
 	return ch
@@ -496,8 +533,8 @@ func (ctx *dcCtx) combineRectRow(c, d int, rw, re, res *boolmat.Matrix, sc *scra
 	ctx.route(&x, mv[1], ctx.right[ctx.w[m2+1]], &wFull)
 	ctx.addIdentity(&x, mv[2])
 	ch.mul(&eFull, re, &x)
-	ctx.route(res, mv[3], nil, &wFull)
-	ctx.route(res, mv[4], nil, &eFull)
+	ctx.pass(res, mv[3], &wFull)
+	ctx.pass(res, mv[4], &eFull)
 	// One placement, one identity and three routings around one product.
 	ch.steps, ch.work = 5+ctx.rowSteps(re), 5+int64(re.R)
 	return ch
@@ -518,8 +555,8 @@ func (ctx *dcCtx) combineRectCol(a, b int, rn, rs, res *boolmat.Matrix, sc *scra
 	ctx.route(&x, mv[1], ctx.left[ctx.w[m1]], &sFull)
 	ctx.addIdentity(&x, mv[2])
 	ch.mul(&nFull, rn, &x)
-	ctx.route(res, mv[3], nil, &nFull)
-	ctx.route(res, mv[4], nil, &sFull)
+	ctx.pass(res, mv[3], &nFull)
+	ctx.pass(res, mv[4], &sFull)
 	// One placement, one identity and three routings around one product.
 	ch.steps, ch.work = 5+ctx.rowSteps(rn), 5+int64(rn.R)
 	return ch
@@ -533,9 +570,9 @@ func (ctx *dcCtx) combineRectQuad(a, b, c, d int, rnw, rne, rsw, rse, res *boolm
 	m1, m2 := (a+b)/2, (c+d)/2
 	mv := quadRuns(a, b, c, d)
 	cols := (b - a + d - c + 1) * ctx.k // OUT(Q)
-	// Rule blocks for the two interior crossings: down across row m1,
+	// Rule pairs for the two interior crossings: down across row m1,
 	// left across column m2+1.
-	downBlock, leftBlock := ctx.left[ctx.w[m1]], ctx.right[ctx.w[m2+1]]
+	downRules, leftRules := ctx.left[ctx.w[m1]], ctx.right[ctx.w[m2+1]]
 	var ch cost
 
 	swFull := sc.take(rsw.R, cols)
@@ -545,26 +582,26 @@ func (ctx *dcCtx) combineRectQuad(a, b, c, d int, rnw, rne, rsw, rse, res *boolm
 	ctx.place(&swFull, rsw, mv[0])
 	// OUT(NW) → OUT(Q): direct exits plus crossing down into SW.
 	x := sc.take(rnw.C, cols)
-	ctx.route(&x, mv[1], downBlock, &swFull)
+	ctx.route(&x, mv[1], downRules, &swFull)
 	ctx.addIdentity(&x, mv[2])
 	ch.mul(&nwFull, rnw, &x)
 	sc.drop(&x)
 	// OUT(SE) → OUT(Q): direct exits plus crossing left into SW.
 	x = sc.take(rse.C, cols)
-	ctx.route(&x, mv[3], leftBlock, &swFull)
+	ctx.route(&x, mv[3], leftRules, &swFull)
 	ctx.addIdentity(&x, mv[4])
 	ch.mul(&seFull, rse, &x)
 	sc.drop(&x)
 	// OUT(NE) → OUT(Q): left into NW or down into SE; NE touches no exit.
 	x = sc.take(rne.C, cols)
-	ctx.route(&x, mv[5], leftBlock, &nwFull)
-	ctx.route(&x, mv[6], downBlock, &seFull)
+	ctx.route(&x, mv[5], leftRules, &nwFull)
+	ctx.route(&x, mv[6], downRules, &seFull)
 	ch.mul(&neFull, rne, &x)
 
 	// IN(Q) is partitioned among IN(NW), IN(NE) and IN(SE).
-	ctx.route(res, mv[7], nil, &nwFull)
-	ctx.route(res, mv[8], nil, &neFull)
-	ctx.route(res, mv[9], nil, &seFull)
+	ctx.pass(res, mv[7], &nwFull)
+	ctx.pass(res, mv[8], &neFull)
+	ctx.pass(res, mv[9], &seFull)
 	// One placement, two identities and seven routings; the NW and SE
 	// products are independent, and NE's waits for both.
 	ch.steps = 10 + max(ctx.rowSteps(rnw), ctx.rowSteps(rse)) + ctx.rowSteps(rne)

@@ -1,8 +1,10 @@
 package lincfl
 
 import (
+	"fmt"
 	"math/bits"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -213,6 +215,66 @@ func TestDCStepBound(t *testing.T) {
 				t.Errorf("n=%d: %d counted steps, bound %d·⌈log₂ n⌉² = %d", n, steps, c, c*lg*lg)
 			}
 			m.Close()
+		}
+	}
+}
+
+// TestDCChargeScheduleFree: a level statement tallies its regions'
+// charge per chunk, and the chunks follow the workers and the grain. The
+// counted charge must not: on the n = 127 and n = 257 palindromes,
+// RecognizeDC's and DeriveDC's counted steps, work and calls, products,
+// word ops and depth are the same on every machine, and so is the
+// derivation. A tally that lost one chunk's longest combine, or added
+// one twice, would change with the chunk count.
+func TestDCChargeScheduleFree(t *testing.T) {
+	type charge struct {
+		rec, der pram.Counters
+		res      DCResult
+		derProds int64
+		derOps   int64
+		steps    []Step
+	}
+	g := grammar.Palindrome()
+	for _, tc := range []struct{ n, prods int }{{127, 8001}, {257, 32896}} {
+		w := palindromeWord(tc.n)
+		var first *charge
+		var firstAt string
+		for _, workers := range []int{1, 2, 4} {
+			for _, grain := range []int{1, 3, 64, 0} { // 0: adaptive
+				opts := []pram.Option{pram.WithWorkers(workers)}
+				if grain > 0 {
+					opts = append(opts, pram.WithGrain(grain))
+				}
+				m := pram.New(opts...)
+				var c charge
+				c.res = *RecognizeDC(m, g, w)
+				c.rec = m.Counters()
+				m.Reset()
+				// DeriveDC is a phase around this context's derive, which
+				// also shows its products.
+				ctx := newDCCtx(m, g, w)
+				var ok bool
+				c.steps, ok = ctx.derive()
+				c.der, c.derProds, c.derOps = m.Counters(), ctx.prods.Load(), ctx.ops.Load()
+				m.Close()
+
+				at := fmt.Sprintf("n=%d workers=%d grain=%d", tc.n, workers, grain)
+				if !c.res.Accepted || !ok || c.res.Products != tc.prods {
+					t.Fatalf("%s: accepted %v, derived %v, %d products (want %d)", at, c.res.Accepted, ok, c.res.Products, tc.prods)
+				}
+				if c.derProds != int64(c.res.Products) || c.derOps != c.res.WordOps {
+					t.Fatalf("%s: DeriveDC made %d products over %d word ops, RecognizeDC %d over %d",
+						at, c.derProds, c.derOps, c.res.Products, c.res.WordOps)
+				}
+				if first == nil {
+					first, firstAt = &c, at
+					continue
+				}
+				if c.rec != first.rec || c.der != first.der || c.res != first.res || !slices.Equal(c.steps, first.steps) {
+					t.Fatalf("%s: recognize %+v %+v, derive %+v; %s: recognize %+v %+v, derive %+v",
+						at, c.rec, c.res, c.der, firstAt, first.rec, first.res, first.der)
+				}
+			}
 		}
 	}
 }

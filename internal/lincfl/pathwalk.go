@@ -67,9 +67,9 @@ func (ctx *dcCtx) get(x *region, s, tv vertex) bool {
 // and a rule carrying u's nonterminal over the line to a landed vertex
 // that next accepts.
 func (ctx *dcCtx) cross(x *region, s vertex, cm cellMap, next func(vertex) bool) (u, land vertex, ok bool) {
-	lo, hi, block := int(x.a), int(x.b), ctx.right[ctx.w[cm.line]]
+	lo, hi, rules := int(x.a), int(x.b), ctx.right[ctx.w[cm.line]]
 	if cm.kind == cmDown {
-		lo, hi, block = int(x.c), int(x.d), ctx.left[ctx.w[cm.line]]
+		lo, hi, rules = int(x.c), int(x.d), ctx.left[ctx.w[cm.line]]
 	}
 	for p := lo; p <= hi; p++ {
 		cell := [2]int{p, cm.line}
@@ -77,15 +77,10 @@ func (ctx *dcCtx) cross(x *region, s vertex, cm cellMap, next func(vertex) bool)
 			cell = [2]int{cm.line, p}
 		}
 		to, _ := cm.apply(cell)
-		for a := 0; a < ctx.k; a++ {
-			u = vertex{cell: cell, nt: a}
-			if !ctx.get(x, s, u) {
-				continue
-			}
-			for b := 0; b < ctx.k; b++ {
-				if land = (vertex{cell: to, nt: b}); block.Get(a, b) && next(land) {
-					return u, land, true
-				}
+		for _, r := range rules {
+			u, land = vertex{cell: cell, nt: r.a}, vertex{cell: to, nt: r.b}
+			if ctx.get(x, s, u) && next(land) {
+				return u, land, true
 			}
 		}
 	}

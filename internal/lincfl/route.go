@@ -9,9 +9,10 @@ import "partree/internal/boolmat"
 //
 //   - placement copies a matrix's column blocks to the positions their
 //     cells hold on a larger exit boundary;
-//   - routing gathers rows of a matrix into the rows of the cells that
-//     reach them, either unchanged or across one consumed terminal, where
-//     the K×K rule block picks which nonterminal rows are ORed together;
+//   - passing gathers rows of a matrix unchanged into the rows of the
+//     cells that reach them, and routing gathers them across one
+//     consumed terminal, where the terminal's rule pairs (A, B) pick
+//     which nonterminal rows are ORed together;
 //   - addIdentity sets the identity bits of cells shared by two
 //     boundaries directly into a matrix.
 //
@@ -170,30 +171,22 @@ func (ctx *dcCtx) place(dst, x *boolmat.Matrix, r run) {
 	}
 }
 
-// route ORs into dst, whose rows follow the move's source boundary, the
-// rows of y, which follow its target — dst |= inject(from, to, cm,
-// block)·y without the product. Row (cell, A) of dst gathers row
-// (cm(cell), B) of y for every B with block[A][B]; a nil block is the
-// identity on nonterminals, so the run is one contiguous row copy.
-func (ctx *dcCtx) route(dst *boolmat.Matrix, r run, block, y *boolmat.Matrix) {
+// pass ORs into dst, whose rows follow the move's source boundary, the
+// rows of y, which follow its target — dst |= inject(from, to, same,
+// nil)·y without the product: the run is one contiguous row copy.
+func (ctx *dcCtx) pass(dst *boolmat.Matrix, r run, y *boolmat.Matrix) {
+	dst.OrRows(r.fi*ctx.k, y, r.ti*ctx.k, r.n*ctx.k)
+}
+
+// route ORs into dst the rows of y across one consumed terminal — dst |=
+// inject(from, to, cm, block)·y without the product, given the set pairs
+// (A, B) of the terminal's rule block. Row (cell, A) of dst gathers row
+// (cm(cell), B) of y for every pair.
+func (ctx *dcCtx) route(dst *boolmat.Matrix, r run, rules []rulePair, y *boolmat.Matrix) {
 	k := ctx.k
-	if block == nil {
-		dst.OrRows(r.fi*k, y, r.ti*k, r.n*k)
-		return
-	}
-	// The block's set pairs (A, B), collected once for the run.
-	var buf [16][2]int
-	pairs := buf[:0]
-	for a := 0; a < k; a++ {
-		for b := 0; b < k; b++ {
-			if block.Get(a, b) {
-				pairs = append(pairs, [2]int{a, b})
-			}
-		}
-	}
 	for c := 0; c < r.n; c++ {
-		for _, p := range pairs {
-			dst.OrRows((r.fi+c)*k+p[0], y, (r.ti+c)*k+p[1], 1)
+		for _, p := range rules {
+			dst.OrRows((r.fi+c)*k+p.a, y, (r.ti+c)*k+p.b, 1)
 		}
 	}
 }

@@ -36,6 +36,19 @@ func (ctx *dcCtx) inject(from, to boundary, cm cellMap, block *boolmat.Matrix) *
 	return out
 }
 
+// pairsOf lists the set pairs (A, B) of a K×K rule block.
+func pairsOf(block *boolmat.Matrix) []rulePair {
+	var ps []rulePair
+	for a := 0; a < block.R; a++ {
+		for b := 0; b < block.C; b++ {
+			if block.Get(a, b) {
+				ps = append(ps, rulePair{a: a, b: b})
+			}
+		}
+	}
+	return ps
+}
+
 // same keeps the cell.
 var same = cellMap{kind: cmSame}
 
@@ -143,8 +156,8 @@ func randMove(rng *rand.Rand, from boundary) cellMap {
 	return same
 }
 
-// TestRoutingMatchesInjectProducts checks placement, routing and the
-// in-place identity, fed the walk's runs, bit for bit against the
+// TestRoutingMatchesInjectProducts checks placement, passing, routing
+// and the in-place identity, fed the walk's runs, bit for bit against the
 // products by inject they replace: every pair of the four boundary
 // kinds, both crossings and the identity move, nil and random K×K blocks
 // for K = 1..5, and single-row and single-column rectangles.
@@ -178,7 +191,13 @@ func TestRoutingMatchesInjectProducts(t *testing.T) {
 					y := randBits(rng, to.size()*k, 1+rng.Intn(150))
 					got := randBits(rng, from.size()*k, y.C)
 					want := boolmat.Mul(inj, y).Or(got.Clone())
-					eachRun(from, to, cm, func(fi, ti, n int) { ctx.route(got, run{fi, ti, n}, block, y) })
+					eachRun(from, to, cm, func(fi, ti, n int) {
+						if block == nil {
+							ctx.pass(got, run{fi, ti, n}, y)
+						} else {
+							ctx.route(got, run{fi, ti, n}, pairsOf(block), y)
+						}
+					})
 					if !got.Equal(want) {
 						t.Fatalf("route %s:\ngot\n%vwant\n%v", where, got, want)
 					}

@@ -332,10 +332,13 @@ func (m *Machine) For(n int, body func(i int)) {
 }
 
 // ForRange executes body(lo, hi) on contiguous sub-ranges covering [0, n).
-// It is an escape hatch for bodies that keep per-call scratch state; the
+// It is an escape hatch for bodies that keep per-call scratch state or
+// per-chunk tallies: a body that sums its iterations' charge in locals and
+// adds it to shared totals once per call writes no shared word per
+// iteration, so workers do not pass those cache lines between cores. The
 // cost accounting is identical to For(n, ·). The scheduler issues one call
 // per grain-sized chunk (at least one per executing worker), so bodies must
-// tolerate any number of calls.
+// tolerate any number of calls, and a tally must not depend on how many.
 func (m *Machine) ForRange(n int, body func(lo, hi int)) {
 	m.forChunked(n, body)
 }

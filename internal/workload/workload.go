@@ -11,6 +11,7 @@ package workload
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
 	"sort"
 )
@@ -141,19 +142,71 @@ func BitonicPattern(rng *rand.Rand, n, maxSkew int) []int {
 
 // TreePattern returns the leaf-depth pattern of a random full binary tree
 // with n leaves: a general (arbitrarily wiggly) pattern that is guaranteed
-// to admit a tree.
+// to admit a tree. It grows the tree from one leaf, splitting the leaf at
+// a uniform position of the current leaf order, one rng.Intn draw per
+// split.
+//
+// Each split keeps its leaf as the left child and inserts a new leaf, the
+// right child, just after it. Insertions never reorder the leaves, so the
+// draws fix every leaf's final slot: taken in reverse, the leaf inserted
+// at position p of a list of s+1 leaves owns the p-th slot not owned by a
+// later leaf. A second pass replays the splits forward over the final
+// slots, finding the split leaf as the i-th slot filled so far. Both
+// passes search a Fenwick tree of slot counts, so a call takes O(n log n)
+// time.
 func TreePattern(rng *rand.Rand, n int) []int {
-	depths := []int{0}
-	for len(depths) < n {
-		i := rng.Intn(len(depths))
-		d := depths[i]
-		// Split leaf i in place, preserving left-to-right structure.
-		depths[i] = d + 1
-		depths = append(depths, 0)
-		copy(depths[i+2:], depths[i+1:len(depths)-1])
-		depths[i+1] = d + 1
+	n = max(n, 1)
+	draws := make([]int, n) // draws[s]: where split s cuts, among s leaves
+	for s := 1; s < n; s++ {
+		draws[s] = rng.Intn(s)
+	}
+	slot := make([]int, n) // slot[s]: the final slot of leaf s, inserted by split s
+	free := newFenwick(n)
+	for i := 0; i < n; i++ {
+		free.add(i, 1)
+	}
+	for s := n - 1; s >= 0; s-- {
+		p := 0 // leaf 0, the root, takes the last free slot
+		if s > 0 {
+			p = draws[s] + 1
+		}
+		slot[s] = free.find(p)
+		free.add(slot[s], -1)
+	}
+	depths := make([]int, n)
+	filled := free // every slot is owned, so every count is zero again
+	filled.add(slot[0], 1)
+	for s := 1; s < n; s++ {
+		split := filled.find(draws[s])
+		depths[split]++
+		depths[slot[s]] = depths[split]
+		filled.add(slot[s], 1)
 	}
 	return depths
+}
+
+// fenwick is a binary indexed tree of counts over slots 0..n−1.
+type fenwick []int
+
+func newFenwick(n int) fenwick { return make(fenwick, n+1) }
+
+// add adds v to slot i's count.
+func (f fenwick) add(i, v int) {
+	for i++; i < len(f); i += i & -i {
+		f[i] += v
+	}
+}
+
+// find returns the slot holding the k-th unit of count (k from 0).
+func (f fenwick) find(k int) int {
+	pos := 0
+	for step := 1 << (bits.Len(uint(len(f))) - 1); step > 0; step >>= 1 {
+		if next := pos + step; next < len(f) && f[next] <= k {
+			pos = next
+			k -= f[next]
+		}
+	}
+	return pos
 }
 
 // FingerPattern returns a realizable pattern with ~m mountains

@@ -3,6 +3,7 @@ package workload
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -117,6 +118,44 @@ func TestBitonicPattern(t *testing.T) {
 		}
 		if math.Abs(kraft(p)-1) > 1e-9 {
 			t.Fatalf("Kraft sum %v ≠ 1", kraft(p))
+		}
+	}
+}
+
+// splitPattern is TreePattern as a direct simulation: split the drawn
+// leaf in place, shifting the tail of the list. It is quadratic in n and
+// kept as the oracle TreePattern must match draw for draw.
+func splitPattern(rng *rand.Rand, n int) []int {
+	depths := []int{0}
+	for len(depths) < n {
+		i := rng.Intn(len(depths))
+		d := depths[i]
+		depths[i] = d + 1
+		depths = append(depths, 0)
+		copy(depths[i+2:], depths[i+1:len(depths)-1])
+		depths[i+1] = d + 1
+	}
+	return depths
+}
+
+// TestTreePatternMatchesSplitting checks TreePattern against the in-place
+// splitting oracle over 50 seeds at every n ≤ 300 and at n = 2¹²: the
+// same pattern, and the generator left at the same point of its stream.
+func TestTreePatternMatchesSplitting(t *testing.T) {
+	ns := []int{1 << 12}
+	for n := -1; n <= 300; n++ {
+		ns = append(ns, n)
+	}
+	for _, n := range ns {
+		for seed := int64(0); seed < 50; seed++ {
+			r1, r2 := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+			got, want := TreePattern(r1, n), splitPattern(r2, n)
+			if !slices.Equal(got, want) {
+				t.Fatalf("n=%d seed=%d: TreePattern %v, splitting %v", n, seed, got, want)
+			}
+			if r1.Int63() != r2.Int63() {
+				t.Fatalf("n=%d seed=%d: TreePattern drew a different number of values", n, seed)
+			}
 		}
 	}
 }
