@@ -145,6 +145,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzDecodeStream -fuzztime=30s ./internal/huffman
 	$(GO) test -fuzz='^FuzzDecode$$' -fuzztime=30s ./internal/huffman
 	$(GO) test -fuzz=FuzzLeafPattern -fuzztime=30s ./internal/leafpattern
+	$(GO) test -fuzz=FuzzBoolOps -fuzztime=30s ./internal/boolmat
 	$(GO) test -fuzz=FuzzLinCFL -fuzztime=30s ./internal/lincfl
 	$(GO) test -fuzz=FuzzCombineRuns -fuzztime=30s ./internal/lincfl
 	$(GO) test -fuzz=FuzzDecodeRequest -fuzztime=30s ./internal/serve
@@ -160,6 +161,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzDecodeStream -fuzztime=5s ./internal/huffman
 	$(GO) test -fuzz='^FuzzDecode$$' -fuzztime=5s ./internal/huffman
 	$(GO) test -fuzz=FuzzLeafPattern -fuzztime=5s ./internal/leafpattern
+	$(GO) test -fuzz=FuzzBoolOps -fuzztime=5s ./internal/boolmat
 	$(GO) test -fuzz=FuzzLinCFL -fuzztime=5s ./internal/lincfl
 	$(GO) test -fuzz=FuzzCombineRuns -fuzztime=5s ./internal/lincfl
 	$(GO) test -fuzz=FuzzDecodeRequest -fuzztime=5s ./internal/serve

@@ -163,10 +163,19 @@ func (m *Matrix) OrRows(di int, src *Matrix, si, n int) {
 
 // OrBits ORs the n bits of src's row si starting at column sc into m's
 // row di starting at column dc, one destination word per iteration: each
-// is filled from the (at most two) source words its bits straddle.
+// is filled from the (at most two) source words its bits straddle. When
+// both matrices' rows are one word each, the range is one shift and one
+// mask of that word: on such rows, as lincfl's small regions have, the
+// loop's slicing and word arithmetic would cost more than the bits moved.
 func (m *Matrix) OrBits(di, dc int, src *Matrix, si, sc, n int) {
 	if dc < 0 || sc < 0 || n < 0 || dc+n > m.C || sc+n > src.C {
 		panic("boolmat: bit range out of bounds")
+	}
+	if m.words == 1 && src.words == 1 {
+		m.check()
+		src.check()
+		m.bits[di] |= (src.bits[si] >> uint(sc) & (^uint64(0) >> uint(64-n))) << uint(dc)
+		return
 	}
 	drow, srow := m.row(di), src.row(si)
 	for n > 0 {
@@ -239,7 +248,11 @@ func Mul(a, b *Matrix) *Matrix {
 // parallelism (n³/64 word-ORs in the dense model). The kernel is
 // cache-blocked: A's columns are walked in word-aligned k-tiles sized so
 // the touched band of B stays resident across all rows of A, and zero
-// words of A are skipped entirely.
+// words of A are skipped entirely. When the rows of a and b are one word
+// each (at most 64 columns), a row of the product is the OR of the words
+// of b its one word selects, gathered straight into out's word: B fits
+// in cache whole, so there is nothing to tile, and the blocked kernel's
+// per-row slicing would cost more than the ORs.
 func MulInto(out, a, b *Matrix) { mulInto(out, a, b, kTileBytes) }
 
 // mulInto is MulInto with k-tiles sized to budget bytes of B rows.
@@ -248,6 +261,20 @@ func mulInto(out, a, b *Matrix, budget int) {
 		panic("boolmat: dimension mismatch")
 	}
 	if a.C == 0 || b.C == 0 {
+		return
+	}
+	if a.words == 1 && b.words == 1 {
+		out.check()
+		a.check()
+		b.check()
+		brows := b.bits[:b.R]
+		for i, w := range a.bits[:a.R] {
+			var acc uint64
+			for ; w != 0; w &= w - 1 {
+				acc |= brows[bits.TrailingZeros64(w)]
+			}
+			out.bits[i] |= acc
+		}
 		return
 	}
 	kt := mulKTile(b.words, budget)

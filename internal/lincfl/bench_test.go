@@ -3,6 +3,7 @@ package lincfl
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"partree/internal/grammar"
 	"partree/internal/pram"
@@ -39,5 +40,52 @@ func BenchmarkRecognizeDC(b *testing.B) {
 			}
 			stop()
 		})
+	}
+}
+
+// BenchmarkDCLevels times RecognizeDC's parts one by one on the n = 257
+// palindrome (K = 3), serially: newDCCtx, reported as ctx-us/call, and
+// then each level's combines in build's order, deepest first, reported
+// as L<d>-ns/region. Every iteration lays out a fresh table, as a call
+// does, and combines its levels without a PRAM statement, so the
+// figures are what one worker spends per region at each depth.
+func BenchmarkDCLevels(b *testing.B) {
+	g := grammar.Palindrome()
+	m := pram.New(pram.WithWorkers(1))
+	defer m.Close()
+	w := palindromeWord(257)
+	b.Run("n=257", func(b *testing.B) {
+		b.ReportAllocs()
+		var ctxTime time.Duration
+		var levels []time.Duration
+		var ctx *dcCtx
+		for i := 0; i < b.N; i++ {
+			t0 := time.Now()
+			ctx = newDCCtx(m, g, w)
+			ctxTime += time.Since(t0)
+			if levels == nil {
+				levels = make([]time.Duration, len(ctx.lv)-1)
+			}
+			for d := len(ctx.lv) - 2; d >= 0; d-- {
+				t0 = time.Now()
+				combineLevel(ctx, d)
+				levels[d] += time.Since(t0)
+			}
+		}
+		b.ReportMetric(float64(ctxTime)/float64(time.Microsecond)/float64(b.N), "ctx-us/call")
+		for d, t := range levels {
+			regions := ctx.lv[d+1] - ctx.lv[d]
+			b.ReportMetric(float64(t.Nanoseconds())/float64(b.N*regions), fmt.Sprintf("L%d-ns/region", d))
+		}
+	})
+}
+
+// combineLevel combines level d of ctx's table serially, as one chunk of
+// build's level statement does.
+func combineLevel(ctx *dcCtx, d int) {
+	regs := ctx.regs[ctx.lv[d]:ctx.lv[d+1]]
+	for i := range regs {
+		sc := ctx.scratchOf(&regs[i])
+		ctx.combine(&regs[i], &sc)
 	}
 }

@@ -59,10 +59,11 @@ type DCResult struct {
 }
 
 type dcCtx struct {
-	g *grammar.Linear
-	w []byte
-	k int // number of nonterminals
-	m *pram.Machine
+	g     *grammar.Linear
+	w     []byte
+	k     int // number of nonterminals
+	m     *pram.Machine
+	procs int // m's processor count, which divides each product's rows
 
 	// Products and their word operations, summed over the combines.
 	prods, ops atomic.Int64
@@ -76,8 +77,8 @@ type dcCtx struct {
 	// level d is regs[lv[d]:lv[d+1]]. Below the root, 1×1 cells get no
 	// entry: they all read the identity id. Every entry's matrix lives in
 	// slab, from word off, and its combine's intermediates in scratch,
-	// from word soff. Levels combine one after another, so every level
-	// reuses scratch, sized to the largest.
+	// the swords words from word soff. Levels combine one after another,
+	// so every level reuses scratch, sized to the largest.
 	regs    []region
 	lv      []int
 	slab    []uint64
@@ -86,13 +87,17 @@ type dcCtx struct {
 }
 
 // region is one entry of the table: the triangle T(a, b) (tri, with c, d
-// = a, b) or the rectangle rows a..b × cols c..d.
+// = a, b) or the rectangle rows a..b × cols c..d. newDCCtx fills in
+// where its children and its words are, so that a combine derives
+// none of it again.
 type region struct {
 	a, b, c, d int32
-	tri        bool
 	child      int32 // index in regs of the first child that has an entry
+	tri        bool
+	cells      uint8 // bit j set when child j (combine order) is a 1×1 cell
 	off        int   // first word of its matrix in slab
 	soff       int   // first word of its combine's scratch
+	swords     int   // words of its combine's scratch
 }
 
 func triRegion(lo, hi int32) region      { return region{a: lo, b: hi, c: lo, d: hi, tri: true} }
@@ -117,20 +122,22 @@ func (r *region) dims() (in, out int) {
 // matrices widened to r's exit columns (IN(child) rows each), then one
 // slot for the routed right factor of each product in turn, sized to the
 // largest (a quad's products take NW's, SE's and NE's OUT rows in turn,
-// and NW's is never the smaller). Sizes are counted in cells; every
+// and NW's is never the smaller). The last product's child (Q, E, N or
+// NE) has no widened matrix here: its whole entry boundary lies on r's,
+// so its product writes r's own rows. Sizes are counted in cells; every
 // intermediate has |OUT(r)|·K columns.
 func (r *region) scratchWords(k int) int {
 	a, b, c, d := int(r.a), int(r.b), int(r.c), int(r.d)
 	var cells int
-	switch m1, m2 := (a+b)/2, (c+d)/2; {
-	case r.tri: // L, R and Q (2(b−a) + (b−a) cells), then OUT(Q)
-		cells = 4 * (b - a)
-	case a == b: // W and E, then OUT(E)
-		cells = (m2 - c + 1) + 2*(d-m2)
-	case c == d: // S and N, then OUT(N)
-		cells = (b - m1) + 2*(m1-a+1)
-	default: // the four quadrants, then OUT(NW)
-		cells = 2*(b-a+d-c) + (m1 - a) + (m2 - c) + 1
+	switch m2 := (c + d) / 2; {
+	case r.tri: // L and R (2(b−a) cells), then OUT(Q)
+		cells = 3 * (b - a)
+	case a == b: // W, then OUT(E)
+		cells = d - c + 1
+	case c == d: // S, then OUT(N)
+		cells = b - a + 1
+	default: // SW, NW and SE, then OUT(NW)
+		cells = 2*(b-a+d-c) - (d - m2) + (m2 - c) + 1
 	}
 	_, out := r.dims()
 	return boolmat.Words(cells*k, out*k)
@@ -145,22 +152,50 @@ func (r *region) bounds() (in, out boundary) {
 	return rectIn(a, b, c, d), rectOut(a, b, c, d)
 }
 
-// split returns the region's children in combine order: a triangle's two
+// nkids returns the number of the region's children: a triangle's two
 // halves and the square between them; a one-row or one-column
-// rectangle's two halves; else a rectangle's NW, NE, SW and SE quadrants.
-func (r *region) split() (ks [4]region, n int) {
-	a, b, c, d := r.a, r.b, r.c, r.d
+// rectangle's two halves; else a rectangle's four quadrants.
+func (r *region) nkids() int {
+	switch {
+	case r.tri:
+		return 3
+	case r.a == r.b || r.c == r.d:
+		return 2
+	}
+	return 4
+}
+
+// kid returns the corners of child j of the region in combine order: L,
+// R and Q of a triangle; W and E of a one-row rectangle; N and S of a
+// one-column one; else NW, NE, SW and SE, whose index bits pick the
+// lower half of the rows (2) and the right half of the columns (1).
+func (r *region) kid(j int) (a, b, c, d int32, tri bool) {
+	a, b, c, d = r.a, r.b, r.c, r.d
 	m1, m2 := (a+b)/2, (c+d)/2
 	switch {
 	case r.tri:
-		return [4]region{triRegion(a, m1), triRegion(m1+1, b), rectRegion(a, m1, m1+1, b)}, 3
-	case a == b:
-		return [4]region{rectRegion(a, b, c, m2), rectRegion(a, b, m2+1, d)}, 2
-	case c == d:
-		return [4]region{rectRegion(a, m1, c, d), rectRegion(m1+1, b, c, d)}, 2
+		switch j {
+		case 0:
+			return a, m1, a, m1, true
+		case 1:
+			return m1 + 1, b, m1 + 1, b, true
+		}
+		return a, m1, m1 + 1, b, false
+	case a == b: // W, E: j picks the column half
+	case c == d: // N, S: j picks the row half
+		j <<= 1
 	}
-	return [4]region{rectRegion(a, m1, c, m2), rectRegion(a, m1, m2+1, d),
-		rectRegion(m1+1, b, c, m2), rectRegion(m1+1, b, m2+1, d)}, 4
+	if j&2 == 0 {
+		b = m1
+	} else {
+		a = m1 + 1
+	}
+	if j&1 == 0 {
+		d = m2
+	} else {
+		c = m2 + 1
+	}
+	return a, b, c, d, false
 }
 
 // rulePair is one rule A → tB or A → Bt, filed under its terminal t.
@@ -195,7 +230,7 @@ func byTerminal(rules []rulePair) (lists [256][]rulePair) {
 // contiguously from its child index. The region matrices and the
 // scratch share one allocation.
 func newDCCtx(m *pram.Machine, g *grammar.Linear, w []byte) *dcCtx {
-	ctx := &dcCtx{g: g, w: w, k: g.NumNT, m: m}
+	ctx := &dcCtx{g: g, w: w, k: g.NumNT, m: m, procs: m.Processors()}
 	rules := make([]rulePair, 0, len(g.Left)+len(g.Right))
 	for _, r := range g.Left {
 		rules = append(rules, rulePair{r.T, r.A, r.B})
@@ -223,15 +258,18 @@ func newDCCtx(m *pram.Machine, g *grammar.Linear, w []byte) *dcCtx {
 		for i := lo; i < hi; i++ {
 			r := &ctx.regs[i]
 			in, out := r.dims()
-			r.off, r.soff, r.child = words, level, int32(len(ctx.regs))
+			r.off, r.soff, r.swords, r.child = words, level, r.scratchWords(ctx.k), int32(len(ctx.regs))
 			words += boolmat.Words(in*ctx.k, out*ctx.k)
-			level += r.scratchWords(ctx.k)
-			ks, n := r.split()
-			for _, k := range ks[:n] {
-				if !k.cell() {
-					ctx.regs = append(ctx.regs, k)
+			level += r.swords
+			var cells uint8
+			for j := range r.nkids() {
+				if a, b, c, d, tri := r.kid(j); a == b && c == d {
+					cells |= 1 << j
+				} else {
+					ctx.regs = append(ctx.regs, region{a: a, b: b, c: c, d: d, tri: tri}) // may move r
 				}
 			}
+			ctx.regs[i].cells = cells
 		}
 		most = max(most, level)
 		ctx.lv = append(ctx.lv, hi)
@@ -253,21 +291,36 @@ func (ctx *dcCtx) view(r *region) boolmat.Matrix {
 
 // scratchOf returns the scratch newDCCtx reserved for region r's combine.
 func (ctx *dcCtx) scratchOf(r *region) scratch {
-	return scratch{buf: ctx.scratch[r.soff : r.soff+r.scratchWords(ctx.k)]}
+	return scratch{buf: ctx.scratch[r.soff:][:r.swords]}
 }
 
 // kids returns region r's children in combine order: their table
 // entries, or the bare cell for a 1×1 child.
 func (ctx *dcCtx) kids(r *region) (ks [4]region, n int) {
-	ks, n = r.split()
 	next := r.child
-	for j := range ks[:n] {
-		if !ks[j].cell() {
+	for j := range r.nkids() {
+		if r.cells>>j&1 != 0 {
+			a, b, c, d, tri := r.kid(j)
+			ks[j] = region{a: a, b: b, c: c, d: d, tri: tri}
+		} else {
 			ks[j] = ctx.regs[next]
 			next++
 		}
+		n++
 	}
 	return ks, n
+}
+
+// kidView returns the matrix of region r's child j: the shared identity
+// for a cell, else its entry's view, which it stores in v. next is the
+// table index of r's next child with an entry, which it advances.
+func (ctx *dcCtx) kidView(r *region, j int, next *int32, v *boolmat.Matrix) *boolmat.Matrix {
+	if r.cells>>j&1 != 0 {
+		return ctx.id
+	}
+	*v = ctx.view(&ctx.regs[*next])
+	*next++
+	return v
 }
 
 // build combines the table bottom-up, one PRAM statement per level whose
@@ -315,26 +368,25 @@ func (ctx *dcCtx) build() {
 // combine builds region r's matrix from its children's, drawing its
 // intermediates from sc.
 func (ctx *dcCtx) combine(r *region, sc *scratch) cost {
-	ks, n := ctx.kids(r)
-	var ms [4]boolmat.Matrix
-	for j := range ks[:n] {
-		ms[j] = ctx.view(&ks[j])
-	}
-	res := ctx.view(r)
-	a, b, c, d := int(r.a), int(r.b), int(r.c), int(r.d)
+	var vs [4]boolmat.Matrix
+	next := r.child
+	k0 := ctx.kidView(r, 0, &next, &vs[0])
+	k1 := ctx.kidView(r, 1, &next, &vs[1])
 	switch {
 	case r.tri:
 		faultpoint.Hit("lincfl.tri")
-		return ctx.combineTri(a, b, &ms[0], &ms[1], &ms[2], &res, sc)
-	case a == b:
+		return ctx.combineTri(r, k0, k1, ctx.kidView(r, 2, &next, &vs[2]), sc)
+	case r.a == r.b:
 		faultpoint.Hit("lincfl.rect")
-		return ctx.combineRectRow(c, d, &ms[0], &ms[1], &res, sc)
-	case c == d:
+		return ctx.combineRectRow(r, k0, k1, sc)
+	case r.c == r.d:
 		faultpoint.Hit("lincfl.rect")
-		return ctx.combineRectCol(a, b, &ms[0], &ms[1], &res, sc)
+		return ctx.combineRectCol(r, k0, k1, sc)
 	}
 	faultpoint.Hit("lincfl.rect")
-	return ctx.combineRectQuad(a, b, c, d, &ms[0], &ms[1], &ms[2], &ms[3], &res, sc)
+	k2 := ctx.kidView(r, 2, &next, &vs[2])
+	k3 := ctx.kidView(r, 3, &next, &vs[3])
+	return ctx.combineRectQuad(r, k0, k1, k2, k3, sc)
 }
 
 // cost is a combine's counted charge — steps along its dependent chain
@@ -352,28 +404,47 @@ func (c *cost) mul(out, a, b *boolmat.Matrix) {
 }
 
 // scratch hands a combine its intermediates from the front of the words
-// newDCCtx reserved for it: take clears and returns the next matrix, and
-// drop hands back the last one taken.
+// newDCCtx reserved for it: take returns the next matrix, all false, and
+// drop hands back the last one taken. A combine's intermediates fill its
+// reservation exactly, so the first take clears all of it at once and a
+// drop clears the words it hands back: the words a small region's
+// combine takes are too few to pay a clear per matrix.
 type scratch struct {
 	buf       []uint64
 	top, peak int // words handed out now, and at most
 }
 
 func (s *scratch) take(r, c int) boolmat.Matrix {
+	if s.top == 0 {
+		clear(s.buf)
+	}
 	n := boolmat.Words(r, c)
-	clear(s.buf[s.top : s.top+n])
 	m := boolmat.On(r, c, s.buf[s.top:])
 	s.top += n
 	s.peak = max(s.peak, s.top)
 	return m
 }
 
-func (s *scratch) drop(m *boolmat.Matrix) { s.top -= boolmat.Words(m.R, m.C) }
+func (s *scratch) drop(m *boolmat.Matrix) {
+	n := boolmat.Words(m.R, m.C)
+	s.top -= n
+	clear(s.buf[s.top : s.top+n])
+}
+
+// rows returns the rows of region r's matrix at the source cells of a
+// move's run: where passing the run would copy a child's rows, so that a
+// product whose result would only be passed there writes them in place.
+// The combine still charges that pass as a move, so the counted charge
+// does not depend on where a product writes.
+func (ctx *dcCtx) rows(r *region, mv run) boolmat.Matrix {
+	_, out := r.dims()
+	cols := out * ctx.k
+	return boolmat.On(mv.n*ctx.k, cols, ctx.slab[r.off+boolmat.Words(mv.fi*ctx.k, cols):])
+}
 
 // rowSteps is the step charge of a product with a's rows.
 func (ctx *dcCtx) rowSteps(a *boolmat.Matrix) int64 {
-	p := ctx.m.Processors()
-	return int64((a.R + p - 1) / p)
+	return int64((a.R + ctx.procs - 1) / ctx.procs)
 }
 
 // accept looks for a diagonal vertex (d, d, A) with a terminal rule
@@ -489,9 +560,10 @@ func rectIn(a, b, c, d int) boundary { return boundary{kind: bRectIn, a: a, b: b
 // rectOut: left column, then bottom row (excluding the shared corner).
 func rectOut(a, b, c, d int) boundary { return boundary{kind: bRectOut, a: a, b: b, c: c, d: d} }
 
-// combineTri assembles a triangle's boundary reachability into res (all
-// false) from its three pieces' matrices.
-func (ctx *dcCtx) combineTri(lo, hi int, rl, rr, rq, res *boolmat.Matrix, sc *scratch) cost {
+// combineTri assembles triangle r's boundary reachability into its
+// matrix (all false) from its three pieces' matrices.
+func (ctx *dcCtx) combineTri(r *region, rl, rr, rq *boolmat.Matrix, sc *scratch) cost {
+	lo, hi := int(r.a), int(r.b)
 	mid := (lo + hi) / 2
 	mv := triRuns(lo, hi)
 	cols := (hi - lo + 1) * ctx.k // OUT(T)
@@ -501,72 +573,76 @@ func (ctx *dcCtx) combineTri(lo, hi int, rl, rr, rq, res *boolmat.Matrix, sc *sc
 	// across column mid+1 into L or across row mid into R.
 	lFull := sc.take(rl.R, cols) // IN(L) → OUT(T)
 	rFull := sc.take(rr.R, cols) // IN(R) → OUT(T)
-	qFull := sc.take(rq.R, cols) // IN(Q) → OUT(T)
 	ctx.place(&lFull, rl, mv[0])
 	ctx.place(&rFull, rr, mv[1])
 	x := sc.take(rq.C, cols) // OUT(Q) → OUT(T)
 	ctx.route(&x, mv[2], ctx.right[ctx.w[mid+1]], &lFull)
 	ctx.route(&x, mv[3], ctx.left[ctx.w[mid]], &rFull)
-	ch.mul(&qFull, rq, &x)
 
-	// IN(T) is partitioned among IN(L), IN(R) and IN(Q).
-	ctx.pass(res, mv[4], &lFull)
-	ctx.pass(res, mv[5], &rFull)
-	ctx.pass(res, mv[6], &qFull)
+	// IN(T) is partitioned among IN(L), IN(R) and IN(Q). All of IN(Q)
+	// lies on IN(T), so Q's product writes its rows of T's matrix.
+	res := ctx.view(r)
+	ctx.pass(&res, mv[4], &lFull)
+	ctx.pass(&res, mv[5], &rFull)
+	qRows := ctx.rows(r, mv[6]) // IN(Q) → OUT(T)
+	ch.mul(&qRows, rq, &x)
 	// Two placements and five routings around one product.
 	ch.steps, ch.work = 7+ctx.rowSteps(rq), 7+int64(rq.R)
 	return ch
 }
 
-// combineRectRow assembles the single-row rectangle over columns c..d
-// into res from its west/east halves.
-func (ctx *dcCtx) combineRectRow(c, d int, rw, re, res *boolmat.Matrix, sc *scratch) cost {
+// combineRectRow assembles the single-row rectangle r over columns c..d
+// into its matrix from its west/east halves.
+func (ctx *dcCtx) combineRectRow(r *region, rw, re *boolmat.Matrix, sc *scratch) cost {
+	c, d := int(r.c), int(r.d)
 	m2 := (c + d) / 2
 	mv := rowRuns(c, d)
 	cols := (d - c + 1) * ctx.k // OUT(Q)
 	var ch cost
 	wFull := sc.take(rw.R, cols)
-	eFull := sc.take(re.R, cols)
 	ctx.place(&wFull, rw, mv[0])
 	// OUT(E) → OUT(Q): direct exits plus crossing left into W.
 	x := sc.take(re.C, cols)
 	ctx.route(&x, mv[1], ctx.right[ctx.w[m2+1]], &wFull)
 	ctx.addIdentity(&x, mv[2])
-	ch.mul(&eFull, re, &x)
-	ctx.pass(res, mv[3], &wFull)
-	ctx.pass(res, mv[4], &eFull)
+	res := ctx.view(r)
+	ctx.pass(&res, mv[3], &wFull)
+	eRows := ctx.rows(r, mv[4]) // all of IN(E) lies on IN(Q)
+	ch.mul(&eRows, re, &x)
 	// One placement, one identity and three routings around one product.
 	ch.steps, ch.work = 5+ctx.rowSteps(re), 5+int64(re.R)
 	return ch
 }
 
-// combineRectCol assembles the single-column rectangle over rows a..b
-// into res from its north/south halves.
-func (ctx *dcCtx) combineRectCol(a, b int, rn, rs, res *boolmat.Matrix, sc *scratch) cost {
+// combineRectCol assembles the single-column rectangle r over rows a..b
+// into its matrix from its north/south halves.
+func (ctx *dcCtx) combineRectCol(r *region, rn, rs *boolmat.Matrix, sc *scratch) cost {
+	a, b := int(r.a), int(r.b)
 	m1 := (a + b) / 2
 	mv := colRuns(a, b)
 	cols := (b - a + 1) * ctx.k // OUT(Q)
 	var ch cost
 	sFull := sc.take(rs.R, cols)
-	nFull := sc.take(rn.R, cols)
 	ctx.place(&sFull, rs, mv[0])
 	// OUT(N) → OUT(Q): direct exits plus crossing down into S.
 	x := sc.take(rn.C, cols)
 	ctx.route(&x, mv[1], ctx.left[ctx.w[m1]], &sFull)
 	ctx.addIdentity(&x, mv[2])
-	ch.mul(&nFull, rn, &x)
-	ctx.pass(res, mv[3], &nFull)
-	ctx.pass(res, mv[4], &sFull)
+	nRows := ctx.rows(r, mv[3]) // all of IN(N) lies on IN(Q)
+	ch.mul(&nRows, rn, &x)
+	res := ctx.view(r)
+	ctx.pass(&res, mv[4], &sFull)
 	// One placement, one identity and three routings around one product.
 	ch.steps, ch.work = 5+ctx.rowSteps(rn), 5+int64(rn.R)
 	return ch
 }
 
-// combineRectQuad assembles a rectangle into res from its four
+// combineRectQuad assembles rectangle r into its matrix from its four
 // quadrants: SW first, then NW and SE (which exit through SW), then NE
 // (which exits through NW and SE) — three products, whose right factors
 // take one scratch slot in turn.
-func (ctx *dcCtx) combineRectQuad(a, b, c, d int, rnw, rne, rsw, rse, res *boolmat.Matrix, sc *scratch) cost {
+func (ctx *dcCtx) combineRectQuad(r *region, rnw, rne, rsw, rse *boolmat.Matrix, sc *scratch) cost {
+	a, b, c, d := int(r.a), int(r.b), int(r.c), int(r.d)
 	m1, m2 := (a+b)/2, (c+d)/2
 	mv := quadRuns(a, b, c, d)
 	cols := (b - a + d - c + 1) * ctx.k // OUT(Q)
@@ -578,7 +654,6 @@ func (ctx *dcCtx) combineRectQuad(a, b, c, d int, rnw, rne, rsw, rse, res *boolm
 	swFull := sc.take(rsw.R, cols)
 	nwFull := sc.take(rnw.R, cols)
 	seFull := sc.take(rse.R, cols)
-	neFull := sc.take(rne.R, cols)
 	ctx.place(&swFull, rsw, mv[0])
 	// OUT(NW) → OUT(Q): direct exits plus crossing down into SW.
 	x := sc.take(rnw.C, cols)
@@ -596,12 +671,14 @@ func (ctx *dcCtx) combineRectQuad(a, b, c, d int, rnw, rne, rsw, rse, res *boolm
 	x = sc.take(rne.C, cols)
 	ctx.route(&x, mv[5], leftRules, &nwFull)
 	ctx.route(&x, mv[6], downRules, &seFull)
-	ch.mul(&neFull, rne, &x)
 
-	// IN(Q) is partitioned among IN(NW), IN(NE) and IN(SE).
-	ctx.pass(res, mv[7], &nwFull)
-	ctx.pass(res, mv[8], &neFull)
-	ctx.pass(res, mv[9], &seFull)
+	// IN(Q) is partitioned among IN(NW), IN(NE) and IN(SE). All of
+	// IN(NE) lies on IN(Q), so NE's product writes its rows of Q's matrix.
+	res := ctx.view(r)
+	ctx.pass(&res, mv[7], &nwFull)
+	ctx.pass(&res, mv[9], &seFull)
+	neRows := ctx.rows(r, mv[8])
+	ch.mul(&neRows, rne, &x)
 	// One placement, two identities and seven routings; the NW and SE
 	// products are independent, and NE's waits for both.
 	ch.steps = 10 + max(ctx.rowSteps(rnw), ctx.rowSteps(rse)) + ctx.rowSteps(rne)

@@ -20,7 +20,7 @@ type exit struct {
 }
 
 // exits returns the edges out of child x of region r (children indexed
-// in combine order, as split returns them).
+// in combine order, as kid numbers them).
 func (r *region) exits(x int) []exit {
 	m1, m2 := int(r.a+r.b)/2, int(r.c+r.d)/2
 	switch {
