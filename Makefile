@@ -94,8 +94,10 @@ bench:
 bench-smoke:
 	$(GO) test -short -run '^$$' -bench . -benchtime 1x ./...
 
-# Multicore scaling sweep: every parallel kernel at P ∈ {1,2,4,8} with
-# per-op barrier-wait probes (experiment E12, full sizes).
+# Multicore scaling sweep (experiment E12): the four kernels of the
+# lib-par benchmark workload and the partreed batch path, one façade
+# call each, at P ∈ {1,2,4,8} with per-op wall time, process CPU and
+# barrier wait.
 bench-par:
 	$(GO) run ./cmd/benchtables -exp E12
 
@@ -106,7 +108,7 @@ bench-par:
 # are budgeted against the pre-arena and spawn-per-statement arms
 # recorded in BENCH_BASELINE.json: ≤30% of the recorded unpooled
 # allocs/op and ≤60% of the recorded spawn dispatch cost. The other rows hold the baseline
-# bands, the ≥2x P=4 monge/boolmat speedup and ≥1.8x 4-backend cluster
+# bands, the ≥2x P=4 lincfl/leafpattern speedup and ≥1.8x 4-backend cluster
 # scaling (both skipped with a notice on hosts with fewer than 4 cores,
 # where the ratio is physically capped), the ≤2% disarmed-tracing band,
 # zero steady-state goroutine spawns / machine constructions / failed
@@ -114,8 +116,8 @@ bench-par:
 bench-gate:
 	$(GO) run ./cmd/benchtables -exp E11,E12,E13,E14,E16 | $(GO) run ./cmd/benchgate -baseline BENCH_BASELINE.json
 
-# Short-iteration gate used by `make check`: smaller E12 inputs and
-# single-rep E13/E14 timing. The E12 and E16 reports record the short
+# Short-iteration gate used by `make check`: shorter E12 timing loops
+# and single-rep E13/E14 timing. The E12 and E16 reports record the short
 # run, and benchgate switches every row to its short-mode bound so CI
 # timing noise cannot flake the build.
 bench-gate-quick:

@@ -376,8 +376,8 @@ func palindromeWord(n int) []byte {
 	return w
 }
 
-// Ablation: the three Cut algorithms (recursive §4.1, bottom-up §4.2,
-// SMAWK) against each other.
+// Ablation: the paper's two Cut algorithms (recursive §4.1, bottom-up
+// §4.2) against each other.
 func BenchmarkAblationCut(b *testing.B) {
 	n := 256
 	rng := rand.New(rand.NewSource(8))
@@ -389,7 +389,6 @@ func BenchmarkAblationCut(b *testing.B) {
 	}{
 		{"recursive", func(cnt *matrix.OpCount) { monge.CutRecursive(a, c, cnt) }},
 		{"bottomup", func(cnt *matrix.OpCount) { monge.CutBottomUp(a, c, cnt) }},
-		{"smawk", func(cnt *matrix.OpCount) { monge.CutSMAWK(a, c, cnt) }},
 	}
 	for _, al := range algos {
 		b.Run(al.name, func(b *testing.B) {

@@ -192,7 +192,7 @@ func TestPerturbations(t *testing.T) {
 		{"2 CPUs skip E16", func(c *reports) { c.E12.CPUs, c.E16.CPUs = 2, 2 },
 			"E16", "4-backend/1-backend throughput", "SKIP"},
 		// Armed on 4 CPUs, the fixture's 2-core speedups fall short:
-		// boolmat-mulpar reached 1.54x and the cluster 0.93x.
+		// lincfl-recognize reached 1.46x at P=4 and the cluster 0.93x.
 		{"4 CPUs arm E12", func(c *reports) { c.E12.CPUs, c.E16.CPUs = 4, 4 },
 			"E12", "speedup at P=4", "FAIL"},
 		{"4 CPUs arm E16", func(c *reports) { c.E12.CPUs, c.E16.CPUs = 4, 4 },
@@ -219,6 +219,57 @@ func TestPerturbations(t *testing.T) {
 				t.Errorf("verdicts %v, want a %s", verdicts, c.verdict)
 			}
 		})
+	}
+}
+
+// setE12Speedup sets kernel's P=4 speedup in the run's E12 report.
+func setE12Speedup(t *testing.T, c *reports, kernel string, v float64) {
+	t.Helper()
+	for _, k := range c.E12.Kernels {
+		for i := range k.Rows {
+			if k.Kernel == kernel && k.Rows[i].P == 4 {
+				k.Rows[i].Speedup = v
+				return
+			}
+		}
+	}
+	t.Fatalf("fixture has no P=4 row for %s", kernel)
+}
+
+// TestE12ArmedPasses arms the speedup row on 4 CPUs with both gated
+// kernels above the full-run bound.
+func TestE12ArmedPasses(t *testing.T) {
+	cur, base := loadFixture(t)
+	cur.E12.CPUs = 4
+	for _, k := range e12Gated {
+		setE12Speedup(t, cur, k, 2.1)
+	}
+	results := lookup(t, mustEvaluate(t, cur, base), "E12", "speedup at P=4")
+	if len(results) != len(e12Gated) {
+		t.Fatalf("%d E12 results, want one per gated kernel %v", len(results), e12Gated)
+	}
+	for _, r := range results {
+		if r.verdict != "ok" {
+			t.Errorf("%s: verdict %s, want ok", r, r.verdict)
+		}
+	}
+}
+
+// TestE12MissingKernel drops a gated kernel from the armed run's report:
+// the row must fail and name it.
+func TestE12MissingKernel(t *testing.T) {
+	cur, base := loadFixture(t)
+	cur.E12.CPUs = 4
+	var kept []e12Kernel
+	for _, k := range cur.E12.Kernels {
+		if k.Kernel != "leafpattern" {
+			kept = append(kept, k)
+		}
+	}
+	cur.E12.Kernels = kept
+	r := lookup(t, mustEvaluate(t, cur, base), "E12", "speedup at P=4")[0]
+	if r.verdict != "FAIL" || !strings.Contains(r.note, "leafpattern") {
+		t.Errorf("%s: want a FAIL naming leafpattern", r)
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -23,7 +24,6 @@ import (
 	"time"
 
 	"partree"
-	"partree/internal/boolmat"
 	"partree/internal/cluster"
 	"partree/internal/engine"
 	"partree/internal/grammar"
@@ -561,6 +561,18 @@ func e10() {
 	fmt.Println("       hits and the rest amortize PRAM setup across one For per batch")
 }
 
+// palindromeWord returns x c reverse(x) of n letters, n odd, with x
+// alternating a and b: a word the palindrome grammar accepts.
+func palindromeWord(n int) []byte {
+	w := make([]byte, n)
+	for i := 0; i < n/2; i++ {
+		w[i] = "ab"[i%2]
+		w[n-1-i] = w[i]
+	}
+	w[n/2] = 'c'
+	return w
+}
+
 // benchSink keeps benchmark results observable so the loop bodies in e11
 // cannot be optimized away.
 var benchSink bool
@@ -599,14 +611,8 @@ func e11() {
 
 	// Kernel 1: linear-CFL recognition (Theorem 8.1) of a palindrome word,
 	// the repo's most allocation-intensive recursion before pooling.
-	const cflN = 127
 	g := grammar.Palindrome()
-	word := make([]byte, cflN)
-	for i := 0; i < cflN/2; i++ {
-		word[i] = "ab"[i%2]
-		word[cflN-1-i] = word[i]
-	}
-	word[cflN/2] = 'c'
+	word := palindromeWord(127)
 	m := pram.New(pram.WithGrain(grainLinCFL))
 	lincflBench := func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -681,10 +687,14 @@ func e11() {
 }
 
 // e12Row is one (kernel, P) measurement; cmd/benchgate reads the same
-// shape back out of BENCH_BASELINE.json to enforce the speedup gate.
+// shape back out of a run to enforce the speedup gate. CPUMSOp is the
+// process CPU, user and system over all threads, per call: next to
+// NsOp, which is wall time, it shows what the extra workers cost. It is
+// zero where getrusage is not available.
 type e12Row struct {
 	P         int     `json:"p"`
 	NsOp      float64 `json:"ns_op"`
+	CPUMSOp   float64 `json:"cpu_ms_op"`
 	Speedup   float64 `json:"speedup"`
 	BarrierMS float64 `json:"barrier_ms"`
 }
@@ -695,56 +705,72 @@ type e12Kernel struct {
 	Rows   []e12Row `json:"rows"`
 }
 
-// e12Loop runs once() until minDur has elapsed (after one warm-up call)
-// and returns the iteration count and measured wall time.
-func e12Loop(minDur time.Duration, once func()) (int, time.Duration) {
-	once() // warm caches, pools and the adaptive grain
+// e12Measure makes one warm-up call, then calls op until minDur has
+// elapsed, and returns the wall ns, CPU ms and barrier-wait ms per timed
+// call.
+func e12Measure(minDur time.Duration, op func() partree.Stats) (nsOp, cpuMS, barrierMS float64) {
+	op() // warm the machine pool, the arena and the adaptive grain
+	var barrier time.Duration
+	cpu0 := processCPU()
 	start := time.Now()
 	iters := 0
 	for time.Since(start) < minDur {
-		once()
+		barrier += op().BarrierWait
 		iters++
 	}
-	return iters, time.Since(start)
+	elapsed, cpu := time.Since(start), processCPU()-cpu0
+	n := float64(iters)
+	return float64(elapsed.Nanoseconds()) / n, cpu.Seconds() * 1e3 / n, barrier.Seconds() * 1e3 / n
 }
 
-// E12 — multicore scaling of the parallel kernels: wall-clock speedup of
-// each kernel at P ∈ {1,2,4,8} workers relative to its own P=1 run, with
-// the scheduler's barrier wait alongside. The workspace arena is sharded to match each P, mirroring
-// how partreed -workers deploys. The BENCH-JSON records the host's core
-// count: speedup on a host with fewer cores than P is capped near 1.0 by
+// E12 — multicore scaling of the kernels the lib-par workload runs: one
+// façade call per operation, at lib-par's input shapes, with
+// partree.Options{Workers: P} for P ∈ {1,2,4,8}. Each row reports wall
+// time, process CPU and barrier wait per call, and the speedup over the
+// kernel's own P=1 row. The BENCH-JSON records the host's core count:
+// speedup on a host with fewer cores than P is capped near 1.0 by
 // physics, and cmd/benchgate only enforces its minimum-speedup gate when
-// the measuring host actually has the cores.
+// the measuring host has the cores. -short shortens only the timing
+// loops; the inputs are small in both modes.
 func e12() {
 	minDur := 300 * time.Millisecond
-	cflN, mongeN, boolN := 255, 512, 1024
-	const batchJobs, batchLen = 64, 64
 	if shortMode {
 		minDur = 60 * time.Millisecond
-		cflN, mongeN, boolN = 127, 256, 512
 	}
+	const batchJobs, batchLen = 64, 64
 	rng := rand.New(rand.NewSource(12))
 
-	g := grammar.Palindrome()
-	word := make([]byte, cflN)
-	for i := 0; i < cflN/2; i++ {
-		word[i] = "ab"[i%2]
-		word[cflN-1-i] = word[i]
+	g := partree.PalindromeGrammar()
+	word := palindromeWord(257)
+	freqs := make([]float64, 256)
+	for i := range freqs {
+		freqs[i] = float64(1 + rng.Intn(1000))
 	}
-	word[cflN/2] = 'c'
-
-	ma := monge.Random(rng, mongeN, mongeN, 100, 5)
-	mb := monge.Random(rng, mongeN, mongeN, 100, 5)
-
-	ba := boolmat.New(boolN, boolN)
-	bb := boolmat.New(boolN, boolN)
-	for i := 0; i < boolN; i++ {
-		for j := 0; j < boolN; j += 1 + rng.Intn(16) {
-			ba.Set(i, j, true)
-			bb.Set(j, i, true)
+	keys, gaps := make([]float64, 128), make([]float64, 129)
+	sum := 0.0
+	for _, v := range [][]float64{keys, gaps} {
+		for i := range v {
+			v[i] = float64(rng.Intn(1001))
+			sum += v[i]
 		}
 	}
-
+	for _, v := range [][]float64{keys, gaps} {
+		for i := range v {
+			v[i] /= sum
+		}
+	}
+	bst, err := partree.NewBSTInstance(keys, gaps)
+	if err != nil {
+		panic(err)
+	}
+	// A monotone pattern of 32 768 leaves with Kraft sum 1: the sorted
+	// Huffman code lengths of log-normal weights.
+	lw := make([]float64, 1<<15)
+	for i := range lw {
+		lw[i] = math.Exp(2 * rng.NormFloat64())
+	}
+	depths := partree.CodeLengths(partree.HuffmanTree(lw), len(lw))
+	sort.Ints(depths)
 	jobs := make([][]float64, batchJobs)
 	for i := range jobs {
 		w := make([]float64, batchLen)
@@ -754,82 +780,46 @@ func e12() {
 		jobs[i] = w
 	}
 
-	// Each kernel: run one operation with P workers, fold the barrier
-	// wait for that operation into the returned total.
 	kernels := []struct {
 		name string
-		// newOp returns the per-iteration operation and a barrier func to
-		// call after the timing loop (total across all iterations).
-		newOp func(p int) (op func(), barrier func() time.Duration)
+		op   func(opts partree.Options) partree.Stats
 	}{
-		{"lincfl-recognize", func(p int) (func(), func() time.Duration) {
-			m := pram.New(pram.WithWorkers(p))
-			return func() {
-					res := lincfl.RecognizeDC(m, g, word)
-					benchSink = res.Accepted
-				}, func() time.Duration {
-					return m.Stats().BarrierWait
-				}
+		{"lincfl-recognize", func(o partree.Options) partree.Stats {
+			return partree.RecognizeLinearParallel(g, word, o).Stats
 		}},
-		{"monge-cutsmawk", func(p int) (func(), func() time.Duration) {
-			m := pram.New(pram.WithWorkers(p))
-			var cnt matrix.OpCount
-			return func() {
-					monge.CutSMAWKPar(m, ma, mb, &cnt).Release()
-				}, func() time.Duration {
-					return m.Stats().BarrierWait
-				}
+		{"hufpar", func(o partree.Options) partree.Stats { return partree.HuffmanParallel(freqs, o).Stats }},
+		{"obst", func(o partree.Options) partree.Stats { return partree.ApproxBST(bst, 1e-6, o).Stats }},
+		{"leafpattern", func(o partree.Options) partree.Stats {
+			_, st, err := partree.TreeFromMonotoneDepths(depths, o)
+			if err != nil {
+				panic(err)
+			}
+			return st
 		}},
-		{"boolmat-mulpar", func(p int) (func(), func() time.Duration) {
-			m := pram.New(pram.WithWorkers(p))
-			return func() {
-					boolmat.MulPar(m, ba, bb).Release()
-				}, func() time.Duration {
-					return m.Stats().BarrierWait
-				}
-		}},
-		{"partreed-batch", func(p int) (func(), func() time.Duration) {
-			// The partreed hot path below the HTTP layer: one engine
-			// batch per call, machine owned by the batch entry point.
-			var barrier time.Duration
-			opts := partree.Options{Workers: p}
-			return func() {
-					res, st := partree.HuffmanBatch(jobs, opts)
-					benchSink = res[0].Err == nil
-					barrier += st.BarrierWait
-				}, func() time.Duration {
-					return barrier
-				}
+		// The partreed hot path below the HTTP layer: one engine batch
+		// per call.
+		{"partreed-batch", func(o partree.Options) partree.Stats {
+			_, st := partree.HuffmanBatch(jobs, o)
+			return st
 		}},
 	}
 
 	cpus := runtime.NumCPU()
 	var out []e12Kernel
 	for _, k := range kernels {
-		fmt.Printf("%-18s %3s %14s %9s %14s\n",
-			k.name, "p", "ns/op", "speedup", "barrier-ms/op")
+		fmt.Printf("%-18s %3s %14s %9s %10s %14s\n",
+			k.name, "p", "ns/op", "speedup", "cpu-ms/op", "barrier-ms/op")
 		var rows []e12Row
-		var base float64
 		for _, p := range []int{1, 2, 4, 8} {
-			prevShards := wspool.SetShards(p)
-			op, barrierOf := k.newOp(p)
-			iters, elapsed := e12Loop(minDur, op)
-			barrier := barrierOf()
-			wspool.SetShards(prevShards)
-			nsOp := float64(elapsed.Nanoseconds()) / float64(iters)
-			if p == 1 {
-				base = nsOp
-			}
-			ops := iters + 1 // the counters also saw the warm-up call
-			row := e12Row{
-				P:         p,
-				NsOp:      nsOp,
-				Speedup:   base / nsOp,
-				BarrierMS: barrier.Seconds() * 1e3 / float64(ops),
+			opts := partree.Options{Workers: p}
+			nsOp, cpuMS, barrierMS := e12Measure(minDur, func() partree.Stats { return k.op(opts) })
+			row := e12Row{P: p, NsOp: nsOp, CPUMSOp: cpuMS, Speedup: 1, BarrierMS: barrierMS}
+			if p > 1 {
+				row.Speedup = rows[0].NsOp / nsOp
 			}
 			rows = append(rows, row)
-			fmt.Printf("%-18s %3d %14.0f %8.2fx %14.4f\n",
-				"", row.P, row.NsOp, row.Speedup, row.BarrierMS)
+			fmt.Printf("%-18s %3d %14.0f %8.2fx %10.3f %14.4f\n",
+				"", row.P, row.NsOp, row.Speedup, row.CPUMSOp, row.BarrierMS)
 		}
 		out = append(out, e12Kernel{Kernel: k.name, Rows: rows})
 		fmt.Println()
@@ -846,7 +836,7 @@ func e12() {
 		panic(err)
 	}
 	fmt.Printf("BENCH-JSON %s\n", blob)
-	fmt.Printf("claim: on a host with ≥4 cores the monge and boolmat kernels reach ≥2x\n")
+	fmt.Printf("claim: on a host with ≥4 cores lincfl-recognize and leafpattern reach ≥2x\n")
 	fmt.Printf("       speedup at P=4 (enforced by make bench-gate); this host has %d\n", cpus)
 	fmt.Println("       core(s), so ratios are capped near 1.0 when cpus < P and the gate skips")
 }
@@ -935,14 +925,8 @@ func e13() {
 	// Kernel 1: linear-CFL recognition, the same palindrome word E11 pins.
 	// Armed attaches a default-capacity ring; the ring wraps during the
 	// run, so eviction cost is part of the armed price.
-	const cflN = 127
 	g := grammar.Palindrome()
-	word := make([]byte, cflN)
-	for i := 0; i < cflN/2; i++ {
-		word[i] = "ab"[i%2]
-		word[cflN-1-i] = word[i]
-	}
-	word[cflN/2] = 'c'
+	word := palindromeWord(127)
 	newLincfl := func(armed bool) func(b *testing.B) {
 		return func(b *testing.B) {
 			m := pram.New(pram.WithGrain(grainLinCFL))

@@ -318,50 +318,6 @@ func MulPar(m *pram.Machine, a, b *Matrix) *Matrix {
 	return out
 }
 
-// Closure returns the reflexive-transitive closure of a square matrix by
-// ⌈log₂ n⌉ squarings of (I ∨ m), recycling each intermediate square.
-func Closure(m *Matrix) *Matrix {
-	if m.R != m.C {
-		panic("boolmat: closure of non-square matrix")
-	}
-	id := Identity(m.R)
-	cur := m.Clone().Or(id)
-	id.Release()
-	for span := 1; span < m.R; span <<= 1 {
-		next := Mul(cur, cur)
-		cur.Release()
-		cur = next
-	}
-	return cur
-}
-
-// ClosurePar is Closure with every squaring performed on the PRAM:
-// ⌈log₂ n⌉ parallel products.
-func ClosurePar(mach *pram.Machine, m *Matrix) *Matrix {
-	if m.R != m.C {
-		panic("boolmat: closure of non-square matrix")
-	}
-	defer mach.Phase("boolmat.ClosurePar")()
-	id := Identity(m.R)
-	cur := m.Clone().Or(id)
-	id.Release()
-	// cur is a GC'd Clone before the first squaring and a pooled MulPar
-	// product afterwards; Release handles both, and MulPar releases its
-	// own output when the abort happens inside it.
-	defer func() {
-		if rec := recover(); rec != nil {
-			cur.Release()
-			panic(rec)
-		}
-	}()
-	for span := 1; span < m.R; span <<= 1 {
-		next := MulPar(mach, cur, cur)
-		cur.Release()
-		cur = next
-	}
-	return cur
-}
-
 // String renders the matrix as rows of 0/1 for debugging.
 func (m *Matrix) String() string {
 	var sb strings.Builder

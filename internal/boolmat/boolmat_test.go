@@ -146,45 +146,6 @@ func TestOrAndClone(t *testing.T) {
 	}
 }
 
-func TestClosureChain(t *testing.T) {
-	// Path graph 0→1→2→3: closure is the upper triangle.
-	m := New(4, 4)
-	for i := 0; i < 3; i++ {
-		m.Set(i, i+1, true)
-	}
-	cl := Closure(m)
-	for i := 0; i < 4; i++ {
-		for j := 0; j < 4; j++ {
-			if cl.Get(i, j) != (j >= i) {
-				t.Fatalf("closure wrong at (%d,%d)", i, j)
-			}
-		}
-	}
-}
-
-func TestClosureMatchesFloydWarshall(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for trial := 0; trial < 15; trial++ {
-		n := 1 + rng.Intn(40)
-		m := randMat(rng, n, n, 0.08)
-		want := m.Clone().Or(Identity(n))
-		for k := 0; k < n; k++ {
-			for i := 0; i < n; i++ {
-				if want.Get(i, k) {
-					for j := 0; j < n; j++ {
-						if want.Get(k, j) {
-							want.Set(i, j, true)
-						}
-					}
-				}
-			}
-		}
-		if !Closure(m).Equal(want) {
-			t.Fatalf("trial %d: closure differs from Floyd-Warshall", trial)
-		}
-	}
-}
-
 func TestReleaseRecyclesAndDoubleReleasePanics(t *testing.T) {
 	pool.Reset()
 	defer pool.Reset()
@@ -230,10 +191,9 @@ func TestPooledMulMatchesUnpooled(t *testing.T) {
 
 func TestDimensionPanics(t *testing.T) {
 	for name, f := range map[string]func(){
-		"mul":     func() { Mul(New(2, 3), New(4, 5)) },
-		"or":      func() { New(2, 2).Or(New(3, 3)) },
-		"closure": func() { Closure(New(2, 3)) },
-		"neg":     func() { New(-1, 2) },
+		"mul": func() { Mul(New(2, 3), New(4, 5)) },
+		"or":  func() { New(2, 2).Or(New(3, 3)) },
+		"neg": func() { New(-1, 2) },
 	} {
 		func() {
 			defer func() {
@@ -251,18 +211,6 @@ func TestStringRender(t *testing.T) {
 	m.Set(0, 1, true)
 	if m.String() != "01\n00\n" {
 		t.Errorf("String = %q", m.String())
-	}
-}
-
-func TestClosureParMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	m := pram.New(pram.WithWorkers(4), pram.WithGrain(4))
-	for trial := 0; trial < 10; trial++ {
-		n := 1 + rng.Intn(60)
-		x := randMat(rng, n, n, 0.06)
-		if !ClosurePar(m, x).Equal(Closure(x)) {
-			t.Fatalf("trial %d: parallel closure differs", trial)
-		}
 	}
 }
 

@@ -6,25 +6,15 @@ import (
 	"partree/internal/pram"
 )
 
-// CutRecursivePar is the PRAM version of CutRecursive: every interpolation
-// phase is one parallel statement over its hull entries (one virtual
-// processor per entry that can be finite, each doing its
-// monotonicity-bracketed scan), matching the paper's CREW schedule. The
-// recursion depth is min(⌈log p⌉, ⌈log r⌉), and each level issues O(1)
-// parallel statements, so the counted step depth on an unbounded machine
-// is O(min(log p, log r)); with the bracketed scans costing O(log q) …
-// O(q) each, the CREW time bound of Theorem 4.1 follows.
-func CutRecursivePar(m *pram.Machine, a, b *matrix.Dense, cnt *matrix.OpCount) *matrix.IntMat {
-	defer m.Phase("monge.MulPar")()
-	c := newMulCtx(a, b, cnt)
-	defer c.close()
-	return cutRecStridedPar(m, c, 1, 1)
-}
-
-// cutRecStridedPar is cutRecStrided with each phase issued as one parallel
-// statement over its view's cut table: one virtual processor per stored
-// (hull) entry, so a statement whose view has no hull entry records no
-// step.
+// cutRecStridedPar is the PRAM version of cutRecStrided: every
+// interpolation phase is one parallel statement over its view's cut
+// table (one virtual processor per stored hull entry, each doing its
+// monotonicity-bracketed scan), matching the paper's CREW schedule, so a
+// statement whose view has no hull entry records no step. The recursion
+// depth is min(⌈log p⌉, ⌈log r⌉) and each level issues O(1) statements,
+// so the counted step depth on an unbounded machine is
+// O(min(log p, log r)); with the bracketed scans costing O(log q) … O(q)
+// each, the CREW time bound of Theorem 4.1 follows.
 func cutRecStridedPar(m *pram.Machine, c *mulCtx, rs, cs int) (out *matrix.IntMat) {
 	// A cancellation checkpoint inside any of the statements below unwinds
 	// through this frame; the live pooled intermediates must go back to

@@ -18,8 +18,6 @@
 //   - Random: a generator of random concave matrices for tests and benches,
 //   - CutRecursive (§4.1): the paper's recursive even-index algorithm,
 //   - CutBottomUp (§4.2): the paper's n^{1/2^m} stride-refinement algorithm,
-//   - CutSMAWK: SMAWK row-minima per output column (an ablation baseline the
-//     paper's technique is related to),
 //   - Mul / MulPar / MulCRCW: the product itself, laid out with its cut
 //     table on the output hull.
 //
